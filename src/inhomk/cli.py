@@ -36,6 +36,7 @@ from .intensity import (
 )
 from .io import (
     read_covariate_field,
+    read_matrix_csv,
     read_pattern_csv,
     write_curve_csv,
     write_matrix_csv,
@@ -117,7 +118,13 @@ def _cmd_kfunc(args) -> int:
     else:
         field = read_covariate_field(args.covariates)
         if args.fit:
-            beta = fit_loglinear(pattern, field).beta_hat
+            fit = fit_loglinear(pattern, field)
+            if not fit.converged:
+                raise ValueError(
+                    f"log-linear fit did not converge after {fit.iterations} "
+                    f"iterations (score norm {fit.score_norm:.3g})"
+                )
+            beta = fit.beta_hat
         else:
             beta = _vector(args.beta)
         model = LogLinearIntensity(beta, field)
@@ -176,39 +183,25 @@ def _cmd_cov(args) -> int:
 
 
 def _cmd_crit(args) -> int:
-    import hashlib
-
     grid = RadiusGrid.uniform(args.R, args.grid)
     if args.cov:
-        from .io import read_matrix_csv
-
         matrix = read_matrix_csv(args.cov)
+        if matrix.shape != (grid.m, grid.m):
+            raise ValueError(
+                f"covariance is {matrix.shape[0]}x{matrix.shape[1]}, "
+                f"but --grid is {grid.m}"
+            )
     else:
         matrix = poisson_cov_matrix(grid, args.rho, args.mode).matrix
-
-    key = hashlib.sha256(
-        grid.values.tobytes()
-        + np.ascontiguousarray(matrix).tobytes()
-        + f"{args.alpha}:{args.M}:{args.seed}".encode()
-    ).hexdigest()
-    cache = {}
-    if args.cache and Path(args.cache).exists():
-        cache = json.loads(Path(args.cache).read_text())
-    if key in cache:
-        payload = cache[key]
-    else:
-        sample = simulate_sup(matrix, args.M, args.seed)
-        payload = {
-            "alpha": args.alpha,
-            "critical_value": critical_value(sample, args.alpha),
-            "M": args.M,
-            "seed": args.seed,
-            "R": args.R,
-            "grid_size": args.grid,
-        }
-        if args.cache:
-            cache[key] = payload
-            Path(args.cache).write_text(json.dumps(cache, indent=2) + "\n")
+    sample = simulate_sup(matrix, args.M, args.seed)
+    payload = {
+        "alpha": args.alpha,
+        "critical_value": critical_value(sample, args.alpha),
+        "M": args.M,
+        "seed": args.seed,
+        "R": args.R,
+        "grid_size": args.grid,
+    }
     _print_json(payload, args.output)
     return 0
 
@@ -314,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--M", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cache", help="JSON table keyed by (grid, covariance, alpha, M, seed)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_crit)
 

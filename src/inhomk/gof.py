@@ -7,7 +7,9 @@ estimated-intensity covariance ``2 pi min(s,t)^2 / rho^2`` or the
 known-intensity covariance (which adds ``4 pi^2 s^2 t^2 / rho``); in both
 variance formulas the unknown intensity is replaced by the estimate. The sup
 is taken over the same grid used to simulate the Gaussian process, so the
-statistic and its null law are directly comparable.
+statistic and its null law are directly comparable. Critical values and
+p-values are read off the sorted draws by the rules in
+:mod:`inhomk.limitlaw`; :class:`PoissonNullTables` only supplies the draws.
 
 Closed-form covariances exist only in the plane; patterns in other dimensions
 are rejected.
@@ -16,14 +18,20 @@ are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
 from .geometry import PointPattern
 from .intensity import ConstantIntensity, estimate_constant
 from .kstat import RadiusGrid, k_hat, k_poisson
-from .limitlaw import MIN_SAMPLE, cholesky_with_jitter, normal_reservoir
+from .limitlaw import (
+    MIN_SAMPLE,
+    cholesky_with_jitter,
+    normal_reservoir,
+    p_value,
+    upper_quantile,
+)
 from .seeds import stream
 
 __all__ = ["GofConfig", "GofResult", "PoissonNullTables", "ks_statistic", "gof_test"]
@@ -122,6 +130,9 @@ class PoissonNullTables:
         self._rank_one = 2.0 * pi * r**2
         self._std_estimated = np.sort(np.abs(self._signed).max(axis=1))
         self._known_draws_cache: dict[float, np.ndarray] = {}
+        # Reused by known_draws: a fresh path matrix per estimate made the
+        # allocator hand pages back to the system and fault them in again.
+        self._scratch = (np.empty_like(self._signed), np.empty_like(self._signed))
 
     def estimated_draws(self, rho: float) -> np.ndarray:
         """Sorted sup draws under the estimated-intensity covariance at ``rho``."""
@@ -134,22 +145,22 @@ class PoissonNullTables:
         observed point count, so the cache stays small.
         """
         if rho not in self._known_draws_cache:
-            paths = self._signed / rho + np.outer(self._xi, self._rank_one) / sqrt(rho)
-            self._known_draws_cache[rho] = np.sort(np.abs(paths).max(axis=1))
+            paths, part = self._scratch
+            np.multiply.outer(self._xi, self._rank_one, out=paths)
+            paths /= sqrt(rho)
+            np.divide(self._signed, rho, out=part)
+            paths += part
+            draws = np.abs(paths, out=paths).max(axis=1)
+            draws.sort()
+            self._known_draws_cache[rho] = draws
         return self._known_draws_cache[rho]
-
-    @staticmethod
-    def _quantile(draws: np.ndarray, alpha: float) -> float:
-        # alpha = 1 (always reject) is allowed in study configurations
-        k = ceil((1.0 - alpha) * len(draws))
-        return float(draws[k - 1]) if k > 0 else 0.0
 
     def estimated_critical(self, alpha: float, rho: float) -> float:
         # Exact 1/rho scaling of the standard table.
-        return self._quantile(self._std_estimated, alpha) / rho
+        return upper_quantile(self._std_estimated, alpha) / rho
 
     def known_critical(self, alpha: float, rho: float) -> float:
-        return self._quantile(self.known_draws(rho), alpha)
+        return upper_quantile(self.known_draws(rho), alpha)
 
 
 def ks_statistic(pattern: PointPattern, model, grid: RadiusGrid) -> float:
@@ -201,13 +212,10 @@ def gof_test(
 
     if config.mode == "estimated":
         draws = tables.estimated_draws(beta_hat)
-        crit = tables.estimated_critical(config.alpha, beta_hat)
     else:
         draws = tables.known_draws(beta_hat)
-        crit = tables._quantile(draws, config.alpha)
-
-    exceed = len(draws) - int(np.searchsorted(draws, statistic, side="left"))
-    pval = (1 + exceed) / (len(draws) + 1)
+    crit = upper_quantile(draws, config.alpha)
+    pval = p_value(draws, statistic)
 
     return GofResult(
         statistic=float(statistic),

@@ -5,6 +5,11 @@ Cholesky factor. One standard-normal reservoir per seed is reused against
 different covariances, so critical values are directly comparable across
 covariances and exact scaling relations of the covariance carry over to the
 draws.
+
+This module owns the two rules that turn sorted draws into a decision: the
+order-statistic critical value (:func:`upper_quantile`) and the Monte Carlo
+p-value (:func:`p_value`). The goodness-of-fit test, the study harness and
+the ``crit`` command all go through them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 from .seeds import stream
 
 __all__ = ["SupSample", "normal_reservoir", "cholesky_with_jitter",
-           "simulate_sup", "critical_value", "p_value"]
+           "simulate_sup", "upper_quantile", "critical_value", "p_value"]
 
 MIN_SAMPLE = 100
 _JITTER_START = 1e-10
@@ -93,15 +98,28 @@ def simulate_sup(cov, count: int, seed: int) -> SupSample:
     return SupSample(draws=draws, cov=mat, seed=int(seed))
 
 
+def upper_quantile(draws: np.ndarray, alpha: float) -> float:
+    """The ``k``-th smallest of ``M`` sorted draws, ``k = ceil(M (1 - alpha))``.
+
+    ``alpha = 1`` (always reject) gives 0. The level is not validated here:
+    callers check it against their own admissible range.
+    """
+    k = ceil((1.0 - alpha) * len(draws))
+    return float(draws[k - 1]) if k > 0 else 0.0
+
+
 def critical_value(sample: SupSample, alpha: float) -> float:
-    """Upper-alpha critical value: the ceil((1-alpha) M)-th smallest draw."""
+    """Upper-alpha critical value of a sample, ``alpha`` in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    k = ceil((1.0 - alpha) * sample.size)
-    return float(sample.draws[k - 1])
+    return upper_quantile(sample.draws, alpha)
 
 
-def p_value(sample: SupSample, statistic: float) -> float:
-    """Monte Carlo p-value ``(1 + #{draws >= statistic}) / (M + 1)``."""
-    exceed = sample.size - np.searchsorted(sample.draws, statistic, side="left")
-    return float((1 + exceed) / (sample.size + 1))
+def p_value(sample, statistic: float) -> float:
+    """Monte Carlo p-value ``(1 + #{draws >= statistic}) / (M + 1)``.
+
+    ``sample`` is a :class:`SupSample` or an array of sorted draws.
+    """
+    draws = getattr(sample, "draws", sample)
+    exceed = len(draws) - np.searchsorted(draws, statistic, side="left")
+    return float((1 + exceed) / (len(draws) + 1))

@@ -3,24 +3,31 @@
 Replicate ``r`` of cell ``i`` always draws from ``stream(seed, i * 10**6 + r)``,
 so results are identical no matter how replicates are scheduled; worker
 processes only ever receive disjoint replicate ranges and the merged output
-preserves replicate order. Within a cell the same simulated patterns are
-evaluated under every requested variance mode (that is what makes the
-known-vs-estimated comparison a paired one), sharing a single critical-value
-table: the estimated-intensity critical value is the standard table value
-scaled by the inverse intensity estimate, the known-intensity one is a cached
-per-estimate pass over the shared reservoir.
+preserves replicate order. One runner serves both the rejection study and
+the covariance oracle: per replicate it returns the point count and the
+unit-intensity K curve on the grid, from which every plug-in estimate is an
+exact rescaling. The oracle runs it at cell index 0.
+
+Within a cell the same simulated patterns are evaluated under every requested
+variance mode (that is what makes the known-vs-estimated comparison a paired
+one), sharing a single critical-value table: the estimated-intensity critical
+value is the standard table value scaled by the inverse intensity estimate,
+the known-intensity one is a cached per-estimate pass over the shared
+reservoir.
 """
 
 from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from math import sqrt
+from multiprocessing import get_context
 
 import numpy as np
 
-from .geometry import PointPattern, Window, close_pairs, overlap_volume
+from .geometry import Window
 from .gof import PoissonNullTables
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat, k_poisson
@@ -42,7 +49,11 @@ _FAILURE_CAP = 0.01
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """One rejection-probability study: a process, windows, and test modes."""
+    """One rejection-probability study: a process, windows, and test modes.
+
+    ``alpha`` is in (0, 1]; ``alpha = 1`` rejects every evaluable replicate.
+    The null tables are planar, so ``dim`` must be 2.
+    """
 
     process: str = "poisson"
     rho: float = 200.0
@@ -65,6 +76,10 @@ class StudyConfig:
             raise ValueError("matern parameters required for a matern study")
         if self.replicates < 100:
             raise ValueError("need at least 100 replicates")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ValueError("alpha must be in (0, 1]")
+        if self.dim != 2:
+            raise ValueError("closed form available only in the plane")
         for mode in self.modes:
             if mode not in ("estimated", "known"):
                 raise ValueError(f"unknown mode {mode!r}")
@@ -134,97 +149,88 @@ class StudyResult:
         return "\n".join(lines) + "\n"
 
 
-def _simulate_cell_pattern(config: StudyConfig, window: Window, rng) -> PointPattern:
-    if config.process == "poisson":
-        return simulate_poisson(config.rho, window, rng)
-    return simulate_matern(config.matern, window, rng)
+def _replicate_curves(job):
+    """Point counts and unit-intensity K curves of replicates [lo, hi) of one cell.
 
-
-def _replicate_stats(config: StudyConfig, side: float, cell_index: int, lo: int, hi: int):
-    """Point count and sup statistic for replicates [lo, hi) of one cell.
-
-    The statistic is computed from the unit-intensity pair sum and scaled by
-    the squared intensity estimate, which is exact for the constant model and
-    lets both variance modes share it. Counts below two yield a zero pair sum;
-    a count of zero is reported as-is and treated as a failure upstream.
+    The unit-intensity curve divided by the squared intensity is the estimate
+    with that constant intensity plugged in, so one curve serves every
+    variance mode and every plug-in value. Empty and singleton patterns give
+    an all-zero curve.
     """
+    config, side, grid, seed, cell_index, lo, hi = job
     window = Window(config.dim, side)
-    grid = RadiusGrid.uniform(config.R, config.grid_size)
-    null_curve = k_poisson(grid.values, config.dim)
-    sqrt_n = sqrt(window.volume)
+    unit = ConstantIntensity(1.0)
     counts = np.empty(hi - lo, dtype=np.int64)
-    stats = np.empty(hi - lo)
+    curves = np.empty((hi - lo, grid.m))
     for k, rep in enumerate(range(lo, hi)):
-        rng = stream(config.seed, cell_index * _CELL_STRIDE + rep)
-        pattern = _simulate_cell_pattern(config, window, rng)
+        rng = stream(seed, cell_index * _CELL_STRIDE + rep)
+        if config.process == "poisson":
+            pattern = simulate_poisson(config.rho, window, rng)
+        else:
+            pattern = simulate_matern(config.matern, window, rng)
         counts[k] = len(pattern)
-        if len(pattern) == 0:
-            stats[k] = np.nan
-            continue
-        beta_hat = len(pattern) / window.volume
-        unit = k_hat(pattern, ConstantIntensity(1.0), grid)
-        stats[k] = sqrt_n * np.abs(unit.values / beta_hat**2 - null_curve).max()
-    return counts, stats
+        curves[k] = k_hat(pattern, unit, grid).values
+    return counts, curves
 
 
-def _study_chunk(args):
-    return _replicate_stats(*args)
-
-
-def _collect_cell(config: StudyConfig, side: float, cell_index: int, executor):
-    ranges = [
-        (lo, min(lo + _CHUNK, config.replicates))
-        for lo in range(0, config.replicates, _CHUNK)
+def _run_cell(config, side, grid, seed, cell_index, replicates, executor):
+    """Counts and unit-intensity curves of all replicates of one cell, in order."""
+    jobs = [
+        (config, side, grid, seed, cell_index, lo, min(lo + _CHUNK, replicates))
+        for lo in range(0, replicates, _CHUNK)
     ]
-    jobs = [(config, side, cell_index, lo, hi) for lo, hi in ranges]
-    if executor is None:
-        parts = [_study_chunk(j) for j in jobs]
-    else:
-        parts = list(executor.map(_study_chunk, jobs))
+    parts = list((map if executor is None else executor.map)(_replicate_curves, jobs))
     counts = np.concatenate([p[0] for p in parts])
-    stats = np.concatenate([p[1] for p in parts])
-    return counts, stats
+    curves = np.concatenate([p[1] for p in parts])
+    return counts, curves
+
+
+def _executor(workers: int):
+    if workers <= 1:
+        return nullcontext()
+    spawn = get_context("spawn")  # not fork: the parent may already run BLAS threads
+    return ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
 
 
 def rejection_study(config: StudyConfig) -> StudyResult:
     """Rejection probability of the goodness-of-fit test, per (side, mode).
 
     Deterministic given the config seed, independent of the worker count.
-    Replicates that cannot be evaluated (empty patterns) count as failures;
-    more than 1% failures in a cell aborts the study.
+    The sup statistic of every replicate is computed from its unit-intensity
+    curve in one vectorized step, and critical values are evaluated once per
+    distinct intensity estimate in a cell. Replicates that cannot be evaluated
+    (empty patterns) count as failures; more than 1% failures in a cell aborts
+    the study.
     """
     grid = RadiusGrid.uniform(config.R, config.grid_size)
     tables = PoissonNullTables(grid, config.sample_size, config.seed)
-    volume_by_side = {side: Window(config.dim, side).volume for side in config.sides}
+    null_curve = k_poisson(grid.values, config.dim)
+    critical = {"estimated": tables.estimated_critical, "known": tables.known_critical}
 
-    executor = None
-    if config.workers > 1:
-        executor = ProcessPoolExecutor(max_workers=config.workers)
-    try:
+    with _executor(config.workers) as executor:
         cells = []
         for cell_index, side in enumerate(config.sides):
             start = time.perf_counter()
-            counts, stats = _collect_cell(config, side, cell_index, executor)
+            volume = Window(config.dim, side).volume
+            counts, curves = _run_cell(
+                config, side, grid, config.seed, cell_index, config.replicates, executor
+            )
             ok = counts > 0
             failures = int((~ok).sum())
             if failures > _FAILURE_CAP * config.replicates:
                 raise RuntimeError(
                     f"{failures} failed replicates out of {config.replicates}"
                 )
-            beta_hats = counts[ok] / volume_by_side[side]
-            t_ok = stats[ok]
+            beta_hats = counts[ok] / volume
+            stats = sqrt(volume) * np.abs(
+                curves[ok] / (beta_hats**2)[:, None] - null_curve
+            ).max(axis=1)
+            distinct, inverse = np.unique(beta_hats, return_inverse=True)
             elapsed = time.perf_counter() - start
             for mode in config.modes:
                 mode_start = time.perf_counter()
-                if mode == "estimated":
-                    crits = np.array(
-                        [tables.estimated_critical(config.alpha, b) for b in beta_hats]
-                    )
-                else:
-                    crits = np.array(
-                        [tables.known_critical(config.alpha, b) for b in beta_hats]
-                    )
-                rejections = int((t_ok > crits).sum())
+                crits = np.array([critical[mode](config.alpha, b) for b in distinct])
+                rejections = int((stats > crits[inverse]).sum())
                 cells.append(
                     StudyCell(
                         process=config.process,
@@ -236,61 +242,36 @@ def rejection_study(config: StudyConfig) -> StudyResult:
                         wall_time=elapsed + (time.perf_counter() - mode_start),
                     )
                 )
-        return StudyResult(config=config, cells=tuple(cells))
-    finally:
-        if executor is not None:
-            executor.shutdown()
-
-
-def _khat_at_two_radii(pattern: PointPattern, r1: float, r2: float, intensity: float):
-    """K estimates at two radii with a constant intensity plugged in."""
-    if not np.isfinite(intensity):
-        return np.nan, np.nan
-    rmax = max(r1, r2)
-    pairs = close_pairs(pattern, rmax)
-    if pairs.empty:
-        return 0.0, 0.0
-    overlap = overlap_volume(pattern.window, pairs.disp)
-    w = 1.0 / (overlap * intensity**2)
-    csum = np.concatenate(([0.0], np.cumsum(w)))
-    s1 = csum[np.searchsorted(pairs.dist, r1, side="right")]
-    s2 = csum[np.searchsorted(pairs.dist, r2, side="right")]
-    return float(s1), float(s2)
+    return StudyResult(config=config, cells=tuple(cells))
 
 
 def empirical_cov_oracle(
     config: StudyConfig,
     side: float,
-    r1: float,
-    r2: float,
-    mode: str,
+    grid: RadiusGrid,
     replicates: int,
     seed: int,
-) -> float:
-    """Brute-force ``n Cov(Khat(r1), Khat(r2))`` across simulated replicates.
+) -> dict[str, np.ndarray]:
+    """Brute-force ``n Cov(Khat(s), Khat(t))`` over the grid, across replicates.
 
-    ``mode='known'`` plugs the true intensity into the estimator,
-    ``mode='estimated'`` the per-replicate count estimate. The process and its
-    parameters are taken from ``config``; the study's grid settings are not
-    used. Calls with the same seed see the same replicates in both modes.
+    Returns ``{mode: matrix}``: ``'estimated'`` plugs each replicate's count
+    estimate into the estimator (empty patterns are left out), ``'known'`` the
+    true intensity, and is present only for the Poisson process. Both come
+    from one pass over the same replicates: replicate ``r`` draws from
+    ``stream(seed, r)``, the study's stream at cell index 0. The process, its
+    parameters and ``workers`` are taken from ``config``; the study's grid
+    settings are not used.
     """
     if replicates < 1000:
         raise ValueError("need at least 1000 replicates for the oracle")
-    if mode not in ("known", "estimated"):
-        raise ValueError("mode must be 'known' or 'estimated'")
-    if config.process != "poisson" and mode == "known":
-        raise ValueError("known-intensity oracle requires the poisson process")
-    window = Window(config.dim, side)
-    k1 = np.empty(replicates)
-    k2 = np.empty(replicates)
-    for rep in range(replicates):
-        rng = stream(seed, rep)
-        pattern = _simulate_cell_pattern(config, window, rng)
-        if mode == "known":
-            intensity = config.rho
-        else:
-            intensity = len(pattern) / window.volume if len(pattern) else np.nan
-        k1[rep], k2[rep] = _khat_at_two_radii(pattern, r1, r2, intensity)
-    valid = np.isfinite(k1) & np.isfinite(k2)
-    cov = np.cov(k1[valid], k2[valid], ddof=1)[0, 1]
-    return float(window.volume * cov)
+    volume = Window(config.dim, side).volume
+    with _executor(config.workers) as executor:
+        counts, curves = _run_cell(config, side, grid, seed, 0, replicates, executor)
+    ok = counts > 0
+    plug_in = {"estimated": curves[ok] / ((counts[ok] / volume) ** 2)[:, None]}
+    if config.process == "poisson":
+        plug_in["known"] = curves / config.rho**2
+    return {
+        mode: volume * np.cov(k, rowvar=False, ddof=1)
+        for mode, k in plug_in.items()
+    }

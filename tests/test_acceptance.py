@@ -173,8 +173,8 @@ def test_criterion_6_unbiasedness():
 
 def test_criterion_7_covariance_oracle():
     config = StudyConfig(process="poisson", rho=RHO, replicates=100)
-    known = empirical_cov_oracle(config, 4.0, R, R, "known", 10_000, seed=2024)
-    est = empirical_cov_oracle(config, 4.0, R, R, "estimated", 10_000, seed=2024)
+    cov = empirical_cov_oracle(config, 4.0, RadiusGrid.uniform(R, 2), 10_000, seed=2024)
+    known, est = cov["known"][-1, -1], cov["estimated"][-1, -1]
     ok = (
         abs(known / 1.62640e-6 - 1) <= 0.20
         and abs(est / 3.92699e-7 - 1) <= 0.20

@@ -5,7 +5,7 @@ import pytest
 
 from inhomk.cli import main
 from inhomk.geometry import PointPattern, Window
-from inhomk.intensity import CovariateField
+from inhomk.intensity import CovariateField, FitResult
 from inhomk.io import (
     read_covariate_field,
     read_matrix_csv,
@@ -135,18 +135,43 @@ def test_cli_crit(tmp_path, capsys):
     assert payload["M"] == 1000
 
 
-def test_cli_crit_cache(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
-    args = ["crit", "--rho", "150", "--M", "1000", "--seed", "4",
-            "--cache", str(cache)]
-    out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
-    assert main(args + ["-o", str(out1)]) == 0
-    assert cache.exists() and len(json.loads(cache.read_text())) == 1
-    assert main(args + ["-o", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    # a different alpha is a different key
-    assert main(args + ["--alpha", "0.1", "-o", str(out2)]) == 0
-    assert len(json.loads(cache.read_text())) == 2
+def test_cli_crit_cov_must_match_grid(tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    write_matrix_csv(cov, np.eye(10))
+    out = tmp_path / "crit.json"
+    assert main(["crit", "--cov", str(cov), "--M", "1000", "--seed", "3",
+                 "-o", str(out)]) == 1
+    assert "--grid is 50" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["crit", "--cov", str(cov), "--grid", "10", "--M", "1000",
+                 "--seed", "3", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["grid_size"] == 10
+
+
+def test_cli_kfunc_unconverged_fit_fails(tmp_path, capsys, monkeypatch):
+    import inhomk.cli
+
+    window = Window(2, 1.0)
+    field = CovariateField.from_function(
+        window, lambda p: np.column_stack([np.ones(len(p)), p[:, 0]]), 8
+    )
+    field_path = tmp_path / "field.csv"
+    write_covariate_field(field_path, field)
+    pat_path = tmp_path / "pat.csv"
+    write_pattern_csv(pat_path, simulate_poisson(200.0, window, 5))
+    curve = tmp_path / "curve.csv"
+    args = ["kfunc", str(pat_path), "--intensity", "loglinear", "--fit",
+            "--covariates", str(field_path), "-o", str(curve)]
+    assert main(args) == 0
+
+    def unconverged(pattern, field, beta0=None):
+        return FitResult(np.array([np.log(200.0), 0.0]), 1.0, 50, False)
+
+    monkeypatch.setattr(inhomk.cli, "fit_loglinear", unconverged)
+    curve.unlink()
+    assert main(args) == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not curve.exists()
 
 
 def test_cli_study(tmp_path, capsys):

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from inhomk.gof import GofConfig, gof_test
+from inhomk.kstat import RadiusGrid
 from inhomk.seeds import stream
 from inhomk.simulate import MaternParams, simulate_poisson
 from inhomk.geometry import Window
@@ -87,6 +90,11 @@ def test_study_config_validation():
         StudyConfig(replicates=50)
     with pytest.raises(ValueError, match="mode"):
         StudyConfig(modes=("bogus",))
+    for alpha in (-0.1, 0.0, 1.5):
+        with pytest.raises(ValueError, match="alpha"):
+            StudyConfig(alpha=alpha)
+    with pytest.raises(ValueError, match="only in the plane"):
+        StudyConfig(dim=3)
     cfg = StudyConfig.from_dict(
         {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
     )
@@ -97,21 +105,35 @@ def test_oracle_modes_share_replicates_and_order():
     from inhomk.asymcov import poisson_cov
 
     cfg = StudyConfig(process="poisson", rho=200.0, replicates=100)
-    known = empirical_cov_oracle(cfg, 1.0, 0.04, 0.04, "known", 1500, seed=71)
-    est = empirical_cov_oracle(cfg, 1.0, 0.04, 0.04, "estimated", 1500, seed=71)
+    grid = RadiusGrid.uniform(0.05, 5)  # radii 0.01, ..., 0.05
+    cov = empirical_cov_oracle(cfg, 1.0, grid, 1500, seed=71)
+    known, est = cov["known"][3, 3], cov["estimated"][3, 3]
     assert est < known
     assert known == pytest.approx(poisson_cov(0.04, 0.04, 200.0, "known"), rel=0.35)
     # off-diagonal covariance against the closed form, same replicate set
-    cross = empirical_cov_oracle(cfg, 1.0, 0.03, 0.05, "known", 1500, seed=71)
+    cross = cov["known"][2, 4]
     assert cross == pytest.approx(poisson_cov(0.03, 0.05, 200.0, "known"), rel=0.35)
 
 
 def test_oracle_validation():
     cfg = StudyConfig(process="poisson", replicates=100)
+    grid = RadiusGrid.uniform(0.05, 2)
     with pytest.raises(ValueError, match="1000"):
-        empirical_cov_oracle(cfg, 1.0, 0.05, 0.05, "known", 500, seed=1)
-    with pytest.raises(ValueError, match="mode"):
-        empirical_cov_oracle(cfg, 1.0, 0.05, 0.05, "bogus", 1500, seed=1)
+        empirical_cov_oracle(cfg, 1.0, grid, 500, seed=1)
+    # the known-intensity mode needs the true intensity: Poisson only
+    matern = StudyConfig(process="matern", matern=MaternParams(25, 8, 0.2), replicates=100)
+    assert set(empirical_cov_oracle(matern, 1.0, grid, 1000, seed=1)) == {"estimated"}
+
+
+def test_oracle_workers_do_not_change_result():
+    cfg = StudyConfig(process="poisson", rho=100.0, replicates=100)
+    grid = RadiusGrid.uniform(0.05, 3)
+    a = empirical_cov_oracle(cfg, 1.0, grid, 1000, seed=17)
+    b = empirical_cov_oracle(replace(cfg, workers=2), 1.0, grid, 1000, seed=17)
+    assert a.keys() == b.keys() == {"estimated", "known"}
+    for mode in a:
+        assert a[mode].shape == (3, 3)
+        np.testing.assert_array_equal(a[mode], b[mode])
 
 
 def test_cross_block_empirical_anchor():
@@ -138,12 +160,13 @@ def test_oracle_error_shrinks_with_replicates():
     # quadrupling replicates roughly halves the oracle's Monte Carlo error;
     # the standard deviations are estimated over independent seed batches
     cfg = StudyConfig(process="poisson", rho=100.0, replicates=100)
+    grid = RadiusGrid.uniform(0.04, 2)
     small = [
-        empirical_cov_oracle(cfg, 1.0, 0.04, 0.04, "known", 1000, seed=200 + k)
+        empirical_cov_oracle(cfg, 1.0, grid, 1000, seed=200 + k)["known"][-1, -1]
         for k in range(12)
     ]
     big = [
-        empirical_cov_oracle(cfg, 1.0, 0.04, 0.04, "known", 4000, seed=300 + k)
+        empirical_cov_oracle(cfg, 1.0, grid, 4000, seed=300 + k)["known"][-1, -1]
         for k in range(12)
     ]
     ratio = np.std(big, ddof=1) / np.std(small, ddof=1)
