@@ -20,7 +20,16 @@ constant normalized intensities are integrated exactly. Unbounded variables
 are truncated to a ball of radius ``r_trunc``; the fast-decay assumption on
 the joint intensities is what makes the truncation harmless. Each block is
 reported together with the difference between the full-sample and half-sample
-estimates, a practical quadrature error gauge.
+estimates, a practical quadrature error gauge. The integrals that involve no
+intensity (``K``, the third-order decay and the two pair terms of the K
+covariance) are computed in one place for both intensity models, so the two
+models integrate them on the same points. Stratum-id regions are sized from
+the grid, so any grid size fits.
+
+Raster lag averages of the log-linear blocks are exact: on rasters constant
+on cells, ``int q_u(u) q_s(u - v)' du`` is the cell volume times the
+multilinear interpolation of the discrete cross-correlation at integer cell
+lags.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from typing import Callable
 
 import numpy as np
 
+from .geometry import overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
 from .kstat import Curve, RadiusGrid
 from .qmc import ball_points_weighted, ball_shell_points, direction_dims
@@ -64,7 +74,6 @@ _REGION_C3 = 3
 _REGION_C4 = 4
 _REGION_LL_S11 = 5
 _REGION_LL_C2 = 6
-_REGION_WIDTH = 4096
 
 # Reported quadrature errors are the accumulated absolute full-vs-half-sample
 # differences times this factor; the margin is what makes "doubling the budget
@@ -72,10 +81,10 @@ _REGION_WIDTH = 4096
 _ERROR_SAFETY = 3.0
 
 
-def _stratum(region: int, local: int) -> int:
-    if local >= _REGION_WIDTH:
-        raise ValueError("grid too large for the stratum layout")
-    return region * _REGION_WIDTH + local
+def _stratum(region: int, local: int, grid: RadiusGrid) -> int:
+    # A region holds the m*m annulus pairs; the 4096 floor keeps the ids (and
+    # so the points) of every grid with m <= 64 fixed.
+    return region * max(4096, grid.m * grid.m) + local
 
 
 def _ball_volume(dim: int, r) -> float | np.ndarray:
@@ -327,42 +336,33 @@ def _full_half(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _annulus_integrals(grid, dim, n_per, region, integrand):
-    """Per-annulus integrals of a function of the annulus variable.
+    """Integrals of a function of the annulus variable over each r-ball.
 
     ``integrand(x, stratum, n)`` must return per-sample values; sampling of
     any additional joint variables happens inside the integrand using the same
-    stratum and sample count.
+    stratum and sample count. Returns the per-annulus integrals and their
+    absolute full-vs-half-sample differences, both cumulated over the annuli.
     """
     edges = _annulus_edges(grid)
     shell_vol = np.diff(_ball_volume(dim, edges))
     full_parts, half_parts = [], []
     for l in range(grid.m):
-        x = ball_shell_points(n_per, dim, edges[l], edges[l + 1], _stratum(region, l))
-        vals = integrand(x, _stratum(region, l), n_per)
-        f, h = _full_half(vals)
+        sid = _stratum(region, l, grid)
+        x = ball_shell_points(n_per, dim, edges[l], edges[l + 1], sid)
+        f, h = _full_half(integrand(x, sid, n_per))
         full_parts.append(shell_vol[l] * f)
         half_parts.append(shell_vol[l] * h)
-    return np.array(full_parts), np.array(half_parts)
-
-
-def _tail_points(n, dim, r_trunc, stratum, dim_offset):
-    # Uniform in radius with volume-element weights: mean(f * w) estimates the
-    # ball integral and resolves decaying integrands near the origin.
-    return ball_points_weighted(n, dim, r_trunc, stratum, dim_offset=dim_offset)
-
-
-def _tail_integral(f, dim, r_trunc, n, region):
-    """Integral of ``f`` over the truncated ball; returns (full, half)."""
-    v, w = _tail_points(n, dim, r_trunc, _stratum(region, 0), 0)
-    return _full_half(np.asarray(f(v), dtype=float) * w)
+    full, half = np.array(full_parts), np.array(half_parts)
+    return np.cumsum(full), np.cumsum(np.abs(full - half))
 
 
 def _pair_matrix_integrals(grid, dim, n_per, region, pair_values):
-    """Per-annulus-pair integrals, symmetrized over the pair order.
+    """Integrals over pairs of r-balls, symmetrized over the pair order.
 
     ``pair_values(x, y, stratum, n)`` returns per-sample values for the two
-    bounded variables; the result matrices hold the integral over annulus
-    l times annulus l' in entry (l, l').
+    bounded variables. Entry (l, l') of each returned matrix holds the
+    integral over ball l times ball l' (and its absolute full-vs-half-sample
+    difference), cumulated from the annulus pairs along both axes.
     """
     edges = _annulus_edges(grid)
     shell_vol = np.diff(_ball_volume(dim, edges))
@@ -372,7 +372,7 @@ def _pair_matrix_integrals(grid, dim, n_per, region, pair_values):
     half = np.zeros((m, m))
     for l in range(m):
         for lp in range(l, m):
-            sid = _stratum(region, l * m + lp)
+            sid = _stratum(region, l * m + lp, grid)
             x = ball_shell_points(n_per, dim, edges[l], edges[l + 1], sid)
             y = ball_shell_points(
                 n_per, dim, edges[lp], edges[lp + 1], sid, dim_offset=vdims
@@ -381,7 +381,51 @@ def _pair_matrix_integrals(grid, dim, n_per, region, pair_values):
             w = shell_vol[l] * shell_vol[lp]
             full[l, lp] = full[lp, l] = w * f
             half[l, lp] = half[lp, l] = w * h
-    return full, half
+    return (
+        full.cumsum(axis=0).cumsum(axis=1),
+        np.abs(full - half).cumsum(axis=0).cumsum(axis=1),
+    )
+
+
+def _model_integrals(model: ProductDensityModel, grid, quad, dim):
+    """The block integrals that involve no intensity, as (value, error) pairs.
+
+    In order: ``K(r) = int_{B_r} g``; the third-order decay
+    ``int_{B_r} dx int dy (g3(x,y) - g(x))``; and the fourth- and third-order
+    pair terms ``t1(r1, r2) = int_{B_r1} dx int_{B_r2} du int dz
+    (g4(x, u+z, z) - g(x) g(u))`` and ``t2(r1, r2) = int_{B_r1} int_{B_r2} g3``
+    of the K covariance. Errors are cumulated full-vs-half-sample differences
+    without the safety factor.
+    """
+    r_trunc = quad.resolve_trunc(grid)
+    vdims = 1 + direction_dims(dim)
+    n_ann = quad.per_stratum(grid.m)
+    n_pair = quad.per_stratum(grid.m * (grid.m + 1) // 2)
+
+    def decay(x, stratum, n):
+        y, w = ball_points_weighted(n, dim, r_trunc, stratum, dim_offset=vdims)
+        return w * (
+            np.asarray(model.g3(x, y), float) - np.asarray(model.g(x), float)
+        )
+
+    def fourth(x, u, stratum, n):
+        z, w = ball_points_weighted(n, dim, r_trunc, stratum, dim_offset=2 * vdims)
+        return w * (
+            np.asarray(model.g4(x, u + z, z), float)
+            - np.asarray(model.g(x), float) * np.asarray(model.g(u), float)
+        )
+
+    return (
+        _annulus_integrals(
+            grid, dim, n_ann, _REGION_K, lambda x, s, n: np.asarray(model.g(x), float)
+        ),
+        _annulus_integrals(grid, dim, n_ann, _REGION_S2, decay),
+        _pair_matrix_integrals(grid, dim, n_pair, _REGION_C4, fourth),
+        _pair_matrix_integrals(
+            grid, dim, n_pair, _REGION_C3,
+            lambda x, y, s, n: np.asarray(model.g3(x, y), float),
+        ),
+    )
 
 
 def sigma_blocks_constant(
@@ -402,65 +446,28 @@ def sigma_blocks_constant(
     if not beta > 0:
         raise ValueError("intensity must be positive")
     quad = quad or QuadratureConfig()
-    r_trunc = quad.resolve_trunc(grid)
-    vdims = 1 + direction_dims(dim)
-
-    # K(r) = int_{B_r} g, cumulated over annuli.
-    n_k = quad.per_stratum(grid.m)
-    k_parts, k_parts_half = _annulus_integrals(
-        grid, dim, n_k, _REGION_K, lambda x, s, n: np.asarray(model.g(x), float)
+    (k_curve, k_err), (decay2, d_err), (t1, t1_err), (t2, t2_err) = _model_integrals(
+        model, grid, quad, dim
     )
-    k_curve = np.cumsum(k_parts)
 
     # sigma11 = beta^2 int (g - 1) + beta.
-    gm1_full, gm1_half = _tail_integral(
-        lambda v: np.asarray(model.g(v), float) - 1.0,
-        dim, r_trunc, quad.per_stratum(1), _REGION_S11,
+    v, w = ball_points_weighted(
+        quad.per_stratum(1), dim, quad.resolve_trunc(grid), _stratum(_REGION_S11, 0, grid)
     )
+    gm1_full, gm1_half = _full_half((np.asarray(model.g(v), float) - 1.0) * w)
     sigma11 = np.array([[beta**2 * gm1_full + beta]])
     sigma11_err = _ERROR_SAFETY * np.array([[abs(beta**2 * (gm1_full - gm1_half))]])
 
     # sigma2(r) = beta * int_{B_r} dx int dy (g3(x,y) - g(x)) + 2 K(r).
-    def s2_integrand(x, stratum, n):
-        y, w = _tail_points(n, dim, r_trunc, stratum, vdims)
-        return w * (
-            np.asarray(model.g3(x, y), float) - np.asarray(model.g(x), float)
-        )
-
-    n_s2 = quad.per_stratum(grid.m)
-    d_parts, d_parts_half = _annulus_integrals(grid, dim, n_s2, _REGION_S2, s2_integrand)
-    decay2 = np.cumsum(d_parts)
-    k_part_err = np.cumsum(np.abs(k_parts - k_parts_half))
-    d_part_err = np.cumsum(np.abs(d_parts - d_parts_half))
     sigma2 = (beta * decay2 + 2.0 * k_curve)[:, None]
-    sigma2_err = _ERROR_SAFETY * (beta * d_part_err + 2.0 * k_part_err)[:, None]
+    sigma2_err = _ERROR_SAFETY * (beta * d_err + 2.0 * k_err)[:, None]
 
     # c(r1, r2): fourth-order term + (4/beta) third-order term + (2/beta^2) K(min).
-    n_pair = quad.per_stratum(grid.m * (grid.m + 1) // 2)
-
-    def g4_values(x, u, stratum, n):
-        z, w = _tail_points(n, dim, r_trunc, stratum, 2 * vdims)
-        return w * (
-            np.asarray(model.g4(x, u + z, z), float)
-            - np.asarray(model.g(x), float) * np.asarray(model.g(u), float)
-        )
-
-    t1, t1_half = _pair_matrix_integrals(grid, dim, n_pair, _REGION_C4, g4_values)
-    t2, t2_half = _pair_matrix_integrals(
-        grid, dim, n_pair, _REGION_C3,
-        lambda x, y, s, n: np.asarray(model.g3(x, y), float),
-    )
-    t1_cum = t1.cumsum(axis=0).cumsum(axis=1)
-    t2_cum = t2.cumsum(axis=0).cumsum(axis=1)
-    idx = np.arange(grid.m)
-    minix = np.minimum.outer(idx, idx)
-    kmin = k_curve[minix]
-    c = t1_cum + 4.0 / beta * t2_cum + 2.0 / beta**2 * kmin
+    minix = np.minimum.outer(np.arange(grid.m), np.arange(grid.m))
+    c = t1 + 4.0 / beta * t2 + 2.0 / beta**2 * k_curve[minix]
     c = 0.5 * (c + c.T)
     c_err = _ERROR_SAFETY * (
-        np.abs(t1 - t1_half).cumsum(axis=0).cumsum(axis=1)
-        + 4.0 / beta * np.abs(t2 - t2_half).cumsum(axis=0).cumsum(axis=1)
-        + 2.0 / beta**2 * k_part_err[minix]
+        t1_err + 4.0 / beta * t2_err + 2.0 / beta**2 * k_err[minix]
     )
 
     return CovarianceBlocks(
@@ -555,63 +562,43 @@ def h_limit_loglinear(blocks: CovarianceBlocks) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _shifted_cell_pieces(field: CovariateField, v: np.ndarray):
-    """Decompose ``W and (W + v)`` into boxes constant for both u and u - v.
-
-    Returns piece volumes and the flat raster cell indices of ``u`` and
-    ``u - v`` on each piece; empty arrays when the shifted windows do not
-    overlap. Supports the exact evaluation of spatial averages of products of
-    raster functions at lag ``v``.
-    """
-    window = field.window
-    half = window.side / 2.0
-    lens, idx_u, idx_s = [], [], []
-    for axis, res in enumerate(field.resolution):
-        lo = -half + max(v[axis], 0.0)
-        hi = half + min(v[axis], 0.0)
-        if hi <= lo:
-            e = np.empty(0)
-            return e, e.astype(int), e.astype(int)
-        cell = window.side / res
-        edges = -half + cell * np.arange(res + 1)
-        cuts = np.unique(
-            np.concatenate([
-                np.clip(edges, lo, hi),
-                np.clip(edges + v[axis], lo, hi),
-            ])
-        )
-        mids = 0.5 * (cuts[:-1] + cuts[1:])
-        keep = cuts[1:] > cuts[:-1]
-        lens.append((cuts[1:] - cuts[:-1])[keep])
-        ku = np.clip(np.floor((mids[keep] + half) / cell).astype(int), 0, res - 1)
-        ks = np.clip(
-            np.floor((mids[keep] - v[axis] + half) / cell).astype(int), 0, res - 1
-        )
-        idx_u.append(ku)
-        idx_s.append(ks)
-
-    vol = lens[0]
-    cu, cs = idx_u[0], idx_s[0]
-    for axis in range(1, window.dim):
-        res = field.resolution[axis]
-        vol = np.multiply.outer(vol, lens[axis]).ravel()
-        cu = np.add.outer(cu * res, idx_u[axis]).ravel()
-        cs = np.add.outer(cs * res, idx_s[axis]).ravel()
-    return vol, cu, cs
-
-
-def _lag_average(q_u: np.ndarray, q_s: np.ndarray, field: CovariateField, v) -> np.ndarray:
-    """Average of ``q_u(u) q_s(u - v)'`` over the overlap window, exactly.
+def _lag_averages(q_u: np.ndarray, q_s: np.ndarray, field: CovariateField, lags) -> np.ndarray:
+    """Average of ``q_u(u) q_s(u - v)'`` over ``W and (W + v)``, exactly, per lag.
 
     ``q_u`` and ``q_s`` are per-cell vectors ``(ncells, a)`` and
-    ``(ncells, b)``; returns an ``(a, b)`` matrix (zeros when the windows do
-    not overlap).
+    ``(ncells, b)`` on the raster of ``field``, ``lags`` is ``(n, dim)``;
+    returns ``(n, a, b)``, zero where the windows do not overlap. On
+    cell-constant rasters the overlap integral is the cell volume times the
+    multilinear interpolation, at the lag in cell units, of the discrete
+    cross-correlation ``C[k] = sum_j q_u[j + k] q_s[j]'`` at integer cell
+    lags ``k``; ``C`` is built only over the lags the samples reach.
     """
-    vol, cu, cs = _shifted_cell_pieces(field, np.asarray(v, float))
-    if len(vol) == 0:
-        return np.zeros((q_u.shape[1], q_s.shape[1]))
-    total = vol.sum()
-    return (q_u[cu] * vol[:, None]).T @ q_s[cs] / total
+    res = np.array(field.resolution)
+    lags = np.asarray(lags, float)
+    # Clipping is exact: C vanishes at lags of +-res cells and beyond.
+    t = np.clip(lags * (res / field.window.side), -res, res)
+    base = np.floor(t).astype(int)
+    frac = t - base
+    lo, hi = base.min(axis=0), base.max(axis=0) + 1
+    qu = q_u.reshape(field.resolution + (-1,))
+    qs = q_s.reshape(field.resolution + (-1,))
+    axes = list(range(len(res)))
+    table = np.zeros(tuple(hi - lo + 1) + (qu.shape[-1], qs.shape[-1]))
+    for pos in np.ndindex(*(hi - lo + 1)):
+        k = lo + pos
+        if np.any(np.abs(k) >= res):
+            continue
+        src = tuple(slice(j, None) if j >= 0 else slice(None, j) for j in k)
+        dst = tuple(slice(None, r - j) if j >= 0 else slice(-j, None) for j, r in zip(k, res))
+        table[pos] = np.tensordot(qu[src], qs[dst], axes=(axes, axes))
+    interp = 0.0
+    for corner in np.ndindex(*(2,) * len(res)):
+        weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
+        interp = interp + weight[:, None, None] * table[tuple((base + corner - lo).T)]
+    overlap = overlap_volume(field.window, lags)[:, None, None]
+    return np.divide(
+        interp * field.cell_volume, overlap, out=np.zeros_like(interp), where=overlap > 0
+    )
 
 
 def loglinear_sigma_blocks(
@@ -624,56 +611,41 @@ def loglinear_sigma_blocks(
     """Log-linear-model covariance blocks in score coordinates.
 
     Ergodic limits are replaced by finite-window spatial averages over the
-    raster: the sensitivity and the lag averages of ``z z' rho rho`` (score
-    variance), ``z rho`` and ``1/rho`` (cross and K blocks) are exact raster
-    sums; the decay integrals over the normalized joint intensities use the
-    same stratified quadrature as the constant model. The returned blocks
-    carry the sensitivity matrix; use :meth:`CovarianceBlocks.beta_coords` for
-    estimator coordinates and :func:`h_limit_loglinear` for the matching H.
+    raster: the sensitivity and the averages of ``z rho`` and ``1/rho`` are
+    exact cell sums, and the lag averages of ``z z' rho rho`` (score
+    variance) and ``1/(rho rho)`` (K block) at each quadrature lag ``v`` are
+    exact too: the cell volume times the multilinear interpolation of the
+    raster's discrete cross-correlation at integer cell lags, divided by
+    ``|W and (W + v)|`` (zero where the windows do not overlap). The decay
+    integrals over the normalized joint intensities are the constant model's,
+    on the same points. The returned blocks carry the sensitivity matrix; use
+    :meth:`CovarianceBlocks.beta_coords` for estimator coordinates and
+    :func:`h_limit_loglinear` for the matching H.
     """
     quad = quad or QuadratureConfig()
     dim = field.window.dim
-    r_trunc = quad.resolve_trunc(grid)
-    vdims = 1 + direction_dims(dim)
     intensity = LogLinearIntensity(np.asarray(beta, float), field)
 
     z_cells = field.flat()
     rho_cells = intensity.cell_values()
     sens = cl_sensitivity(intensity)
     zbar = z_cells.mean(axis=0)
-    z_rho_bar = (z_cells * rho_cells[:, None]).mean(axis=0)
-    inv_rho_bar = float((1.0 / rho_cells).mean())
     q_zrho = z_cells * rho_cells[:, None]
+    z_rho_bar = q_zrho.mean(axis=0)
+    inv_rho_bar = float((1.0 / rho_cells).mean())
     q_invrho = (1.0 / rho_cells)[:, None]
-
-    # K(r) and the third-order decay integral, same scheme as the constant model.
-    n_k = quad.per_stratum(grid.m)
-    k_parts, k_half_parts = _annulus_integrals(
-        grid, dim, n_k, _REGION_K, lambda x, s, n: np.asarray(model.g(x), float)
+    (k_curve, k_err), (decay2, d_err), (t1, t1_err), (t2, t2_err) = _model_integrals(
+        model, grid, quad, dim
     )
-    k_curve = np.cumsum(k_parts)
-
-    def s2_integrand(x, stratum, n):
-        y, w = _tail_points(n, dim, r_trunc, stratum, vdims)
-        return w * (
-            np.asarray(model.g3(x, y), float) - np.asarray(model.g(x), float)
-        )
-
-    d_parts, d_half_parts = _annulus_integrals(
-        grid, dim, quad.per_stratum(grid.m), _REGION_S2, s2_integrand
-    )
-    decay2 = np.cumsum(d_parts)
-    d_part_err = np.cumsum(np.abs(d_parts - d_half_parts))
-    k_part_err = np.cumsum(np.abs(k_parts - k_half_parts))
 
     # Score variance: sensitivity plus the lag integral of (g-1) against the
     # spatial average of z z' rho rho.
-    n_tail = quad.per_stratum(1)
-    v_pts, v_w = _tail_points(n_tail, dim, r_trunc, _stratum(_REGION_LL_S11, 0), 0)
-    g_vals = (np.asarray(model.g(v_pts), float) - 1.0) * v_w
-    lagavg = np.array([_lag_average(q_zrho, q_zrho, field, v) for v in v_pts])
-    weighted = g_vals[:, None, None] * lagavg
-    s11_int, s11_int_half = _full_half(weighted)
+    v, w = ball_points_weighted(
+        quad.per_stratum(1), dim, quad.resolve_trunc(grid), _stratum(_REGION_LL_S11, 0, grid)
+    )
+    g_vals = (np.asarray(model.g(v), float) - 1.0) * w
+    lagavg = _lag_averages(q_zrho, q_zrho, field, v)
+    s11_int, s11_int_half = _full_half(g_vals[:, None, None] * lagavg)
     sigma11 = sens + s11_int
     sigma11 = 0.5 * (sigma11 + sigma11.T)
     sigma11_err = _ERROR_SAFETY * np.abs(s11_int - s11_int_half)
@@ -681,51 +653,20 @@ def loglinear_sigma_blocks(
     # Cross block: decay integral times avg(z rho) plus 2 K(r) zbar.
     sigma2 = np.outer(decay2, z_rho_bar) + 2.0 * np.outer(k_curve, zbar)
     sigma2_err = _ERROR_SAFETY * (
-        np.outer(d_part_err, np.abs(z_rho_bar))
-        + 2.0 * np.outer(k_part_err, np.abs(zbar))
+        np.outer(d_err, np.abs(z_rho_bar)) + 2.0 * np.outer(k_err, np.abs(zbar))
     )
 
     # K covariance: fourth-order term (no intensity), third-order term times
     # avg(1/rho), and the lag average of g(w)/(rho(u) rho(u-w)).
-    n_pair = quad.per_stratum(grid.m * (grid.m + 1) // 2)
-
-    def g4_values(x, u, stratum, n):
-        z, w = _tail_points(n, dim, r_trunc, stratum, 2 * vdims)
-        return w * (
-            np.asarray(model.g4(x, u + z, z), float)
-            - np.asarray(model.g(x), float) * np.asarray(model.g(u), float)
-        )
-
-    t1, t1_half = _pair_matrix_integrals(grid, dim, n_pair, _REGION_C4, g4_values)
-    t2, t2_half = _pair_matrix_integrals(
-        grid, dim, n_pair, _REGION_C3,
-        lambda x, y, s, n: np.asarray(model.g3(x, y), float),
+    c3, c3_err = _annulus_integrals(
+        grid, dim, quad.per_stratum(grid.m), _REGION_LL_C2,
+        lambda x, s, n: np.asarray(model.g(x), float)
+        * _lag_averages(q_invrho, q_invrho, field, x)[:, 0, 0],
     )
-
-    def weighted_g(x, stratum, n):
-        g = np.asarray(model.g(x), float)
-        phis = np.array(
-            [_lag_average(q_invrho, q_invrho, field, w)[0, 0] for w in x]
-        )
-        return g * phis
-
-    c3_parts, c3_half_parts = _annulus_integrals(
-        grid, dim, quad.per_stratum(grid.m), _REGION_LL_C2, weighted_g
-    )
-    c3_cum = np.cumsum(c3_parts)
-    c3_part_err = np.cumsum(np.abs(c3_parts - c3_half_parts))
-
-    idx = np.arange(grid.m)
-    minix = np.minimum.outer(idx, idx)
-    t1_cum = t1.cumsum(axis=0).cumsum(axis=1)
-    t2_cum = t2.cumsum(axis=0).cumsum(axis=1)
-    c = t1_cum + 4.0 * inv_rho_bar * t2_cum + 2.0 * c3_cum[minix]
+    minix = np.minimum.outer(np.arange(grid.m), np.arange(grid.m))
+    c = t1 + 4.0 * inv_rho_bar * t2 + 2.0 * c3[minix]
     c = 0.5 * (c + c.T)
-    c_err = _ERROR_SAFETY * (
-        np.abs(t1 - t1_half).cumsum(axis=0).cumsum(axis=1)
-        + 4.0 * inv_rho_bar * np.abs(t2 - t2_half).cumsum(axis=0).cumsum(axis=1)
-        + 2.0 * c3_part_err[minix]
-    )
+    c_err = _ERROR_SAFETY * (t1_err + 4.0 * inv_rho_bar * t2_err + 2.0 * c3_err[minix])
 
     return CovarianceBlocks(
         grid=grid,

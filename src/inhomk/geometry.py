@@ -46,9 +46,9 @@ class Window:
 class PointPattern:
     """A finite simple point pattern observed inside a window.
 
-    ``points`` is an ``(n, dim)`` float array. Every point must lie inside the
-    window and exact duplicates are rejected (the process is simple);
-    near-duplicates are allowed.
+    ``points`` is an ``(n, dim)`` float array. Every point must be finite and
+    lie inside the window, and exact duplicates are rejected (the process is
+    simple); near-duplicates are allowed.
     """
 
     window: Window
@@ -62,8 +62,10 @@ class PointPattern:
             raise ValueError(
                 f"points must have shape (n, {self.window.dim}), got {pts.shape}"
             )
-        half = self.window.side / 2.0
-        if pts.size and np.abs(pts).max() > half:
+        reach = np.abs(pts).max() if pts.size else 0.0
+        if not np.isfinite(reach):
+            raise ValueError("point coordinates must be finite")
+        if reach > self.window.side / 2.0:
             raise ValueError("point outside the observation window")
         if len(pts) > 1 and len(np.unique(pts, axis=0)) != len(pts):
             raise ValueError("duplicate points: pattern must be simple")

@@ -22,7 +22,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .geometry import PointPattern
+from .geometry import PointPattern, Window
 from .intensity import ConstantIntensity, estimate_constant
 from .kstat import RadiusGrid, k_hat, k_poisson
 from .limitlaw import (
@@ -34,7 +34,14 @@ from .limitlaw import (
 )
 from .seeds import stream
 
-__all__ = ["GofConfig", "GofResult", "PoissonNullTables", "ks_statistic", "gof_test"]
+__all__ = [
+    "GofConfig",
+    "GofResult",
+    "PoissonNullTables",
+    "sup_distance",
+    "ks_statistic",
+    "gof_test",
+]
 
 
 @dataclass(frozen=True)
@@ -163,11 +170,19 @@ class PoissonNullTables:
         return upper_quantile(self.known_draws(rho), alpha)
 
 
+def sup_distance(khat, grid: RadiusGrid, window: Window):
+    """``sqrt(|W|)`` times the grid sup of ``|Khat(r) - K_poisson(r)|``.
+
+    ``khat`` holds K estimates on ``grid`` along its last axis; one distance
+    is returned per leading index.
+    """
+    null = k_poisson(grid.values, window.dim)
+    return sqrt(window.volume) * np.abs(khat - null).max(axis=-1)
+
+
 def ks_statistic(pattern: PointPattern, model, grid: RadiusGrid) -> float:
     """``sqrt(n)`` times the grid sup of ``|Khat(r) - K_poisson(r)|``."""
-    khat = k_hat(pattern, model, grid)
-    null = k_poisson(grid.values, pattern.window.dim)
-    return sqrt(pattern.window.volume) * float(np.abs(khat.values - null).max())
+    return float(sup_distance(k_hat(pattern, model, grid).values, grid, pattern.window))
 
 
 def gof_test(

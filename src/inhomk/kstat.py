@@ -58,7 +58,7 @@ class RadiusGrid:
         """m points on (0, rmax], evenly spaced, last exactly rmax."""
         if not rmax > 0:
             raise ValueError("rmax must be positive")
-        return cls(rmax * np.arange(1, m + 1) / m)
+        return cls(np.append(rmax * np.arange(1, m) / m, rmax))
 
     @property
     def m(self) -> int:

@@ -28,9 +28,9 @@ from multiprocessing import get_context
 import numpy as np
 
 from .geometry import Window
-from .gof import PoissonNullTables
+from .gof import PoissonNullTables, sup_distance
 from .intensity import ConstantIntensity
-from .kstat import RadiusGrid, k_hat, k_poisson
+from .kstat import RadiusGrid, k_hat
 from .seeds import stream
 from .simulate import MaternParams, simulate_matern, simulate_poisson
 
@@ -204,14 +204,13 @@ def rejection_study(config: StudyConfig) -> StudyResult:
     """
     grid = RadiusGrid.uniform(config.R, config.grid_size)
     tables = PoissonNullTables(grid, config.sample_size, config.seed)
-    null_curve = k_poisson(grid.values, config.dim)
     critical = {"estimated": tables.estimated_critical, "known": tables.known_critical}
 
     with _executor(config.workers) as executor:
         cells = []
         for cell_index, side in enumerate(config.sides):
             start = time.perf_counter()
-            volume = Window(config.dim, side).volume
+            window = Window(config.dim, side)
             counts, curves = _run_cell(
                 config, side, grid, config.seed, cell_index, config.replicates, executor
             )
@@ -221,10 +220,8 @@ def rejection_study(config: StudyConfig) -> StudyResult:
                 raise RuntimeError(
                     f"{failures} failed replicates out of {config.replicates}"
                 )
-            beta_hats = counts[ok] / volume
-            stats = sqrt(volume) * np.abs(
-                curves[ok] / (beta_hats**2)[:, None] - null_curve
-            ).max(axis=1)
+            beta_hats = counts[ok] / window.volume
+            stats = sup_distance(curves[ok] / (beta_hats**2)[:, None], grid, window)
             distinct, inverse = np.unique(beta_hats, return_inverse=True)
             elapsed = time.perf_counter() - start
             for mode in config.modes:

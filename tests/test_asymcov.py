@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from inhomk.asymcov import (
     POISSON_DENSITIES,
     QuadratureConfig,
+    _lag_averages,
     compose_lim_cov,
     cov_estimated_constant,
     h_limit_constant,
@@ -126,6 +127,49 @@ def test_blocks_poisson_three_dimensions():
     np.testing.assert_allclose(blocks.sigma2, closed.sigma2, rtol=1e-10)
     np.testing.assert_allclose(blocks.c, closed.c, rtol=1e-10)
     assert blocks.sigma11[0, 0] == pytest.approx(50.0, rel=1e-12)
+
+
+def test_blocks_grid_beyond_64_radii():
+    # m = 65 needs more than 4096 annulus pairs per stratum region
+    grid = RadiusGrid.uniform(0.05, 65)
+    blocks = sigma_blocks_constant(
+        POISSON_DENSITIES, 200.0, grid, QuadratureConfig(samples=64)
+    )
+    closed = poisson_blocks(200.0, grid)
+    np.testing.assert_allclose(blocks.k_curve, closed.k_curve, rtol=1e-10)
+    np.testing.assert_allclose(blocks.sigma2, closed.sigma2, rtol=1e-10)
+    assert blocks.sigma11[0, 0] == pytest.approx(200.0, rel=1e-12)
+    known = poisson_cov_matrix(grid, 200.0, "known").matrix
+    np.testing.assert_allclose(blocks.c, known, rtol=1e-10)
+
+
+@pytest.mark.parametrize("res", [(4,), (4, 2), (2, 4, 2)])
+def test_lag_averages_match_subcell_sum(res):
+    # Lags on a 1/8-cell lattice map sub-cells onto sub-cells, so the mean of
+    # q_u(u) q_s(u - v)' over the sub-cell midpoints of W and (W + v) is exact.
+    sub, side, dim = 8, 2.0, len(res)
+    rng = np.random.default_rng(dim)
+    field = CovariateField(Window(dim, side), np.zeros(res + (1,)))
+    ncells = int(np.prod(res))
+    q_u = rng.normal(size=(ncells, 2))
+    q_s = rng.normal(size=(ncells, 3))
+    fine = sub * np.array(res)
+    steps = rng.integers(-fine - 3, fine + 4, size=(40, dim))
+    steps[:3] = [-fine + 1, fine, fine + 5]  # near, at and beyond the side
+    steps[3] = 0
+    got = _lag_averages(q_u, q_s, field, steps * (side / fine))
+
+    subcells = np.indices(fine).reshape(dim, -1).T
+    for s, avg in zip(steps, got):
+        src = subcells - s
+        ok = np.all((src >= 0) & (src < fine), axis=1)
+        if not ok.any():
+            np.testing.assert_array_equal(avg, 0.0)
+            continue
+        cu = np.ravel_multi_index(tuple((subcells[ok] // sub).T), res)
+        cs = np.ravel_multi_index(tuple((src[ok] // sub).T), res)
+        np.testing.assert_allclose(avg, q_u[cu].T @ q_s[cs] / ok.sum(), rtol=1e-12, atol=1e-14)
+    assert not np.any(got[1]) and not np.any(got[2])
 
 
 def test_cov_estimated_poisson_reduction():

@@ -39,6 +39,15 @@ def test_pattern_rejects_outside_points():
         PointPattern(Window(2, 1.0), [[0.6, 0.0]])
 
 
+def test_pattern_rejects_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            PointPattern(Window(2, 1.0), [[0.1, 0.1], [bad, 0.0]])
+    # two NaN rows used to pass the duplicate check too
+    with pytest.raises(ValueError, match="finite"):
+        PointPattern(Window(2, 1.0), [[np.nan, 0.0], [np.nan, 0.0]])
+
+
 def test_pattern_rejects_duplicates():
     with pytest.raises(ValueError, match="simple"):
         PointPattern(Window(2, 1.0), [[0.1, 0.1], [0.1, 0.1]])

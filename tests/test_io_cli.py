@@ -148,6 +148,16 @@ def test_cli_crit_cov_must_match_grid(tmp_path, capsys):
     assert json.loads(out.read_text())["grid_size"] == 10
 
 
+def test_cli_kfunc_rejects_non_finite_points(tmp_path, capsys):
+    pat_path = tmp_path / "nan.csv"
+    pat_path.write_text("x,y\n0.1,0.2\nnan,0.3\n")
+    curve = tmp_path / "curve.csv"
+    assert main(["kfunc", str(pat_path), "--side", "1", "--dim", "2",
+                 "--fit", "-o", str(curve)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not curve.exists()
+
+
 def test_cli_kfunc_unconverged_fit_fails(tmp_path, capsys, monkeypatch):
     import inhomk.cli
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from inhomk.geometry import PointPattern, Window, close_pairs
 from inhomk.intensity import ConstantIntensity, CovariateField, LogLinearIntensity
@@ -20,6 +22,19 @@ def test_grid_validation():
         RadiusGrid(np.array([0.1, 0.05]))
     with pytest.raises(ValueError):
         RadiusGrid(np.array([0.01, 0.02, 0.05]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    rmax=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+    m=st.integers(2, 500),
+)
+@example(rmax=0.1, m=3)  # rmax * m / m is an ulp off rmax here
+def test_uniform_grid_ends_exactly_at_rmax(rmax, m):
+    grid = RadiusGrid.uniform(rmax, m)
+    assert grid.m == m
+    assert grid.rmax == rmax
+    np.testing.assert_array_equal(grid.values[:-1], rmax * np.arange(1, m) / m)
 
 
 def test_k_poisson_values():
