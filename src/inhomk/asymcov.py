@@ -13,12 +13,15 @@ estimate, K estimates on a radius grid):
 * log-linear-model blocks as finite-window spatial averages times decay
   integrals.
 
-Quadrature layout: every bounded integration variable is stratified over the
-grid annuli (one low-discrepancy block per annulus, volume-uniform radius),
-so cumulative sums over annuli give all grid radii at once and models with
-constant normalized intensities are integrated exactly. Unbounded variables
-are truncated to a ball of radius ``r_trunc``; the fast-decay assumption on
-the joint intensities is what makes the truncation harmless. Each block is
+Quadrature layout: one routine, ``_ball_integrals``, evaluates every block
+integral. Bounded integration variables are stratified over the grid annuli
+(one low-discrepancy block per annulus or annulus pair, volume-uniform
+radius), so cumulative sums over annuli give all grid radii at once and
+models with constant normalized intensities are integrated exactly.
+Unbounded variables are truncated to a ball of radius ``r_trunc``; the
+fast-decay assumption on the joint intensities is what makes the truncation
+harmless. Each variable is drawn for all strata of an integral in one call
+and the integrand is evaluated once on the stacked points. Each block is
 reported together with the difference between the full-sample and half-sample
 estimates, a practical quadrature error gauge. The integrals that involve no
 intensity (``K``, the third-order decay and the two pair terms of the K
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import gamma as _gamma
 from math import pi
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -79,12 +82,6 @@ _REGION_LL_C2 = 6
 # differences times this factor; the margin is what makes "doubling the budget
 # moves every entry by less than the reported error" hold in practice.
 _ERROR_SAFETY = 3.0
-
-
-def _stratum(region: int, local: int, grid: RadiusGrid) -> int:
-    # A region holds the m*m annulus pairs; the 4096 floor keeps the ids (and
-    # so the points) of every grid with m <= 64 fixed.
-    return region * max(4096, grid.m * grid.m) + local
 
 
 def _ball_volume(dim: int, r) -> float | np.ndarray:
@@ -150,7 +147,9 @@ def synthetic_densities(
 class QuadratureConfig:
     """Sample budget per block integral and truncation radius.
 
-    The budget is split evenly across strata (grid annuli or annulus pairs).
+    The budget is split evenly across strata (grid annuli or annulus pairs),
+    with a floor of 32 points per stratum, so a budget below 32 per stratum
+    is exceeded: ``CovarianceBlocks.points`` reports the points drawn.
     ``r_trunc`` defaults to five grid radii; integrands whose decay length is
     comparable to or larger than the grid need an explicit, larger value.
     """
@@ -200,7 +199,9 @@ class CovarianceBlocks:
     covariance. For the log-linear model the blocks are in score coordinates
     (the variance of the normalized composite likelihood score) and carry the
     ``sensitivity`` matrix; :meth:`beta_coords` converts. ``k_curve`` is the
-    model K-function on the grid, computed by the same quadrature.
+    model K-function on the grid, computed by the same quadrature, and
+    ``points`` the number of quadrature points drawn for all the blocks (0
+    for closed forms).
     """
 
     grid: RadiusGrid
@@ -213,6 +214,7 @@ class CovarianceBlocks:
     c_err: np.ndarray | None = None
     sensitivity: np.ndarray | None = None
     zbar: np.ndarray | None = None
+    points: int = 0
 
     def __post_init__(self):
         m = self.grid.m
@@ -325,107 +327,101 @@ def poisson_blocks(beta: float, grid: RadiusGrid, dim: int = 2) -> CovarianceBlo
 # ---------------------------------------------------------------------------
 
 
-def _annulus_edges(grid: RadiusGrid) -> np.ndarray:
-    return np.concatenate(([0.0], grid.values))
+class _Integral(NamedTuple):
+    value: np.ndarray
+    err: np.ndarray
+    points: int
 
 
-def _full_half(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # values: (n, ...) sample evaluations; nested half-sample reuses the first n/2
-    n = len(values)
-    return values.mean(axis=0), values[: n // 2].mean(axis=0)
+def _flat_index(annuli: np.ndarray, m: int) -> np.ndarray:
+    # Row-major index of each stratum's annuli in an (m,) * k array.
+    flat = np.zeros(annuli.shape[1], dtype=np.int64)
+    for a in annuli:
+        flat = flat * m + a
+    return flat
 
 
-def _annulus_integrals(grid, dim, n_per, region, integrand):
-    """Integrals of a function of the annulus variable over each r-ball.
+def _cumulate(parts: np.ndarray, annuli: np.ndarray, m: int) -> np.ndarray:
+    # Each stratum's part at its annuli and their mirror image, cumulated
+    # along every bounded axis.
+    out = np.zeros((m,) * len(annuli) + parts.shape[1:])
+    flat = out.reshape((-1,) + parts.shape[1:])
+    flat[_flat_index(annuli, m)] = flat[_flat_index(annuli[::-1], m)] = parts
+    for axis in range(len(annuli)):
+        out = out.cumsum(axis=axis)
+    return out
 
-    ``integrand(x, stratum, n)`` must return per-sample values; sampling of
-    any additional joint variables happens inside the integrand using the same
-    stratum and sample count. Returns the per-annulus integrals and their
-    absolute full-vs-half-sample differences, both cumulated over the annuli.
+
+def _ball_integrals(grid, dim, quad, region, k, integrand, truncated=False) -> _Integral:
+    """Integrals of ``integrand`` over ``k`` bounded variables in grid balls.
+
+    Strata: one for ``k = 0``, one per annulus for ``k = 1`` and one per
+    annulus pair ``l <= l'`` for ``k = 2``. Bounded variables are
+    volume-uniform on their annulus; with ``truncated`` a last variable is
+    uniform in radius on the ``r_trunc`` ball, with volume weights. Each
+    variable is drawn for all strata in one call and ``integrand(*points)``
+    is called once, returning per-point values of any trailing shape. The
+    per-stratum means times the shell volumes are mirrored over the pair
+    order and cumulated along each bounded axis, so entry ``(l, l')`` is the
+    integral over ball ``l`` times ball ``l'``; the error is the same cumulation
+    of the absolute full-vs-half-sample differences, without the safety factor.
     """
-    edges = _annulus_edges(grid)
-    shell_vol = np.diff(_ball_volume(dim, edges))
-    full_parts, half_parts = [], []
-    for l in range(grid.m):
-        sid = _stratum(region, l, grid)
-        x = ball_shell_points(n_per, dim, edges[l], edges[l + 1], sid)
-        f, h = _full_half(integrand(x, sid, n_per))
-        full_parts.append(shell_vol[l] * f)
-        half_parts.append(shell_vol[l] * h)
-    full, half = np.array(full_parts), np.array(half_parts)
-    return np.cumsum(full), np.cumsum(np.abs(full - half))
-
-
-def _pair_matrix_integrals(grid, dim, n_per, region, pair_values):
-    """Integrals over pairs of r-balls, symmetrized over the pair order.
-
-    ``pair_values(x, y, stratum, n)`` returns per-sample values for the two
-    bounded variables. Entry (l, l') of each returned matrix holds the
-    integral over ball l times ball l' (and its absolute full-vs-half-sample
-    difference), cumulated from the annulus pairs along both axes.
-    """
-    edges = _annulus_edges(grid)
-    shell_vol = np.diff(_ball_volume(dim, edges))
     m = grid.m
+    if k == 2:
+        annuli = np.array(np.triu_indices(m))
+    else:
+        annuli = np.arange(m)[None, :] if k else np.zeros((0, 1), dtype=int)
+    # A region holds the m*m annulus pairs; the 4096 floor keeps the ids (and
+    # so the points) of every grid with m <= 64 fixed.
+    strata = region * max(4096, m * m) + _flat_index(annuli, m)
+    n = quad.per_stratum(len(strata))
+    edges = np.concatenate(([0.0], grid.values))
     vdims = 1 + direction_dims(dim)
-    full = np.zeros((m, m))
-    half = np.zeros((m, m))
-    for l in range(m):
-        for lp in range(l, m):
-            sid = _stratum(region, l * m + lp, grid)
-            x = ball_shell_points(n_per, dim, edges[l], edges[l + 1], sid)
-            y = ball_shell_points(
-                n_per, dim, edges[lp], edges[lp + 1], sid, dim_offset=vdims
-            )
-            f, h = _full_half(np.asarray(pair_values(x, y, sid, n_per), dtype=float))
-            w = shell_vol[l] * shell_vol[lp]
-            full[l, lp] = full[lp, l] = w * f
-            half[l, lp] = half[lp, l] = w * h
-    return (
-        full.cumsum(axis=0).cumsum(axis=1),
-        np.abs(full - half).cumsum(axis=0).cumsum(axis=1),
+    points = [
+        ball_shell_points(n, dim, edges[a], edges[a + 1], strata, dim_offset=i * vdims)
+        for i, a in enumerate(annuli)
+    ]
+    if truncated:
+        r_trunc = quad.resolve_trunc(grid)
+        z, weights = ball_points_weighted(n, dim, r_trunc, strata, dim_offset=k * vdims)
+        points.append(z)
+    values = np.asarray(integrand(*points), dtype=float)
+    if truncated:
+        values = values * weights.reshape((-1,) + (1,) * (values.ndim - 1))
+    values = values.reshape((len(strata), n) + values.shape[1:])
+    vol = np.prod(np.diff(_ball_volume(dim, edges))[annuli], axis=0)
+    vol = vol.reshape((-1,) + (1,) * (values.ndim - 2))
+    full = vol * values.mean(axis=1)
+    half = vol * values[:, : n // 2].mean(axis=1)
+    return _Integral(
+        _cumulate(full, annuli, m),
+        _cumulate(np.abs(full - half), annuli, m),
+        len(points) * len(strata) * n,
     )
 
 
-def _model_integrals(model: ProductDensityModel, grid, quad, dim):
-    """The block integrals that involve no intensity, as (value, error) pairs.
+def _model_integrals(model: ProductDensityModel, grid, quad, dim) -> list[_Integral]:
+    """The block integrals that involve no intensity.
 
     In order: ``K(r) = int_{B_r} g``; the third-order decay
     ``int_{B_r} dx int dy (g3(x,y) - g(x))``; and the fourth- and third-order
     pair terms ``t1(r1, r2) = int_{B_r1} dx int_{B_r2} du int dz
     (g4(x, u+z, z) - g(x) g(u))`` and ``t2(r1, r2) = int_{B_r1} int_{B_r2} g3``
-    of the K covariance. Errors are cumulated full-vs-half-sample differences
-    without the safety factor.
+    of the K covariance.
     """
-    r_trunc = quad.resolve_trunc(grid)
-    vdims = 1 + direction_dims(dim)
-    n_ann = quad.per_stratum(grid.m)
-    n_pair = quad.per_stratum(grid.m * (grid.m + 1) // 2)
-
-    def decay(x, stratum, n):
-        y, w = ball_points_weighted(n, dim, r_trunc, stratum, dim_offset=vdims)
-        return w * (
-            np.asarray(model.g3(x, y), float) - np.asarray(model.g(x), float)
-        )
-
-    def fourth(x, u, stratum, n):
-        z, w = ball_points_weighted(n, dim, r_trunc, stratum, dim_offset=2 * vdims)
-        return w * (
-            np.asarray(model.g4(x, u + z, z), float)
-            - np.asarray(model.g(x), float) * np.asarray(model.g(u), float)
-        )
-
-    return (
-        _annulus_integrals(
-            grid, dim, n_ann, _REGION_K, lambda x, s, n: np.asarray(model.g(x), float)
+    return [
+        _ball_integrals(grid, dim, quad, _REGION_K, 1, model.g),
+        _ball_integrals(
+            grid, dim, quad, _REGION_S2, 1,
+            lambda x, y: model.g3(x, y) - model.g(x), truncated=True,
         ),
-        _annulus_integrals(grid, dim, n_ann, _REGION_S2, decay),
-        _pair_matrix_integrals(grid, dim, n_pair, _REGION_C4, fourth),
-        _pair_matrix_integrals(
-            grid, dim, n_pair, _REGION_C3,
-            lambda x, y, s, n: np.asarray(model.g3(x, y), float),
+        _ball_integrals(
+            grid, dim, quad, _REGION_C4, 2,
+            lambda x, u, z: model.g4(x, u + z, z) - model.g(x) * model.g(u),
+            truncated=True,
         ),
-    )
+        _ball_integrals(grid, dim, quad, _REGION_C3, 2, model.g3),
+    ]
 
 
 def sigma_blocks_constant(
@@ -446,17 +442,15 @@ def sigma_blocks_constant(
     if not beta > 0:
         raise ValueError("intensity must be positive")
     quad = quad or QuadratureConfig()
-    (k_curve, k_err), (decay2, d_err), (t1, t1_err), (t2, t2_err) = _model_integrals(
-        model, grid, quad, dim
-    )
+    integrals = _model_integrals(model, grid, quad, dim)
+    (k_curve, k_err, _), (decay2, d_err, _), (t1, t1_err, _), (t2, t2_err, _) = integrals
 
     # sigma11 = beta^2 int (g - 1) + beta.
-    v, w = ball_points_weighted(
-        quad.per_stratum(1), dim, quad.resolve_trunc(grid), _stratum(_REGION_S11, 0, grid)
+    gm1 = _ball_integrals(
+        grid, dim, quad, _REGION_S11, 0, lambda v: model.g(v) - 1.0, truncated=True
     )
-    gm1_full, gm1_half = _full_half((np.asarray(model.g(v), float) - 1.0) * w)
-    sigma11 = np.array([[beta**2 * gm1_full + beta]])
-    sigma11_err = _ERROR_SAFETY * np.array([[abs(beta**2 * (gm1_full - gm1_half))]])
+    sigma11 = np.array([[beta**2 * gm1.value + beta]])
+    sigma11_err = _ERROR_SAFETY * np.array([[beta**2 * gm1.err]])
 
     # sigma2(r) = beta * int_{B_r} dx int dy (g3(x,y) - g(x)) + 2 K(r).
     sigma2 = (beta * decay2 + 2.0 * k_curve)[:, None]
@@ -479,6 +473,7 @@ def sigma_blocks_constant(
         sigma11_err=sigma11_err,
         sigma2_err=sigma2_err,
         c_err=c_err,
+        points=sum(i.points for i in integrals) + gm1.points,
     )
 
 
@@ -634,21 +629,19 @@ def loglinear_sigma_blocks(
     z_rho_bar = q_zrho.mean(axis=0)
     inv_rho_bar = float((1.0 / rho_cells).mean())
     q_invrho = (1.0 / rho_cells)[:, None]
-    (k_curve, k_err), (decay2, d_err), (t1, t1_err), (t2, t2_err) = _model_integrals(
-        model, grid, quad, dim
-    )
+    integrals = _model_integrals(model, grid, quad, dim)
+    (k_curve, k_err, _), (decay2, d_err, _), (t1, t1_err, _), (t2, t2_err, _) = integrals
 
     # Score variance: sensitivity plus the lag integral of (g-1) against the
     # spatial average of z z' rho rho.
-    v, w = ball_points_weighted(
-        quad.per_stratum(1), dim, quad.resolve_trunc(grid), _stratum(_REGION_LL_S11, 0, grid)
+    s11 = _ball_integrals(
+        grid, dim, quad, _REGION_LL_S11, 0,
+        lambda v: (model.g(v) - 1.0)[:, None, None] * _lag_averages(q_zrho, q_zrho, field, v),
+        truncated=True,
     )
-    g_vals = (np.asarray(model.g(v), float) - 1.0) * w
-    lagavg = _lag_averages(q_zrho, q_zrho, field, v)
-    s11_int, s11_int_half = _full_half(g_vals[:, None, None] * lagavg)
-    sigma11 = sens + s11_int
+    sigma11 = sens + s11.value
     sigma11 = 0.5 * (sigma11 + sigma11.T)
-    sigma11_err = _ERROR_SAFETY * np.abs(s11_int - s11_int_half)
+    sigma11_err = _ERROR_SAFETY * s11.err
 
     # Cross block: decay integral times avg(z rho) plus 2 K(r) zbar.
     sigma2 = np.outer(decay2, z_rho_bar) + 2.0 * np.outer(k_curve, zbar)
@@ -658,15 +651,14 @@ def loglinear_sigma_blocks(
 
     # K covariance: fourth-order term (no intensity), third-order term times
     # avg(1/rho), and the lag average of g(w)/(rho(u) rho(u-w)).
-    c3, c3_err = _annulus_integrals(
-        grid, dim, quad.per_stratum(grid.m), _REGION_LL_C2,
-        lambda x, s, n: np.asarray(model.g(x), float)
-        * _lag_averages(q_invrho, q_invrho, field, x)[:, 0, 0],
+    c3 = _ball_integrals(
+        grid, dim, quad, _REGION_LL_C2, 1,
+        lambda x: model.g(x) * _lag_averages(q_invrho, q_invrho, field, x)[:, 0, 0],
     )
     minix = np.minimum.outer(np.arange(grid.m), np.arange(grid.m))
-    c = t1 + 4.0 * inv_rho_bar * t2 + 2.0 * c3[minix]
+    c = t1 + 4.0 * inv_rho_bar * t2 + 2.0 * c3.value[minix]
     c = 0.5 * (c + c.T)
-    c_err = _ERROR_SAFETY * (t1_err + 4.0 * inv_rho_bar * t2_err + 2.0 * c3_err[minix])
+    c_err = _ERROR_SAFETY * (t1_err + 4.0 * inv_rho_bar * t2_err + 2.0 * c3.err[minix])
 
     return CovarianceBlocks(
         grid=grid,
@@ -679,4 +671,5 @@ def loglinear_sigma_blocks(
         c_err=c_err,
         sensitivity=sens,
         zbar=zbar,
+        points=sum(i.points for i in integrals) + s11.points + c3.points,
     )

@@ -169,10 +169,11 @@ def _cmd_cov(args) -> int:
         "dim": args.dim,
         "samples": args.samples,
         "r_trunc": quad.resolve_trunc(grid),
+        "points": blocks.points,
         "error_estimates": {
-            "sigma11": blocks.sigma11_err.tolist() if blocks.sigma11_err is not None else None,
-            "sigma2_max": float(blocks.sigma2_err.max()) if blocks.sigma2_err is not None else None,
-            "c_max": float(blocks.c_err.max()) if blocks.c_err is not None else None,
+            "sigma11": blocks.sigma11_err.tolist(),
+            "sigma2_max": float(blocks.sigma2_err.max()),
+            "c_max": float(blocks.c_err.max()),
         },
         "files": [str(out(s)) for s in
                   (".sigma11.csv", ".sigma2.csv", ".c.csv", ".c_estimated.csv", ".c_tilde.csv")],

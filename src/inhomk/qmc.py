@@ -28,39 +28,35 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 6
 STRATUM_STRIDE = 2**24
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    out = np.zeros(len(indices), dtype=float)
+def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
+    out[:] = 0.0
     denom = 1.0
-    work = indices.copy()
+    work, digit = indices.copy(), np.empty_like(indices)
     while work.any():
         denom *= base
-        out += (work % base) / denom
-        work //= base
-    return out
+        np.divmod(work, base, out=(work, digit))
+        out += digit / denom
 
 
-def halton(count: int, dims: int, start: int = 1, dim_offset: int = 0) -> np.ndarray:
-    """``count`` Halton points in [0,1)^dims starting at sequence index ``start``.
+def halton(count: int, dims: int, start=1, dim_offset: int = 0) -> np.ndarray:
+    """``count`` Halton points in [0,1)^dims from each sequence index in ``start``.
 
-    ``dim_offset`` selects which primes are used, so different integrals can
-    draw from disjoint coordinate sets of the same global sequence.
+    ``start`` is one index or an array of them, whose blocks are stacked in
+    order. ``dim_offset`` selects which primes are used, so different
+    integrals can draw from disjoint coordinate sets of the same sequence.
     """
     if dim_offset + dims > len(_PRIMES):
         raise ValueError("not enough Halton dimensions configured")
-    idx = np.arange(start, start + count, dtype=np.int64)
-    cols = [
-        _radical_inverse(idx, _PRIMES[dim_offset + k]) for k in range(dims)
-    ]
-    return np.stack(cols, axis=1)
+    idx = (np.reshape(start, (-1, 1)) + np.arange(count, dtype=np.int64)).ravel()
+    out = np.empty((dims, len(idx)))
+    for k in range(dims):
+        _radical_inverse(idx, _PRIMES[dim_offset + k], out[k])
+    return out.T
 
 
 def direction_dims(dim: int) -> int:
     """Halton coordinates consumed by one direction draw in ``dim`` dimensions."""
-    if dim == 1:
-        return 1
-    if dim == 2:
-        return 1
-    return dim
+    return dim if dim > 2 else 1
 
 
 def _directions(u: np.ndarray, dim: int) -> np.ndarray:
@@ -76,47 +72,53 @@ def _directions(u: np.ndarray, dim: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def ball_shell_points(
-    count: int,
-    dim: int,
-    r_inner: float,
-    r_outer: float,
-    stratum: int,
-    dim_offset: int = 0,
-) -> np.ndarray:
-    """Low-discrepancy points, volume-uniform on the shell r_inner < |x| <= r_outer.
-
-    ``stratum`` selects the index block of the global sequence; the radius uses
-    the first assigned Halton coordinate (the lowest prime, where the
-    one-dimensional equidistribution is best) and the direction the rest.
-    """
+def _stratum_draws(count: int, dim: int, strata, dim_offset: int):
+    # Radius coordinate and direction of ``count`` points per stratum, stacked.
+    # The radius uses the first Halton coordinate (the lowest prime, where the
+    # one-dimensional equidistribution is best); copied so ``u`` is freed here.
     if count >= STRATUM_STRIDE:
         raise ValueError("sample budget exceeds the per-stratum index block")
-    u = halton(count, 1 + direction_dims(dim), start=stratum * STRATUM_STRIDE + 1,
-               dim_offset=dim_offset)
-    radii = (r_inner**dim + u[:, 0] * (r_outer**dim - r_inner**dim)) ** (1.0 / dim)
-    return radii[:, None] * _directions(u[:, 1:], dim)
+    starts = np.asarray(strata, dtype=np.int64) * STRATUM_STRIDE + 1
+    u = halton(count, 1 + direction_dims(dim), start=starts, dim_offset=dim_offset)
+    return u[:, 0].copy(), _directions(u[:, 1:], dim)
+
+
+def _shell_power(radii, dim: int) -> np.ndarray:
+    # Python's float power per radius (object arrays): numpy's vectorized
+    # power differs from it by an ulp for dim 3, which would move the points.
+    return (np.asarray(radii, dtype=float).astype(object) ** dim).astype(float)
+
+
+def ball_shell_points(
+    count: int, dim: int, r_inner, r_outer, strata, dim_offset: int = 0
+) -> np.ndarray:
+    """Low-discrepancy points, volume-uniform on shells r_inner < |x| <= r_outer.
+
+    ``strata``, ``r_inner`` and ``r_outer`` are aligned arrays: stratum
+    ``strata[s]`` selects an index block of the global sequence and draws
+    ``count`` points on shell ``s``. The blocks are stacked in stratum order
+    into one ``(len(strata) * count, dim)`` array.
+    """
+    t, directions = _stratum_draws(count, dim, strata, dim_offset)
+    lo = _shell_power(r_inner, dim)[:, None]
+    hi = _shell_power(r_outer, dim)[:, None]
+    radii = (lo + t.reshape(len(lo), count) * (hi - lo)) ** (1.0 / dim)
+    return radii.reshape(-1, 1) * directions
 
 
 def ball_points_weighted(
-    count: int,
-    dim: int,
-    radius: float,
-    stratum: int,
-    dim_offset: int = 0,
+    count: int, dim: int, radius: float, strata, dim_offset: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Low-discrepancy points in a ball, uniform in radius, with volume weights.
 
-    The mean of ``f(points) * weights`` estimates the ball integral of ``f``.
-    Uniform radial placement resolves integrands that decay away from the
-    origin much better than volume-uniform placement, at no cost for flat or
-    vanishing integrands (the truncated variables of the covariance blocks
-    decay by assumption).
+    Draws ``count`` points per stratum of the array ``strata``, stacked in
+    stratum order; the mean of ``f(points) * weights`` over one stratum's
+    block estimates the ball integral of ``f``. Uniform radial placement
+    resolves integrands that decay away from the origin much better than
+    volume-uniform placement, at no cost for flat or vanishing integrands (the
+    truncated variables of the covariance blocks decay by assumption).
     """
-    if count >= STRATUM_STRIDE:
-        raise ValueError("sample budget exceeds the per-stratum index block")
-    u = halton(count, 1 + direction_dims(dim), start=stratum * STRATUM_STRIDE + 1,
-               dim_offset=dim_offset)
-    radii = radius * u[:, 0]
+    t, directions = _stratum_draws(count, dim, strata, dim_offset)
+    radii = radius * t
     surface = dim * np.pi ** (dim / 2.0) / gamma(dim / 2.0 + 1.0) * radii ** (dim - 1)
-    return radii[:, None] * _directions(u[:, 1:], dim), radius * surface
+    return radii[:, None] * directions, radius * surface

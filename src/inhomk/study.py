@@ -129,22 +129,23 @@ class StudyResult:
 
     def to_markdown(self) -> str:
         lines = [
-            "| process | side | mode | rejection rate | std error | replicates | seconds |",
-            "|---|---|---|---|---|---|---|",
+            "| process | side | mode | rejection rate | std error | replicates | failures "
+            "| seconds |",
+            "|---|---|---|---|---|---|---|---|",
         ]
         for c in self.cells:
             lines.append(
                 f"| {c.process} | {c.side:g} | {c.mode} | {c.rejection_rate:.4f} "
-                f"| {c.std_error:.4f} | {c.replicates} | {c.wall_time:.1f} |"
+                f"| {c.std_error:.4f} | {c.replicates} | {c.failures} | {c.wall_time:.1f} |"
             )
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["process,side,mode,rejection_rate,std_error,replicates,seconds"]
+        lines = ["process,side,mode,rejection_rate,std_error,replicates,failures,seconds"]
         for c in self.cells:
             lines.append(
                 f"{c.process},{c.side:.17g},{c.mode},{c.rejection_rate:.17g},"
-                f"{c.std_error:.17g},{c.replicates},{c.wall_time:.17g}"
+                f"{c.std_error:.17g},{c.replicates},{c.failures},{c.wall_time:.17g}"
             )
         return "\n".join(lines) + "\n"
 

@@ -213,3 +213,14 @@ def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["bogus-command"])
     assert exc.value.code == 2
+
+
+def test_cli_cov_reports_points_drawn(tmp_path, capsys):
+    # 64 samples over 2,145 annulus pairs: every stratum is floored at 32 points,
+    # so far more points are drawn than the budget asks for, and meta says so.
+    prefix = tmp_path / "blocks"
+    assert main(["cov", "--beta", "200", "--grid", "65", "--samples", "64",
+                 "-o", str(prefix)]) == 0
+    meta = json.loads((tmp_path / "blocks.meta.json").read_text())
+    assert meta["samples"] == 64
+    assert meta["points"] == 349_504

@@ -81,6 +81,14 @@ def test_study_output_formats():
     assert md.count("|") > 10 and "estimated" in md
     assert csv.splitlines()[0].startswith("process,side,mode")
     assert len(csv.splitlines()) == 1 + len(res.cells)
+    header = csv.splitlines()[0].split(",")
+    assert header[header.index("replicates") + 1] == "failures"
+    md_header = [h.strip() for h in md.splitlines()[0].strip("|").split("|")]
+    assert md_header[md_header.index("replicates") + 1] == "failures"
+    for cell, row, md_row in zip(res.cells, csv.splitlines()[1:], md.splitlines()[2:]):
+        assert int(row.split(",")[header.index("failures")]) == cell.failures
+        md_cells = [v.strip() for v in md_row.strip("|").split("|")]
+        assert int(md_cells[md_header.index("failures")]) == cell.failures
 
 
 def test_study_config_validation():
