@@ -332,9 +332,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options a model needs that argparse cannot require on its own, keyed by
+# (subcommand, model); the model is --model, or --intensity for kfunc.
+_MODEL_OPTIONS = {
+    ("simulate", "poisson-inhom"): ("covariates", "beta", "rho_max"),
+    ("fit", "loglinear"): ("covariates",),
+    ("kfunc", "loglinear"): ("covariates",),
+}
+
+
+def _check_model_options(parser, args) -> None:
+    """Exit with a usage error when the chosen model misses an option."""
+    model = getattr(args, "intensity", getattr(args, "model", None))
+    for dest in _MODEL_OPTIONS.get((args.command, model), ()):
+        if getattr(args, dest) is None:
+            parser.error(f"{args.command} with {model} needs --{dest.replace('_', '-')}")
+    if args.command == "kfunc" and args.beta is None and not args.fit:
+        parser.error("kfunc needs --beta or --fit")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_model_options(parser, args)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:

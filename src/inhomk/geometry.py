@@ -3,14 +3,16 @@
 Windows are axis-aligned cubes ``[-L/2, L/2]^d`` centered at the origin. The
 translation edge correction weight of a pair with displacement ``h`` is the
 reciprocal of the overlap volume ``|W and (W + h)|``, which for a cube
-factorizes over the axes. Pair enumeration uses a cell grid with cells no
-smaller than the search radius, so only the 3^d neighboring cells of a point
-need to be scanned.
+factorizes over the axes. Pair enumeration sorts the points by the
+flat index of a cell grid with cells no smaller than the search radius, and
+reads each point's 3^(d-1) rows of neighboring cells as ranges of the sorted
+keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -97,10 +99,6 @@ class PairList:
     def __len__(self) -> int:
         return len(self.dist)
 
-    @property
-    def empty(self) -> bool:
-        return len(self.dist) == 0
-
 
 def overlap_volume(window: Window, h) -> float | np.ndarray:
     """Volume of the window intersected with its translate by ``h``.
@@ -125,97 +123,49 @@ def edge_correction(window: Window, h) -> float | np.ndarray:
     return 1.0 / vol
 
 
-def _cell_layout(window: Window, rmax: float) -> tuple[int, float]:
-    # Cell side max(rmax, L / floor(L / rmax)) so cells never undercut rmax.
-    ncells = max(1, int(np.floor(window.side / rmax)))
-    return ncells, window.side / ncells
-
-
-def _cartesian_join(starts_a, counts_a, starts_b, counts_b):
-    """Index arrays of the per-group cartesian product.
-
-    Groups g pair every element of slice ``starts_a[g]:+counts_a[g]`` with
-    every element of ``starts_b[g]:+counts_b[g]``; returns positions into the
-    underlying sorted array.
-    """
-    sizes = counts_a * counts_b
-    total = int(sizes.sum())
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    gid = np.repeat(np.arange(len(sizes)), sizes)
-    offsets = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    local = np.arange(total, dtype=np.int64) - np.repeat(offsets, sizes)
-    nb = counts_b[gid]
-    pos_a = starts_a[gid] + local // nb
-    pos_b = starts_b[gid] + local % nb
-    return pos_a, pos_b
-
-
 def close_pairs(pattern: PointPattern, rmax: float) -> PairList:
     """Enumerate all ordered pairs with ``0 < |x_i - x_j| <= rmax``.
 
-    Uses a cell grid so the expected cost is linear in the number of points;
-    the result is independent of the cell layout. A radius larger than the
-    window simply falls back to fewer cells.
+    Points are sorted by the flat index of a cell grid whose cells are no
+    smaller than ``rmax``. Cells sharing a point's leading coordinates are
+    contiguous in that order, so each point reads its 3^(d-1) neighbor rows
+    as ranges of the sorted keys, starting after its own position so that
+    every unordered pair is visited once. The result is independent of the
+    cell layout; a radius larger than the window simply means fewer cells.
     """
     if not rmax > 0:
         raise ValueError("rmax must be positive")
     pts = pattern.points
     n, d = pts.shape
-    if n < 2:
-        e = np.empty(0, dtype=np.int64)
-        return PairList(e, e, np.empty((0, d)), np.empty(0), float(rmax))
 
-    ncells, cell_side = _cell_layout(pattern.window, rmax)
-    axis_ix = ((pts + pattern.window.side / 2.0) / cell_side).astype(np.int64)
+    # Cell side max(rmax, L / floor(L / rmax)) so cells never undercut rmax;
+    # at most 2**(62 // d) cells per axis keep the flat key below 2**62.
+    side = pattern.window.side
+    ncells = max(1, int(np.floor(min(side / rmax, 2.0 ** (62 // d)))))
+    axis_ix = ((pts + side / 2.0) / (side / ncells)).astype(np.int64)
     np.clip(axis_ix, 0, ncells - 1, out=axis_ix)
-    flat = np.ravel_multi_index(axis_ix.T, (ncells,) * d)
+    strides = ncells ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = axis_ix @ strides
+    order = np.argsort(keys, kind="stable")
+    keys, axis_ix = keys[order], axis_ix[order]
 
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    cells, starts, counts = np.unique(
-        sorted_flat, return_index=True, return_counts=True
-    )
+    # One key range per row of neighbor cells: leading offsets in {-1, 0, 1}
+    # on the first d - 1 axes, the last axis clipped to the grid.
+    lead = np.array(list(product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
+    rows = axis_ix[:, None, :-1] + lead
+    inside = np.all((rows >= 0) & (rows < ncells), axis=2)
+    base = rows @ strides[:-1]
+    last = axis_ix[:, -1:]
+    lo = np.searchsorted(keys, base + np.maximum(last - 1, 0), side="left")
+    hi = np.searchsorted(keys, base + np.minimum(last + 1, ncells - 1), side="right")
+    lo = np.maximum(lo, np.arange(1, n + 1)[:, None])
+    counts = np.where(inside, np.maximum(hi - lo, 0), 0).ravel()
+    first = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
+    pos_a = np.repeat(np.arange(n).repeat(len(lead)), counts)
+    pos_b = first + np.arange(len(first))
 
-    # Strides of the flattened cell index along each axis.
-    strides = np.array([ncells**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-    cell_multi = np.stack(np.unravel_index(cells, (ncells,) * d), axis=1)
-
-    left_parts, right_parts = [], []
-
-    # Same-cell pairs: cartesian product of each cell with itself, keep a < b.
-    pos_a, pos_b = _cartesian_join(starts, counts, starts, counts)
-    keep = pos_a < pos_b
-    left_parts.append(pos_a[keep])
-    right_parts.append(pos_b[keep])
-
-    # Cross-cell pairs: visit each unordered cell pair once by using only
-    # lexicographically positive offsets among the 3^d neighbors.
-    offsets = np.stack(
-        np.meshgrid(*([np.array([-1, 0, 1])] * d), indexing="ij"), axis=-1
-    ).reshape(-1, d)
-    positive = offsets[
-        np.array([next((s > 0 for s in off if s != 0), False) for off in offsets])
-    ]
-    for off in positive:
-        nbr_multi = cell_multi + off
-        valid = np.all((nbr_multi >= 0) & (nbr_multi < ncells), axis=1)
-        if not valid.any():
-            continue
-        nbr_flat = nbr_multi[valid] @ strides
-        hit = np.searchsorted(cells, nbr_flat)
-        hit_ok = (hit < len(cells)) & (cells[np.minimum(hit, len(cells) - 1)] == nbr_flat)
-        src = np.flatnonzero(valid)[hit_ok]
-        dst = hit[hit_ok]
-        if len(src) == 0:
-            continue
-        pos_a, pos_b = _cartesian_join(starts[src], counts[src], starts[dst], counts[dst])
-        left_parts.append(pos_a)
-        right_parts.append(pos_b)
-
-    a = order[np.concatenate(left_parts)]
-    b = order[np.concatenate(right_parts)]
+    a = order[pos_a]
+    b = order[pos_b]
     diff = pts[a] - pts[b]
     dist2 = np.einsum("ij,ij->i", diff, diff)
     keep = (dist2 > 0.0) & (dist2 <= rmax * rmax)

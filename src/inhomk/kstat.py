@@ -99,8 +99,6 @@ def _pair_weights(pattern: PointPattern, model, pairs: PairList) -> np.ndarray:
     rho = np.asarray(model.value(pattern.points), dtype=float)
     if np.any(rho <= 0):
         raise ValueError("invalid intensity: nonpositive value at a data point")
-    if pairs.empty:
-        return np.empty(0)
     overlap = overlap_volume(pattern.window, pairs.disp)
     if np.any(overlap <= 0.0):
         raise ValueError("pair displacement exceeds window")
@@ -109,15 +107,10 @@ def _pair_weights(pattern: PointPattern, model, pairs: PairList) -> np.ndarray:
 
 def _cumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid) -> np.ndarray:
     """Sum pair contributions over 0 < dist <= r for every grid r."""
-    width = contrib.shape[1:] if contrib.ndim > 1 else ()
-    if pairs.empty:
-        return np.zeros((grid.m,) + width)
-    csum = np.cumsum(contrib, axis=0)
-    idx = np.searchsorted(pairs.dist, grid.values, side="right")
-    out = np.zeros((grid.m,) + width)
-    nonzero = idx > 0
-    out[nonzero] = csum[idx[nonzero] - 1]
-    return out
+    csum = np.concatenate(
+        [np.zeros((1,) + contrib.shape[1:]), np.cumsum(contrib, axis=0)]
+    )
+    return csum[np.searchsorted(pairs.dist, grid.values, side="right")]
 
 
 def k_hat(
@@ -166,8 +159,6 @@ def h_matrix(
         raise ValueError("pair list was built with a smaller rmax than the grid")
     w = _pair_weights(pattern, model, pairs)
     grad = np.asarray(model.log_gradient(pattern.points), dtype=float)
-    if pairs.empty:
-        return Curve(grid, np.zeros((grid.m, grad.shape[1])))
     contrib = -w[:, None] * (grad[pairs.i] + grad[pairs.j])
     return Curve(grid, _cumulate(pairs, contrib, grid))
 

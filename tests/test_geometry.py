@@ -123,19 +123,29 @@ def test_close_pairs_sorted_and_symmetric():
     )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_close_pairs_matches_brute_force(data):
-    seed = data.draw(st.integers(0, 2**31))
-    n = data.draw(st.integers(2, 120))
+    # Dimension and size come from the seed: hypothesis would favor dim 1.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dim = int(rng.integers(1, 4))
+    n = int(rng.integers(2, 121))
     side = data.draw(st.floats(0.2, 4.0))
-    frac = data.draw(st.floats(0.02, 1.2))
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-side / 2, side / 2, (n, 2))
-    pat = PointPattern(Window(2, side), pts)
-    pairs = close_pairs(pat, frac * side)
-    got = set(zip(pairs.i.tolist(), pairs.j.tolist()))
-    assert got == brute_force_pairs(pts, frac * side)
+    frac = data.draw(
+        st.one_of(st.floats(0.02, 1.5), st.integers(1, 8).map(lambda k: 1.0 / k))
+    )
+    rmax = frac * side
+    pts = rng.uniform(-side / 2, side / 2, (n, dim))
+    if data.draw(st.booleans()):
+        # Lattice of spacing rmax from a window corner: points on cell and
+        # window faces, and neighbors exactly rmax apart.
+        steps = np.round((pts + side / 2) / rmax)
+        pts = np.unique(np.minimum(steps * rmax - side / 2, side / 2), axis=0)
+    pat = PointPattern(Window(dim, side), pts)
+    pairs = close_pairs(pat, rmax)
+    got = list(zip(pairs.i.tolist(), pairs.j.tolist()))
+    assert len(got) == len(set(got))
+    assert set(got) == brute_force_pairs(pts, rmax)
 
 
 def test_close_pairs_three_dimensions():
@@ -149,3 +159,13 @@ def test_close_pairs_three_dimensions():
 def test_close_pairs_empty_and_singleton():
     assert len(close_pairs(PointPattern(Window(2, 1.0), np.empty((0, 2))), 0.1)) == 0
     assert len(close_pairs(PointPattern(Window(2, 1.0), [[0.1, 0.2]]), 0.1)) == 0
+
+
+def test_close_pairs_huge_cell_count():
+    # floor(side / rmax) cells per axis would overflow the flat cell index.
+    for window, pts in (
+        (Window(2, 1e10), [[0.0, 0.0], [0.5, 0.0], [3e9, 1.0]]),
+        (Window(3, 1e7), [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
+    ):
+        pairs = close_pairs(PointPattern(window, pts), 1.0)
+        assert sorted(zip(pairs.i.tolist(), pairs.j.tolist())) == [(0, 1), (1, 0)]

@@ -215,6 +215,35 @@ def test_cli_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["kfunc", "{pat}", "-o", "{out}"], "--beta or --fit"),
+        (["kfunc", "{pat}", "--intensity", "loglinear", "--fit", "-o", "{out}"],
+         "--covariates"),
+        (["fit", "{pat}", "--model", "loglinear"], "--covariates"),
+        (["simulate", "--model", "poisson-inhom", "--beta", "5", "--rho-max", "200",
+          "--side", "1", "--seed", "1", "-o", "{out}"], "--covariates"),
+        (["simulate", "--model", "poisson-inhom", "--covariates", "{field}",
+          "--rho-max", "200", "--side", "1", "--seed", "1", "-o", "{out}"], "--beta"),
+        (["simulate", "--model", "poisson-inhom", "--covariates", "{field}",
+          "--beta", "5", "--side", "1", "--seed", "1", "-o", "{out}"], "--rho-max"),
+    ],
+)
+def test_cli_missing_model_option_is_usage_error(tmp_path, capsys, argv, option):
+    paths = {"pat": tmp_path / "pat.csv", "field": tmp_path / "field.csv",
+             "out": tmp_path / "out.csv"}
+    write_pattern_csv(paths["pat"], simulate_poisson(100.0, Window(2, 1.0), seed=2))
+    write_covariate_field(
+        paths["field"], CovariateField(Window(2, 1.0), np.ones((2, 2, 1)))
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not paths["out"].exists()
+
+
 def test_cli_cov_reports_points_drawn(tmp_path, capsys):
     # 64 samples over 2,145 annulus pairs: every stratum is floored at 32 points,
     # so far more points are drawn than the budget asks for, and meta says so.

@@ -72,6 +72,28 @@ def test_k_hat_empty_and_singleton():
     )
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_k_hat_invariant_under_reflections_and_permutations(data):
+    dim = data.draw(st.integers(1, 3))
+    side = data.draw(st.floats(0.5, 2.0))
+    flips = np.array(data.draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=dim,
+                                        max_size=dim)))
+    perm = data.draw(st.permutations(range(dim)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    pts = rng.uniform(-side / 2, side / 2, (data.draw(st.integers(2, 150)), dim))
+    # Some coordinates on the window faces, where the cell index is clipped.
+    faces = rng.random(pts.shape) < 0.05
+    pts[faces] = np.sign(pts[faces]) * side / 2
+    pts = np.unique(pts, axis=0)
+    window = Window(dim, side)
+    model = ConstantIntensity(len(pts) / window.volume)
+    grid = RadiusGrid.uniform(data.draw(st.floats(0.05, 0.6)) * side, 20)
+    base = k_hat(PointPattern(window, pts), model, grid).values
+    moved = k_hat(PointPattern(window, (pts * flips)[:, perm]), model, grid).values
+    np.testing.assert_allclose(moved, base, rtol=1e-12, atol=0)
+
+
 def test_k_hat_monotone_nonnegative():
     pat = simulate_poisson(300.0, W1, seed=31)
     curve = k_hat(pat, ConstantIntensity(300.0), RadiusGrid.uniform(0.08, 40))
