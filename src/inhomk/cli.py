@@ -342,13 +342,15 @@ _MODEL_OPTIONS = {
 
 
 def _check_model_options(parser, args) -> None:
-    """Exit with a usage error when the chosen model misses an option."""
+    """Exit with a usage error on a missing or conflicting model option."""
     model = getattr(args, "intensity", getattr(args, "model", None))
     for dest in _MODEL_OPTIONS.get((args.command, model), ()):
         if getattr(args, dest) is None:
             parser.error(f"{args.command} with {model} needs --{dest.replace('_', '-')}")
     if args.command == "kfunc" and args.beta is None and not args.fit:
         parser.error("kfunc needs --beta or --fit")
+    if args.command == "kfunc" and args.beta is not None and args.fit:
+        parser.error("kfunc takes --beta or --fit, not both")
 
 
 def main(argv=None) -> int:

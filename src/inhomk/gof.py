@@ -10,6 +10,10 @@ is taken over the same grid used to simulate the Gaussian process, so the
 statistic and its null law are directly comparable. Critical values and
 p-values are read off the sorted draws by the rules in
 :mod:`inhomk.limitlaw`; :class:`PoissonNullTables` only supplies the draws.
+Its known-intensity draws are exact at every estimate without a full pass
+over the table: each draw is a maximum of lines in ``sqrt(rho)``, and where one
+signed line provably wins between two rungs ``2**(j/8)`` of a fixed ladder,
+that line alone gives the draw, bitwise equal to the full maximum.
 
 Closed-form covariances exist only in the plane; patterns in other dimensions
 are rejected.
@@ -18,7 +22,7 @@ are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import floor, isfinite, log2, pi, sqrt
 
 import numpy as np
 
@@ -115,9 +119,27 @@ class PoissonNullTables:
     One standard-normal reservoir is drawn per seed and reused for every
     intensity: the estimated-intensity sup draws scale exactly as ``1/rho``
     (so a single table at rho = 1 serves all estimates), while the
-    known-intensity covariance splits into the rho = 1 factor scaled by
-    ``1/rho`` plus an independent rank-one part scaled by ``1/sqrt(rho)``,
-    which costs only an elementwise pass per distinct estimate.
+    known-intensity covariance splits into the rho = 1 factor ``S`` scaled by
+    ``1/rho`` plus an independent rank-one part ``xi a`` (``a_r = 2 pi r^2``)
+    scaled by ``1/sqrt(rho)``.
+
+    Known-mode draws are exact without a full pass per estimate. With
+    ``s = sqrt(rho)``, draw ``i`` is ``max_r |xi_i a_r s + S_ir| / rho``: up to
+    the factor ``1/rho``, a maximum of the 2m signed lines
+    ``+-(xi_i a_r s + S_ir)``, convex and piecewise linear in ``s``. The
+    tables keep a ladder of rungs ``s_j = 2**(j/8)``, built lazily, and record
+    per row and rung the winning line (its ``r`` and its sign) and whether it
+    leads the runner-up by more than ``1e-9 (|xi_i| max_r a_r s + max_r
+    |S_ir|)``. When the same ``r`` with the same sign wins with that margin at
+    both ends of a bracket ``[s_j, s_j+1]``, it wins on the whole bracket,
+    because its difference with any other line is linear in ``s``; the row's
+    draw there is that one term, computed with the same operations as the
+    full-width maximum and so bitwise equal to it. The sign matters: a line
+    whose sign flips inside the bracket crosses zero there. Rows without a
+    certificate are evaluated at full width; :attr:`full_rows` counts them.
+
+    Every draw and critical-value method rejects an intensity that is not
+    finite and positive.
     """
 
     def __init__(self, grid: RadiusGrid, sample_size: int, seed: int):
@@ -135,39 +157,106 @@ class PoissonNullTables:
         self._signed = normals @ factor.T
         self._xi = stream(self.seed, "supnorm-xi").standard_normal(self.sample_size)
         self._rank_one = 2.0 * pi * r**2
-        self._std_estimated = np.sort(np.abs(self._signed).max(axis=1))
-        self._known_draws_cache: dict[float, np.ndarray] = {}
-        # Reused by known_draws: a fresh path matrix per estimate made the
-        # allocator hand pages back to the system and fault them in again.
-        self._scratch = (np.empty_like(self._signed), np.empty_like(self._signed))
+        self._peak = np.abs(self._signed).max(axis=1)
+        self._std_estimated = np.sort(self._peak)
+        # Certificate ladder: rung j -> per-row winning line; bracket j ->
+        # the terms of the rows certified on [s_j, s_j+1] and the other rows.
+        self._rungs: dict[int, tuple] = {}
+        self._brackets: dict[int, tuple] = {}
+        self._full_rows = 0
+
+    @property
+    def full_rows(self) -> int:
+        """(row, rho) pairs that :meth:`known_draws` evaluated at full width."""
+        return self._full_rows
 
     def estimated_draws(self, rho: float) -> np.ndarray:
         """Sorted sup draws under the estimated-intensity covariance at ``rho``."""
+        _check_intensity(rho)
         return self._std_estimated / rho
 
     def known_draws(self, rho: float) -> np.ndarray:
-        """Sorted sup draws under the known-intensity covariance at ``rho``.
-
-        Cached per intensity: within a study the estimate takes one value per
-        observed point count, so the cache stays small.
-        """
-        if rho not in self._known_draws_cache:
-            paths, part = self._scratch
-            np.multiply.outer(self._xi, self._rank_one, out=paths)
-            paths /= sqrt(rho)
-            np.divide(self._signed, rho, out=part)
-            paths += part
-            draws = np.abs(paths, out=paths).max(axis=1)
-            draws.sort()
-            self._known_draws_cache[rho] = draws
-        return self._known_draws_cache[rho]
+        """Sorted sup draws under the known-intensity covariance at ``rho``."""
+        _check_intensity(rho)
+        root = sqrt(rho)
+        term, signed, xi_full, signed_full = self._bracket(_bracket_index(root))
+        # The operations of the full-width maximum, on one term per certified row.
+        certified = np.abs(term / root + signed / rho)
+        paths = np.multiply.outer(xi_full, self._rank_one) / root + signed_full / rho
+        draws = np.concatenate([certified, np.abs(paths).max(axis=1)])
+        self._full_rows += len(xi_full)
+        draws.sort()
+        return draws
 
     def estimated_critical(self, alpha: float, rho: float) -> float:
         # Exact 1/rho scaling of the standard table.
+        _check_intensity(rho)
         return upper_quantile(self._std_estimated, alpha) / rho
 
     def known_critical(self, alpha: float, rho: float) -> float:
         return upper_quantile(self.known_draws(rho), alpha)
+
+    def _rung(self, j: int) -> tuple:
+        """Per row at ``s_j``: the winning ``r``, its sign, and whether it leads."""
+        if j not in self._rungs:
+            slope = self._xi * _rung_value(j)
+            height = np.multiply.outer(slope, self._rank_one)
+            height += self._signed
+            np.abs(height, out=height)
+            rows = np.arange(self.sample_size)
+            winner = height.argmax(axis=1)
+            top = height[rows, winner]
+            # The runner-up among the signed lines is the best other r: the
+            # winner's own mirror image -top is below it (a grid has m >= 2).
+            height[rows, winner] = 0.0
+            lead = top - height[rows, height.argmax(axis=1)]
+            sign = slope * self._rank_one[winner] + self._signed[rows, winner] > 0
+            scale = np.abs(slope) * self._rank_one.max() + self._peak
+            self._rungs[j] = (winner, sign, lead > _MARGIN * scale)
+        return self._rungs[j]
+
+    def _bracket(self, j: int) -> tuple:
+        """Terms of the rows certified on ``[s_j, s_j+1]``, and the other rows."""
+        if j not in self._brackets:
+            winner, sign, leads = self._rung(j)
+            winner_up, sign_up, leads_up = self._rung(j + 1)
+            certified = leads & leads_up & (winner == winner_up) & (sign == sign_up)
+            rows = np.flatnonzero(certified)
+            winner = winner[rows]
+            full = np.flatnonzero(~certified)
+            self._brackets[j] = (
+                self._xi[rows] * self._rank_one[winner],
+                self._signed[rows, winner],
+                self._xi[full],
+                self._signed[full],
+            )
+        return self._brackets[j]
+
+
+# Ladder of the known-mode certificate: rungs s_j = 2**(j / _RUNGS_PER_DOUBLING)
+# in s = sqrt(rho), and the lead a winning line needs at a rung, relative to
+# the row's scale |xi| max a s + max |S|.
+_RUNGS_PER_DOUBLING = 8
+_MARGIN = 1e-9
+
+
+def _rung_value(j: int) -> float:
+    return 2.0 ** (j / _RUNGS_PER_DOUBLING)
+
+
+def _bracket_index(s: float) -> int:
+    """The ``j`` with ``s_j <= s <= s_j+1``, checked against the rung values."""
+    j = floor(_RUNGS_PER_DOUBLING * log2(s))
+    while _rung_value(j) > s:
+        j -= 1
+    while _rung_value(j + 1) < s:
+        j += 1
+    return j
+
+
+def _check_intensity(rho: float) -> None:
+    if not (isfinite(rho) and rho > 0):
+        raise ValueError(f"intensity must be finite and positive, got {rho!r}")
 
 
 def sup_distance(khat, grid: RadiusGrid, window: Window):

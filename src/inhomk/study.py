@@ -12,8 +12,9 @@ Within a cell the same simulated patterns are evaluated under every requested
 variance mode (that is what makes the known-vs-estimated comparison a paired
 one), sharing a single critical-value table: the estimated-intensity critical
 value is the standard table value scaled by the inverse intensity estimate,
-the known-intensity one is a cached per-estimate pass over the shared
-reservoir.
+the known-intensity one comes from draws the tables certify line by line on a
+fixed ladder in ``sqrt(rho)``, so each distinct estimate costs an elementwise
+pass plus the few draws evaluated at full width.
 """
 
 from __future__ import annotations

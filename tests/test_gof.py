@@ -1,12 +1,22 @@
+from math import pi, sqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inhomk.asymcov import poisson_cov_matrix
 from inhomk.geometry import PointPattern, Window
 from inhomk.gof import GofConfig, PoissonNullTables, gof_test, ks_statistic
 from inhomk.intensity import ConstantIntensity
 from inhomk.kstat import RadiusGrid
-from inhomk.limitlaw import critical_value, simulate_sup
+from inhomk.limitlaw import (
+    cholesky_with_jitter,
+    critical_value,
+    normal_reservoir,
+    simulate_sup,
+    upper_quantile,
+)
 from inhomk.seeds import stream
 from inhomk.simulate import simulate_poisson
 
@@ -150,3 +160,78 @@ def test_gof_mismatched_tables_rejected():
     tables = PoissonNullTables(RadiusGrid.uniform(0.05, 10), 500, 1)
     with pytest.raises(ValueError, match="different null configuration"):
         gof_test(pat, GofConfig(grid_size=50, sample_size=500, seed=1), tables)
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize(
+    "method", ["estimated_draws", "known_draws", "estimated_critical", "known_critical"]
+)
+def test_null_tables_reject_invalid_intensity(method, rho):
+    tables = PoissonNullTables(RadiusGrid.uniform(0.05, 5), 100, 1)
+    args = (0.05, rho) if method.endswith("critical") else (rho,)
+    with pytest.raises(ValueError, match="finite and positive"):
+        getattr(tables, method)(*args)
+
+
+def _full_width_draws(grid, sample_size, seed, rho):
+    """Sorted known-mode draws from the full-width formula, one row max per draw."""
+    r = grid.values
+    factor = cholesky_with_jitter(2.0 * pi * np.minimum.outer(r, r) ** 2)
+    signed = normal_reservoir(seed, sample_size, grid.m) @ factor.T
+    xi = stream(seed, "supnorm-xi").standard_normal(sample_size)
+    paths = np.multiply.outer(xi, 2.0 * pi * r**2) / sqrt(rho) + signed / rho
+    return np.sort(np.abs(paths).max(axis=1))
+
+
+# full_rows of every example of the property test below, read by the
+# structural test after it.
+_FULL_ROWS_SEEN: list[int] = []
+
+_log_uniform_rho = st.floats(-3.0, 6.0).map(lambda e: 10.0**e)
+# Exact rung values s_j^2 = 2^(2j/8) of the certificate ladder, within 1e-3..1e6.
+_rung_rho = st.integers(-39, 79).map(lambda j: 2.0 ** (2 * j / 8))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 60),
+    sample_size=st.integers(100, 3000),
+    seed=st.integers(0, 2**16),
+    rhos=st.lists(st.one_of(_log_uniform_rho, _rung_rho), min_size=1, max_size=6),
+    alpha=st.floats(0.001, 0.999),
+)
+def test_known_draws_equal_full_width_formula(m, sample_size, seed, rhos, alpha):
+    grid = RadiusGrid.uniform(0.05, m)
+    tables = PoissonNullTables(grid, sample_size, seed)
+    for rho in rhos:
+        reference = _full_width_draws(grid, sample_size, seed, rho)
+        np.testing.assert_array_equal(tables.known_draws(rho), reference)
+        assert tables.known_critical(alpha, rho) == upper_quantile(reference, alpha)
+    _FULL_ROWS_SEEN.append(tables.full_rows)
+
+
+def test_known_draws_dense_sweep_with_two_radii():
+    # With two radii the winning line of a few rows changes sign inside a
+    # bracket (it crosses zero there, and the other line wins around the
+    # crossing); a dense sweep over those brackets must still match.
+    grid = RadiusGrid.uniform(0.05, 2)
+    tables = PoissonNullTables(grid, 3000, 1)
+    for rho in np.geomspace(8.0, 200.0, 600):
+        np.testing.assert_array_equal(
+            tables.known_draws(rho), _full_width_draws(grid, 3000, 1, rho)
+        )
+
+
+def test_known_draws_certify_most_rows_on_table1_cell():
+    # Table-1 setting: grid 50, M = 10^4, the distinct estimates of one
+    # 200-replicate Poisson(200) cell on the unit square.
+    counts = [len(simulate_poisson(200.0, W1, stream(3, rep))) for rep in range(200)]
+    distinct = np.unique(np.array(counts, dtype=float))
+    tables = PoissonNullTables(RadiusGrid.uniform(0.05, 50), 10_000, 3)
+    for rho in distinct:
+        tables.known_draws(rho)
+    assert tables.full_rows < 0.1 * len(distinct) * tables.sample_size
+    # The property test above must have exercised the full-width path too.
+    if not _FULL_ROWS_SEEN:
+        test_known_draws_equal_full_width_formula()
+    assert max(_FULL_ROWS_SEEN) > 0

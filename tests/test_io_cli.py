@@ -228,6 +228,7 @@ def test_cli_usage_error_exit_code():
           "--rho-max", "200", "--side", "1", "--seed", "1", "-o", "{out}"], "--beta"),
         (["simulate", "--model", "poisson-inhom", "--covariates", "{field}",
           "--beta", "5", "--side", "1", "--seed", "1", "-o", "{out}"], "--rho-max"),
+        (["kfunc", "{pat}", "--beta", "5", "--fit", "-o", "{out}"], "not both"),
     ],
 )
 def test_cli_missing_model_option_is_usage_error(tmp_path, capsys, argv, option):
