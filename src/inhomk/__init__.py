@@ -19,7 +19,6 @@ from .asymcov import (
     joint_cov,
     loglinear_sigma_blocks,
     poisson_blocks,
-    poisson_cov,
     poisson_cov_matrix,
     sigma_blocks_constant,
     synthetic_densities,

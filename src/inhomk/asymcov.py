@@ -3,8 +3,8 @@
 Blocks of the limiting covariance of the joint vector (intensity parameter
 estimate, K estimates on a radius grid):
 
-* closed forms for the planar Poisson process, for both known and estimated
-  intensity;
+* closed forms for the Poisson process in any dimension, for both known and
+  estimated intensity, written once in :func:`poisson_cov_matrix`;
 * general constant-intensity blocks as truncated integrals of the normalized
   joint intensities, evaluated by deterministic low-discrepancy quadrature;
 * the composed limit covariance combining intensity-estimation and
@@ -38,15 +38,14 @@ lags.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import gamma as _gamma
-from math import pi
+from math import isfinite
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .geometry import overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
-from .kstat import Curve, RadiusGrid
+from .kstat import Curve, RadiusGrid, k_poisson
 from .qmc import ball_points_weighted, ball_shell_points, direction_dims
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "QuadratureConfig",
     "CovarianceBlocks",
     "LimitCovariance",
-    "poisson_cov",
     "poisson_cov_matrix",
     "poisson_blocks",
     "sigma_blocks_constant",
@@ -82,10 +80,6 @@ _REGION_LL_C2 = 6
 # differences times this factor; the margin is what makes "doubling the budget
 # moves every entry by less than the reported error" hold in practice.
 _ERROR_SAFETY = 3.0
-
-
-def _ball_volume(dim: int, r) -> float | np.ndarray:
-    return pi ** (dim / 2.0) / _gamma(dim / 2.0 + 1.0) * np.asarray(r, float) ** dim
 
 
 @dataclass(frozen=True)
@@ -183,6 +177,8 @@ class LimitCovariance:
         m = self.grid.m
         if mat.shape != (m, m):
             raise ValueError(f"matrix must be {m}x{m}")
+        if not np.isfinite(mat).all():
+            raise ValueError("limit covariance must be finite")
         if not np.allclose(mat, mat.T, rtol=1e-8, atol=1e-12 * max(1.0, np.abs(mat).max())):
             raise ValueError("limit covariance must be symmetric")
         mat.flags.writeable = False
@@ -268,36 +264,33 @@ class CovarianceBlocks:
         )
 
 
-def poisson_cov(s: float, t: float, rho: float, mode: str, dim: int = 2) -> float:
-    """Closed-form limit covariance of the planar Poisson K estimator.
+def _check_intensity(rho: float) -> None:
+    if not (isfinite(rho) and rho > 0):
+        raise ValueError(f"intensity must be finite and positive, got {rho!r}")
 
-    ``mode='known'``: ``2 pi min(s,t)^2 / rho^2 + 4 pi^2 s^2 t^2 / rho``;
-    ``mode='estimated'`` keeps only the first term. Only the planar case has
-    this closed form.
+
+def poisson_cov_matrix(
+    grid: RadiusGrid, rho: float, mode: str, dim: int = 2
+) -> LimitCovariance:
+    """Closed-form limit covariance of the Poisson K estimator (any dimension).
+
+    ``mode='estimated'``: ``2 K(min(s,t)) / rho^2``; ``mode='known'`` adds
+    ``4 K(s) K(t) / rho``, with ``K`` the ``dim``-ball volume.
     """
-    if dim != 2:
-        raise ValueError("closed form available only in the plane")
-    if s < 0 or t < 0:
-        raise ValueError("radii must be nonnegative")
-    if not rho > 0:
-        raise ValueError("intensity must be positive")
-    base = 2.0 * pi * min(s, t) ** 2 / rho**2
-    if mode == "estimated":
-        return base
-    if mode == "known":
-        return base + 4.0 * pi**2 * s**2 * t**2 / rho
-    raise ValueError("mode must be 'known' or 'estimated'")
-
-
-def poisson_cov_matrix(grid: RadiusGrid, rho: float, mode: str) -> LimitCovariance:
-    """`poisson_cov` evaluated on the full grid."""
-    r = grid.values
-    rmin = np.minimum.outer(r, r)
-    mat = 2.0 * pi * rmin**2 / rho**2
-    if mode == "known":
-        mat = mat + 4.0 * pi**2 * np.outer(r**2, r**2) / rho
-    elif mode != "estimated":
+    _check_intensity(rho)
+    if mode not in ("known", "estimated"):
         raise ValueError("mode must be 'known' or 'estimated'")
+    k = k_poisson(grid.values, dim)
+    # rho^2 as a numpy float: an extreme rho overflows or underflows quietly
+    # and is refused below instead of raising OverflowError.
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):
+        mat = 2.0 * np.minimum.outer(k, k) / np.float64(rho) ** 2
+        if not (np.isfinite(mat).all() and mat.min() > 0):
+            raise ValueError(
+                f"Poisson covariance at intensity {rho!r} is not finite and positive"
+            )
+        if mode == "known":
+            mat = mat + 4.0 * np.outer(k, k) / rho
     return LimitCovariance(grid, mat)
 
 
@@ -306,18 +299,14 @@ def poisson_blocks(beta: float, grid: RadiusGrid, dim: int = 2) -> CovarianceBlo
 
     With all normalized joint intensities equal to one the block integrals
     collapse to ball volumes: ``sigma11 = beta``, ``sigma2(r) = 2 K(r)`` and
-    ``c`` is the two-term known-intensity expression.
+    ``c`` is the known-intensity :func:`poisson_cov_matrix`.
     """
-    if not beta > 0:
-        raise ValueError("intensity must be positive")
-    k = np.asarray(_ball_volume(dim, grid.values))
-    kmin = np.minimum.outer(k, k)
-    c = 4.0 * np.outer(k, k) / beta + 2.0 * kmin / beta**2
+    k = k_poisson(grid.values, dim)
     return CovarianceBlocks(
         grid=grid,
         sigma11=np.array([[beta]]),
         sigma2=(2.0 * k)[:, None],
-        c=c,
+        c=poisson_cov_matrix(grid, beta, "known", dim).matrix,
         k_curve=k,
     )
 
@@ -389,7 +378,7 @@ def _ball_integrals(grid, dim, quad, region, k, integrand, truncated=False) -> _
     if truncated:
         values = values * weights.reshape((-1,) + (1,) * (values.ndim - 1))
     values = values.reshape((len(strata), n) + values.shape[1:])
-    vol = np.prod(np.diff(_ball_volume(dim, edges))[annuli], axis=0)
+    vol = np.prod(np.diff(k_poisson(edges, dim))[annuli], axis=0)
     vol = vol.reshape((-1,) + (1,) * (values.ndim - 2))
     full = vol * values.mean(axis=1)
     half = vol * values[:, : n // 2].mean(axis=1)

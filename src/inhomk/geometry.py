@@ -69,7 +69,9 @@ class PointPattern:
             raise ValueError("point coordinates must be finite")
         if reach > self.window.side / 2.0:
             raise ValueError("point outside the observation window")
-        if len(pts) > 1 and len(np.unique(pts, axis=0)) != len(pts):
+        # Equal rows are adjacent in lexicographic order (-0.0 equals 0.0).
+        ordered = pts[np.lexsort(pts.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ValueError("duplicate points: pattern must be simple")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)

@@ -1,11 +1,13 @@
 """Kolmogorov-Smirnov goodness-of-fit test for the homogeneous Poisson null.
 
-The statistic is ``sqrt(n) sup_r |Khat(r) - pi r^2|`` over the radius grid,
-with the intensity estimate plugged into Khat. Critical values come from the
-Monte Carlo law of the sup of the limiting Gaussian process, under either the
-estimated-intensity covariance ``2 pi min(s,t)^2 / rho^2`` or the
-known-intensity covariance (which adds ``4 pi^2 s^2 t^2 / rho``); in both
-variance formulas the unknown intensity is replaced by the estimate. The sup
+The statistic is ``sqrt(n) sup_r |Khat(r) - K(r)|`` over the radius grid,
+with ``K`` the ball volume of the pattern's dimension and the intensity
+estimate plugged into Khat. Critical values come from the Monte Carlo law of
+the sup of the limiting Gaussian process, under either the
+estimated-intensity covariance ``2 K(min(s,t)) / rho^2`` or the
+known-intensity covariance (which adds ``4 K(s) K(t) / rho``), both from
+:func:`inhomk.asymcov.poisson_cov_matrix`; in both variance formulas the
+unknown intensity is replaced by the estimate. The sup
 is taken over the same grid used to simulate the Gaussian process, so the
 statistic and its null law are directly comparable. Critical values and
 p-values are read off the sorted draws by the rules in
@@ -14,18 +16,16 @@ Its known-intensity draws are exact at every estimate without a full pass
 over the table: each draw is a maximum of lines in ``sqrt(rho)``, and where one
 signed line provably wins between two rungs ``2**(j/8)`` of a fixed ladder,
 that line alone gives the draw, bitwise equal to the full maximum.
-
-Closed-form covariances exist only in the plane; patterns in other dimensions
-are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor, isfinite, log2, pi, sqrt
+from math import floor, isfinite, log2, sqrt
 
 import numpy as np
 
+from .asymcov import _check_intensity, poisson_cov_matrix
 from .geometry import PointPattern, Window
 from .intensity import ConstantIntensity, estimate_constant
 from .kstat import RadiusGrid, k_hat, k_poisson
@@ -114,13 +114,13 @@ class GofResult:
 
 
 class PoissonNullTables:
-    """Shared Monte Carlo tables for the planar Poisson null on one grid.
+    """Shared Monte Carlo tables for the Poisson null on one grid, in ``dim`` dimensions.
 
     One standard-normal reservoir is drawn per seed and reused for every
     intensity: the estimated-intensity sup draws scale exactly as ``1/rho``
     (so a single table at rho = 1 serves all estimates), while the
     known-intensity covariance splits into the rho = 1 factor ``S`` scaled by
-    ``1/rho`` plus an independent rank-one part ``xi a`` (``a_r = 2 pi r^2``)
+    ``1/rho`` plus an independent rank-one part ``xi a`` (``a_r = 2 K(r)``)
     scaled by ``1/sqrt(rho)``.
 
     Known-mode draws are exact without a full pass per estimate. With
@@ -139,24 +139,24 @@ class PoissonNullTables:
     certificate are evaluated at full width; :attr:`full_rows` counts them.
 
     Every draw and critical-value method rejects an intensity that is not
-    finite and positive.
+    finite and positive, and one so small that the draws overflow.
     """
 
-    def __init__(self, grid: RadiusGrid, sample_size: int, seed: int):
+    def __init__(self, grid: RadiusGrid, sample_size: int, seed: int, dim: int = 2):
         if sample_size < MIN_SAMPLE:
             raise ValueError(f"sample size must be >= {MIN_SAMPLE}")
         self.grid = grid
         self.sample_size = int(sample_size)
         self.seed = int(seed)
-        r = grid.values
-        base = 2.0 * pi * np.minimum.outer(r, r) ** 2
+        self.dim = int(dim)
+        base = poisson_cov_matrix(grid, 1.0, "estimated", self.dim).matrix
         factor = cholesky_with_jitter(base)
         normals = normal_reservoir(self.seed, self.sample_size, grid.m)
         # Signed rho=1 estimated-covariance paths plus one extra normal per
-        # draw for the rank-one known-intensity component 2 pi r^2 / sqrt(rho).
+        # draw for the rank-one known-intensity component 2 K(r) / sqrt(rho).
         self._signed = normals @ factor.T
         self._xi = stream(self.seed, "supnorm-xi").standard_normal(self.sample_size)
-        self._rank_one = 2.0 * pi * r**2
+        self._rank_one = 2.0 * k_poisson(grid.values, self.dim)
         self._peak = np.abs(self._signed).max(axis=1)
         self._std_estimated = np.sort(self._peak)
         # Certificate ladder: rung j -> per-row winning line; bracket j ->
@@ -173,7 +173,8 @@ class PoissonNullTables:
     def estimated_draws(self, rho: float) -> np.ndarray:
         """Sorted sup draws under the estimated-intensity covariance at ``rho``."""
         _check_intensity(rho)
-        return self._std_estimated / rho
+        with np.errstate(over="ignore"):
+            return _finite(self._std_estimated / rho, rho)
 
     def known_draws(self, rho: float) -> np.ndarray:
         """Sorted sup draws under the known-intensity covariance at ``rho``."""
@@ -181,17 +182,17 @@ class PoissonNullTables:
         root = sqrt(rho)
         term, signed, xi_full, signed_full = self._bracket(_bracket_index(root))
         # The operations of the full-width maximum, on one term per certified row.
-        certified = np.abs(term / root + signed / rho)
-        paths = np.multiply.outer(xi_full, self._rank_one) / root + signed_full / rho
-        draws = np.concatenate([certified, np.abs(paths).max(axis=1)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            certified = np.abs(term / root + signed / rho)
+            paths = np.multiply.outer(xi_full, self._rank_one) / root + signed_full / rho
+            draws = np.concatenate([certified, np.abs(paths).max(axis=1)])
         self._full_rows += len(xi_full)
         draws.sort()
-        return draws
+        return _finite(draws, rho)
 
     def estimated_critical(self, alpha: float, rho: float) -> float:
         # Exact 1/rho scaling of the standard table.
-        _check_intensity(rho)
-        return upper_quantile(self._std_estimated, alpha) / rho
+        return upper_quantile(self.estimated_draws(rho), alpha)
 
     def known_critical(self, alpha: float, rho: float) -> float:
         return upper_quantile(self.known_draws(rho), alpha)
@@ -254,9 +255,11 @@ def _bracket_index(s: float) -> int:
     return j
 
 
-def _check_intensity(rho: float) -> None:
-    if not (isfinite(rho) and rho > 0):
-        raise ValueError(f"intensity must be finite and positive, got {rho!r}")
+def _finite(draws: np.ndarray, rho: float) -> np.ndarray:
+    # Sorted draws: the last is the largest, or NaN if any is.
+    if not isfinite(draws[-1]):
+        raise ValueError(f"null draws overflow at intensity {rho!r}")
+    return draws
 
 
 def sup_distance(khat, grid: RadiusGrid, window: Window):
@@ -283,11 +286,10 @@ def gof_test(
 
     Passing ``tables`` reuses a previously built Monte Carlo table (the study
     harness shares one across replicates); it must match the config's grid,
-    sample size and seed.
+    sample size and seed, and the pattern's dimension.
     """
-    if pattern.window.dim != 2:
-        raise ValueError("closed form available only in the plane")
     grid = config.grid()
+    dim = pattern.window.dim
 
     beta_hat = None
     if len(pattern) > 0:
@@ -305,12 +307,13 @@ def gof_test(
     statistic = ks_statistic(pattern, ConstantIntensity(stat_intensity), grid)
 
     if tables is None:
-        tables = PoissonNullTables(grid, config.sample_size, config.seed)
+        tables = PoissonNullTables(grid, config.sample_size, config.seed, dim)
     elif (
         tables.grid.m != grid.m
         or tables.grid.rmax != grid.rmax
         or tables.sample_size != config.sample_size
         or tables.seed != config.seed
+        or tables.dim != dim
     ):
         raise ValueError("tables were built for a different null configuration")
 

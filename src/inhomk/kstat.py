@@ -86,6 +86,8 @@ class Curve:
 
 def k_poisson(r, dim: int):
     """Theoretical K under the Poisson null: volume of the r-ball (pi r^2 in the plane)."""
+    if dim < 1:
+        raise ValueError("dimension must be >= 1")
     r = np.asarray(r, dtype=float)
     if np.any(r < 0):
         raise ValueError("radius must be nonnegative")

@@ -65,6 +65,8 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
     if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12 * max(1.0, np.abs(cov).max())):
         raise ValueError("covariance must be symmetric")
     scale = max(float(np.abs(np.diag(cov)).max()), 0.0)

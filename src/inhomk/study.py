@@ -14,7 +14,8 @@ one), sharing a single critical-value table: the estimated-intensity critical
 value is the standard table value scaled by the inverse intensity estimate,
 the known-intensity one comes from draws the tables certify line by line on a
 fixed ladder in ``sqrt(rho)``, so each distinct estimate costs an elementwise
-pass plus the few draws evaluated at full width.
+pass plus the few draws evaluated at full width. Windows and null tables take
+the config's dimension: the Poisson null is exact in any dimension.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class StudyConfig:
     """One rejection-probability study: a process, windows, and test modes.
 
     ``alpha`` is in (0, 1]; ``alpha = 1`` rejects every evaluable replicate.
-    The null tables are planar, so ``dim`` must be 2.
+    Windows and null tables are ``dim``-dimensional.
     """
 
     process: str = "poisson"
@@ -79,8 +80,8 @@ class StudyConfig:
             raise ValueError("need at least 100 replicates")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.dim != 2:
-            raise ValueError("closed form available only in the plane")
+        if self.dim < 1:
+            raise ValueError("window dimension must be >= 1")
         for mode in self.modes:
             if mode not in ("estimated", "known"):
                 raise ValueError(f"unknown mode {mode!r}")
@@ -205,7 +206,7 @@ def rejection_study(config: StudyConfig) -> StudyResult:
     the study.
     """
     grid = RadiusGrid.uniform(config.R, config.grid_size)
-    tables = PoissonNullTables(grid, config.sample_size, config.seed)
+    tables = PoissonNullTables(grid, config.sample_size, config.seed, config.dim)
     critical = {"estimated": tables.estimated_critical, "known": tables.known_critical}
 
     with _executor(config.workers) as executor:

@@ -14,7 +14,6 @@ from inhomk.asymcov import (
     joint_cov,
     loglinear_sigma_blocks,
     poisson_blocks,
-    poisson_cov,
     poisson_cov_matrix,
     sigma_blocks_constant,
     synthetic_densities,
@@ -28,25 +27,44 @@ GRID5 = RadiusGrid.uniform(0.05, 5)
 
 
 def test_poisson_cov_values():
-    known = poisson_cov(0.05, 0.05, 200.0, "known")
-    est = poisson_cov(0.05, 0.05, 200.0, "estimated")
-    assert est == pytest.approx(3.92699e-7, rel=1e-5)
-    assert known - est == pytest.approx(1.23370e-6, rel=1e-5)
-    assert known == pytest.approx(1.62640e-6, rel=1e-5)
-    assert poisson_cov(0.0, 0.03, 100.0, "known") == 0.0
-    assert poisson_cov(0.0, 0.03, 100.0, "estimated") == 0.0
+    # radii 0.01, ..., 0.05; entries (0.05, 0.05) and (0.03, 0.05)
+    known = poisson_cov_matrix(GRID5, 200.0, "known").matrix
+    est = poisson_cov_matrix(GRID5, 200.0, "estimated").matrix
+    assert est[4, 4] == pytest.approx(3.92699e-7, rel=1e-5)
+    assert known[4, 4] - est[4, 4] == pytest.approx(1.23370e-6, rel=1e-5)
+    assert known[4, 4] == pytest.approx(1.62640e-6, rel=1e-5)
+    assert est[2, 4] == est[4, 2] == pytest.approx(1.41372e-7, rel=1e-5)
+    assert known[2, 4] - est[2, 4] == pytest.approx(4.44132e-7, rel=1e-5)
+    # K(r) = 2r on the line and 4 pi r^3 / 3 in space
+    line = poisson_cov_matrix(GRID5, 200.0, "known", dim=1).matrix
+    assert line[4, 4] == pytest.approx(5e-6 + 2e-4, rel=1e-12)
+    space = poisson_cov_matrix(GRID5, 200.0, "estimated", dim=3).matrix
+    assert space[4, 4] == pytest.approx(2.61799e-8, rel=1e-5)
+    for rho in (0.0, -200.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            poisson_cov_matrix(GRID5, rho, "estimated")
+    # 1/rho^2 overflows; rho^2 overflows and the matrix underflows to zero
+    for rho in (1e-320, 1e200):
+        for mode in ("estimated", "known"):
+            with pytest.raises(ValueError, match="not finite and positive"):
+                poisson_cov_matrix(GRID5, rho, mode)
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        poisson_cov_matrix(GRID5, 200.0, "estimated", dim=0)
 
 
-def test_poisson_cov_plane_only():
-    with pytest.raises(ValueError, match="plane"):
-        poisson_cov(0.01, 0.01, 100.0, "known", dim=3)
-
-
-def test_poisson_cov_matrix_matches_scalar():
-    mat = poisson_cov_matrix(GRID5, 200.0, "known").matrix
-    for i, s in enumerate(GRID5.values):
-        for j, t in enumerate(GRID5.values):
-            assert mat[i, j] == pytest.approx(poisson_cov(s, t, 200.0, "known"))
+def test_poisson_cov_matrix_matches_blocks():
+    for dim in (1, 2, 3):
+        for beta in (50.0, 200.0, 1e4):
+            for grid in (GRID10, RadiusGrid.uniform(0.2, 7)):
+                blocks = poisson_blocks(beta, grid, dim)
+                known = poisson_cov_matrix(grid, beta, "known", dim).matrix
+                np.testing.assert_array_equal(known, blocks.c)
+                # c - 4 K K / beta cancels, hence the loose bound
+                np.testing.assert_allclose(
+                    poisson_cov_matrix(grid, beta, "estimated", dim).matrix,
+                    cov_estimated_constant(blocks, beta).matrix,
+                    rtol=1e-10,
+                )
 
 
 def test_blocks_poisson_closed_forms():

@@ -55,6 +55,29 @@ def test_pattern_rejects_duplicates():
     PointPattern(Window(2, 1.0), [[0.1, 0.1], [0.1, 0.1 + 1e-12]])
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(0, 40),
+    levels=st.integers(1, 4),
+    signed_zero=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_duplicate_verdict_matches_unique(dim, n, levels, signed_zero, seed):
+    # Points on a coarse lattice collide often; -0.0 must count as 0.0.
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-levels, levels + 1, size=(n, dim)) / (2.0 * levels + 1)
+    if signed_zero:
+        pts[rng.random(pts.shape) < 0.5] *= -1.0
+    simple = len(np.unique(pts, axis=0)) == n
+    try:
+        PointPattern(Window(dim, 1.0), pts)
+    except ValueError as err:
+        assert "simple" in str(err) and not simple
+    else:
+        assert simple
+
+
 def test_overlap_volume_examples():
     assert overlap_volume(Window(2, 1.0), (0.0, 0.0)) == 1.0
     assert overlap_volume(Window(2, 1.0), (0.05, 0.0)) == pytest.approx(0.95)

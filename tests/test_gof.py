@@ -1,4 +1,5 @@
-from math import pi, sqrt
+import warnings
+from math import gamma, pi, sqrt
 
 import numpy as np
 import pytest
@@ -70,9 +71,10 @@ def test_gof_estimated_critical_is_scaled_table():
 
 def test_gof_estimated_table_matches_simulate_sup():
     grid = RadiusGrid.uniform(0.05, 50)
-    tables = PoissonNullTables(grid, 2000, 17)
-    sup = simulate_sup(poisson_cov_matrix(grid, 1.0, "estimated"), 2000, 17)
-    np.testing.assert_array_equal(tables.estimated_draws(1.0), sup.draws)
+    for dim in (1, 2, 3):
+        tables = PoissonNullTables(grid, 2000, 17, dim)
+        sup = simulate_sup(poisson_cov_matrix(grid, 1.0, "estimated", dim), 2000, 17)
+        np.testing.assert_array_equal(tables.estimated_draws(1.0), sup.draws)
 
 
 def test_gof_known_table_agrees_with_general_path():
@@ -141,10 +143,25 @@ def test_gof_known_mode_with_configured_rho_in_statistic():
     assert res.beta_hat == len(pat) / 1.0
 
 
-def test_gof_rejects_non_planar():
-    pat = PointPattern(Window(3, 1.0), [[0.0, 0.0, 0.0], [0.01, 0.0, 0.0]])
-    with pytest.raises(ValueError, match="plane"):
-        gof_test(pat, GofConfig(seed=1, sample_size=500))
+def test_gof_three_dimensions():
+    # the test runs on the dim-3 null: ball-volume statistic and tables
+    window = Window(3, 1.0)
+    pat = simulate_poisson(200.0, window, seed=56)
+    grid = RadiusGrid.uniform(0.1, 20)
+    tables = PoissonNullTables(grid, 2000, 8, dim=3)
+    for mode in ("estimated", "known"):
+        cfg = GofConfig(R=0.1, grid_size=20, mode=mode, sample_size=2000, seed=8)
+        res = gof_test(pat, cfg)
+        assert res.beta_hat == len(pat)
+        assert res.statistic == ks_statistic(pat, ConstantIntensity(res.beta_hat), grid)
+        draws = getattr(tables, f"{mode}_draws")(res.beta_hat)
+        assert res.critical_value == upper_quantile(draws, cfg.alpha)
+        assert gof_test(pat, cfg, tables).to_dict() == res.to_dict()
+    with pytest.raises(ValueError, match="different null configuration"):
+        gof_test(pat, cfg, PoissonNullTables(grid, 2000, 8))
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            PoissonNullTables(grid, 100, 8, dim=dim)
 
 
 def test_ks_statistic_general_dimension():
@@ -160,26 +177,34 @@ def test_gof_mismatched_tables_rejected():
     tables = PoissonNullTables(RadiusGrid.uniform(0.05, 10), 500, 1)
     with pytest.raises(ValueError, match="different null configuration"):
         gof_test(pat, GofConfig(grid_size=50, sample_size=500, seed=1), tables)
+    # same grid, sample size and seed, but built for three dimensions
+    tables = PoissonNullTables(RadiusGrid.uniform(0.05, 10), 500, 1, dim=3)
+    with pytest.raises(ValueError, match="different null configuration"):
+        gof_test(pat, GofConfig(grid_size=10, sample_size=500, seed=1), tables)
 
 
-@pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.inf, -np.inf, np.nan, 5e-324])
 @pytest.mark.parametrize(
     "method", ["estimated_draws", "known_draws", "estimated_critical", "known_critical"]
 )
 def test_null_tables_reject_invalid_intensity(method, rho):
     tables = PoissonNullTables(RadiusGrid.uniform(0.05, 5), 100, 1)
     args = (0.05, rho) if method.endswith("critical") else (rho,)
-    with pytest.raises(ValueError, match="finite and positive"):
-        getattr(tables, method)(*args)
+    # a subnormal intensity is finite and positive, but the draws overflow
+    message = "overflow" if rho == 5e-324 else "finite and positive"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            getattr(tables, method)(*args)
 
 
-def _full_width_draws(grid, sample_size, seed, rho):
+def _full_width_draws(grid, sample_size, seed, rho, dim=2):
     """Sorted known-mode draws from the full-width formula, one row max per draw."""
-    r = grid.values
-    factor = cholesky_with_jitter(2.0 * pi * np.minimum.outer(r, r) ** 2)
+    k = pi ** (dim / 2) / gamma(dim / 2 + 1) * grid.values**dim  # ball volume K_d
+    factor = cholesky_with_jitter(2.0 * np.minimum.outer(k, k))
     signed = normal_reservoir(seed, sample_size, grid.m) @ factor.T
     xi = stream(seed, "supnorm-xi").standard_normal(sample_size)
-    paths = np.multiply.outer(xi, 2.0 * pi * r**2) / sqrt(rho) + signed / rho
+    paths = np.multiply.outer(xi, 2.0 * k) / sqrt(rho) + signed / rho
     return np.sort(np.abs(paths).max(axis=1))
 
 
@@ -199,12 +224,13 @@ _rung_rho = st.integers(-39, 79).map(lambda j: 2.0 ** (2 * j / 8))
     seed=st.integers(0, 2**16),
     rhos=st.lists(st.one_of(_log_uniform_rho, _rung_rho), min_size=1, max_size=6),
     alpha=st.floats(0.001, 0.999),
+    dim=st.integers(1, 3),
 )
-def test_known_draws_equal_full_width_formula(m, sample_size, seed, rhos, alpha):
+def test_known_draws_equal_full_width_formula(m, sample_size, seed, rhos, alpha, dim):
     grid = RadiusGrid.uniform(0.05, m)
-    tables = PoissonNullTables(grid, sample_size, seed)
+    tables = PoissonNullTables(grid, sample_size, seed, dim)
     for rho in rhos:
-        reference = _full_width_draws(grid, sample_size, seed, rho)
+        reference = _full_width_draws(grid, sample_size, seed, rho, dim)
         np.testing.assert_array_equal(tables.known_draws(rho), reference)
         assert tables.known_critical(alpha, rho) == upper_quantile(reference, alpha)
     _FULL_ROWS_SEEN.append(tables.full_rows)

@@ -148,6 +148,37 @@ def test_cli_crit_cov_must_match_grid(tmp_path, capsys):
     assert json.loads(out.read_text())["grid_size"] == 10
 
 
+@pytest.mark.parametrize("rho", ["-200", "0", "1e-320", "1e200"])
+def test_cli_crit_rejects_invalid_intensity(tmp_path, capsys, rho):
+    # rho enters as rho^2: 1e-320 overflows 1/rho^2, and 1e200 overflows rho^2
+    out = tmp_path / "crit.json"
+    assert main(["crit", f"--rho={rho}", "--mode", "estimated", "--M", "1000",
+                 "--seed", "1", "-o", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_crit_rejects_non_finite_cov(tmp_path, capsys):
+    cov = tmp_path / "cov.csv"
+    write_matrix_csv(cov, np.diag([1.0, 1.0, np.inf, 1.0, 1.0]))
+    out = tmp_path / "crit.json"
+    assert main(["crit", "--cov", str(cov), "--grid", "5", "--M", "1000",
+                 "--seed", "3", "-o", str(out)]) == 1
+    assert "covariance must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gof_three_dimensions(tmp_path, capsys):
+    pat_path = tmp_path / "pat3.csv"
+    assert main(["simulate", "--model", "poisson", "--rho", "200", "--side", "1",
+                 "--dim", "3", "--seed", "7", "-o", str(pat_path)]) == 0
+    out = tmp_path / "g.json"
+    assert main(["gof", str(pat_path), "--R", "0.1", "--M", "2000", "--seed", "9",
+                 "-o", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["critical_value"] > 0 and payload["reject"] in (True, False)
+
+
 def test_cli_kfunc_rejects_non_finite_points(tmp_path, capsys):
     pat_path = tmp_path / "nan.csv"
     pat_path.write_text("x,y\n0.1,0.2\nnan,0.3\n")

@@ -42,6 +42,9 @@ def test_k_poisson_values():
     assert k_poisson(0.0, 3) == 0.0
     assert k_poisson(1.0, 3) == pytest.approx(4 * np.pi / 3)
     assert k_poisson(1.0, 1) == pytest.approx(2.0)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            k_poisson(1.0, dim)
 
 
 def test_k_hat_two_point_example():

@@ -109,3 +109,6 @@ def test_not_psd_rejected():
         cholesky_with_jitter(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError, match="symmetric"):
         cholesky_with_jitter(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            cholesky_with_jitter(np.diag([1.0, bad]))

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from inhomk.asymcov import poisson_cov_matrix
 from inhomk.gof import GofConfig, gof_test
 from inhomk.kstat import RadiusGrid
 from inhomk.seeds import stream
@@ -39,9 +40,10 @@ def test_study_alpha_one_always_rejects():
     assert res.cells[0].rejection_rate == 1.0
 
 
-def test_study_matches_gof_test():
+@pytest.mark.parametrize("dim", [2, 3])
+def test_study_matches_gof_test(dim):
     # the harness's shared-table fast path gives the same decisions as gof_test
-    cfg = StudyConfig(**SMALL)
+    cfg = StudyConfig(**SMALL, dim=dim)
     res = rejection_study(cfg)
     for mode in cfg.modes:
         rejections = 0
@@ -54,7 +56,7 @@ def test_study_matches_gof_test():
             seed=cfg.seed,
         )
         for rep in range(cfg.replicates):
-            pat = simulate_poisson(cfg.rho, Window(2, 1.0), stream(cfg.seed, rep))
+            pat = simulate_poisson(cfg.rho, Window(dim, 1.0), stream(cfg.seed, rep))
             rejections += gof_test(pat, gof_cfg).reject
         assert rejections == res.cell(1.0, mode).rejections
 
@@ -101,8 +103,9 @@ def test_study_config_validation():
     for alpha in (-0.1, 0.0, 1.5):
         with pytest.raises(ValueError, match="alpha"):
             StudyConfig(alpha=alpha)
-    with pytest.raises(ValueError, match="only in the plane"):
-        StudyConfig(dim=3)
+    for dim in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            StudyConfig(dim=dim)
     cfg = StudyConfig.from_dict(
         {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
     )
@@ -110,17 +113,16 @@ def test_study_config_validation():
 
 
 def test_oracle_modes_share_replicates_and_order():
-    from inhomk.asymcov import poisson_cov
-
     cfg = StudyConfig(process="poisson", rho=200.0, replicates=100)
     grid = RadiusGrid.uniform(0.05, 5)  # radii 0.01, ..., 0.05
+    closed = poisson_cov_matrix(grid, 200.0, "known").matrix
     cov = empirical_cov_oracle(cfg, 1.0, grid, 1500, seed=71)
     known, est = cov["known"][3, 3], cov["estimated"][3, 3]
     assert est < known
-    assert known == pytest.approx(poisson_cov(0.04, 0.04, 200.0, "known"), rel=0.35)
+    assert known == pytest.approx(closed[3, 3], rel=0.35)
     # off-diagonal covariance against the closed form, same replicate set
     cross = cov["known"][2, 4]
-    assert cross == pytest.approx(poisson_cov(0.03, 0.05, 200.0, "known"), rel=0.35)
+    assert cross == pytest.approx(closed[2, 4], rel=0.35)
 
 
 def test_oracle_validation():
