@@ -38,12 +38,11 @@ lags.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import isfinite
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import overlap_volume
+from .geometry import check_positive, overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
 from .kstat import Curve, RadiusGrid, k_poisson
 from .qmc import ball_points_weighted, ball_shell_points, direction_dims
@@ -154,8 +153,8 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.samples < 64:
             raise ValueError("sample budget too small")
-        if self.r_trunc is not None and not self.r_trunc > 0:
-            raise ValueError("truncation radius must be positive")
+        if self.r_trunc is not None:
+            check_positive(self.r_trunc, "r_trunc")
 
     def resolve_trunc(self, grid: RadiusGrid) -> float:
         return self.r_trunc if self.r_trunc is not None else 5.0 * grid.rmax
@@ -264,11 +263,6 @@ class CovarianceBlocks:
         )
 
 
-def _check_intensity(rho: float) -> None:
-    if not (isfinite(rho) and rho > 0):
-        raise ValueError(f"intensity must be finite and positive, got {rho!r}")
-
-
 def poisson_cov_matrix(
     grid: RadiusGrid, rho: float, mode: str, dim: int = 2
 ) -> LimitCovariance:
@@ -277,7 +271,7 @@ def poisson_cov_matrix(
     ``mode='estimated'``: ``2 K(min(s,t)) / rho^2``; ``mode='known'`` adds
     ``4 K(s) K(t) / rho``, with ``K`` the ``dim``-ball volume.
     """
-    _check_intensity(rho)
+    check_positive(rho, "rho")
     if mode not in ("known", "estimated"):
         raise ValueError("mode must be 'known' or 'estimated'")
     k = k_poisson(grid.values, dim)
@@ -428,8 +422,7 @@ def sigma_blocks_constant(
     ``K(r)`` itself is the integral of ``g`` over the r-ball with the same
     scheme.
     """
-    if not beta > 0:
-        raise ValueError("intensity must be positive")
+    check_positive(beta, "beta")
     quad = quad or QuadratureConfig()
     integrals = _model_integrals(model, grid, quad, dim)
     (k_curve, k_err, _), (decay2, d_err, _), (t1, t1_err, _), (t2, t2_err, _) = integrals
@@ -469,25 +462,17 @@ def sigma_blocks_constant(
 def cov_estimated_constant(blocks: CovarianceBlocks, beta: float) -> LimitCovariance:
     """Estimated-intensity K covariance from constant-model blocks.
 
-    The correction terms of the estimated-intensity formula are exact
-    recombinations of the block integrals: the third-order decay integral is
+    The composed limit covariance with the constant model's H rows
+    ``-2 K(r) / beta``: expanding it recombines the block integrals into the
+    estimated-intensity formula (the third-order decay integral is
     ``(sigma2(r) - 2K(r)) / beta`` and ``int(g-1)`` is
-    ``(sigma11 - beta) / beta^2``, so no further quadrature is involved.
+    ``(sigma11 - beta) / beta^2``), so no further quadrature is involved.
     """
     if blocks.sensitivity is not None:
         raise ValueError("expected constant-model blocks")
     if blocks.p != 1:
         raise ValueError("constant-model blocks must have p = 1")
-    k = blocks.k_curve
-    s2 = blocks.sigma2[:, 0]
-    decay2 = s2 - 2.0 * k
-    gm1 = (blocks.sigma11[0, 0] - beta) / beta**2
-    mat = (
-        blocks.c
-        - (2.0 / beta) * (np.outer(k, decay2) + np.outer(decay2, k))
-        + 4.0 * np.outer(k, k) * (gm1 - 1.0 / beta)
-    )
-    return LimitCovariance(blocks.grid, mat)
+    return compose_lim_cov(h_limit_constant(blocks, beta), blocks)
 
 
 def compose_lim_cov(h, blocks: CovarianceBlocks) -> LimitCovariance:
@@ -496,7 +481,8 @@ def compose_lim_cov(h, blocks: CovarianceBlocks) -> LimitCovariance:
     ``c~(s,t) = H(s) Sigma11 H(t)' + H(s) Sigma2,t + H(t) Sigma2,s + c(s,t)``
     where ``h`` holds the rows ``H(r)`` for each grid radius (a Curve of
     p-vectors or an ``(m, p)`` array). Score-coordinate blocks are converted
-    to estimator coordinates first.
+    to estimator coordinates first. The result is averaged with its transpose,
+    so it is exactly symmetric.
     """
     blocks = blocks.beta_coords()
     hmat = np.asarray(h.values if isinstance(h, Curve) else h, dtype=float)
@@ -508,7 +494,7 @@ def compose_lim_cov(h, blocks: CovarianceBlocks) -> LimitCovariance:
         )
     cross = hmat @ blocks.sigma2.T
     mat = hmat @ blocks.sigma11 @ hmat.T + cross + cross.T + blocks.c
-    return LimitCovariance(blocks.grid, mat)
+    return LimitCovariance(blocks.grid, 0.5 * (mat + mat.T))
 
 
 def joint_cov(h_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -531,6 +517,7 @@ def joint_cov(h_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def h_limit_constant(blocks: CovarianceBlocks, beta: float) -> np.ndarray:
     """Limit H rows for the constant model: ``-2 K(r) / beta``."""
+    check_positive(beta, "beta")
     return (-2.0 / beta) * blocks.k_curve[:, None]
 
 

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isfinite
 
 import numpy as np
 
 __all__ = [
+    "check_positive",
     "Window",
     "PointPattern",
     "PairList",
@@ -24,6 +26,16 @@ __all__ = [
     "edge_correction",
     "close_pairs",
 ]
+
+
+def check_positive(value: float, name: str) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and positive.
+
+    The one rule for intensities, window sides, radii and cluster parameters:
+    every formula that takes them assumes a positive, bounded value.
+    """
+    if not (isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -36,8 +48,7 @@ class Window:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("window dimension must be >= 1")
-        if not self.side > 0:
-            raise ValueError("window side must be positive")
+        check_positive(self.side, "side")
 
     @property
     def volume(self) -> float:

@@ -25,8 +25,8 @@ from math import floor, isfinite, log2, sqrt
 
 import numpy as np
 
-from .asymcov import _check_intensity, poisson_cov_matrix
-from .geometry import PointPattern, Window
+from .asymcov import poisson_cov_matrix
+from .geometry import PointPattern, Window, check_positive
 from .intensity import ConstantIntensity, estimate_constant
 from .kstat import RadiusGrid, k_hat, k_poisson
 from .limitlaw import (
@@ -69,16 +69,15 @@ class GofConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValueError("R must be positive")
+        check_positive(self.R, "R")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
         if self.mode not in ("estimated", "known"):
             raise ValueError("mode must be 'estimated' or 'known'")
         if self.sample_size < MIN_SAMPLE:
             raise ValueError(f"sample size must be >= {MIN_SAMPLE}")
-        if self.rho is not None and not self.rho > 0:
-            raise ValueError("rho must be positive")
+        if self.rho is not None:
+            check_positive(self.rho, "rho")
 
     def grid(self) -> RadiusGrid:
         return RadiusGrid.uniform(self.R, self.grid_size)
@@ -172,13 +171,13 @@ class PoissonNullTables:
 
     def estimated_draws(self, rho: float) -> np.ndarray:
         """Sorted sup draws under the estimated-intensity covariance at ``rho``."""
-        _check_intensity(rho)
+        check_positive(rho, "rho")
         with np.errstate(over="ignore"):
             return _finite(self._std_estimated / rho, rho)
 
     def known_draws(self, rho: float) -> np.ndarray:
         """Sorted sup draws under the known-intensity covariance at ``rho``."""
-        _check_intensity(rho)
+        check_positive(rho, "rho")
         root = sqrt(rho)
         term, signed, xi_full, signed_full = self._bracket(_bracket_index(root))
         # The operations of the full-width maximum, on one term per certified row.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointPattern, Window
+from .geometry import PointPattern, Window, check_positive
 
 __all__ = [
     "CovariateField",
@@ -106,8 +106,7 @@ class ConstantIntensity:
     beta: float
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("intensity must be positive")
+        check_positive(self.beta, "beta")
 
     @property
     def p(self) -> int:
@@ -175,8 +174,7 @@ def estimate_constant(pattern: PointPattern) -> float:
 
 
 def _check_same_window(pattern: PointPattern, field: CovariateField):
-    w1, w2 = pattern.window, field.window
-    if w1.dim != w2.dim or w1.side != w2.side:
+    if pattern.window != field.window:
         raise ValueError("pattern window does not match covariate field window")
 
 
@@ -194,11 +192,9 @@ def cl_score(pattern: PointPattern, model: LogLinearIntensity) -> np.ndarray:
     return model.covariates.at(pattern.points).sum(axis=0) - integral
 
 
-def cl_sensitivity(model: LogLinearIntensity, window: Window | None = None) -> np.ndarray:
+def cl_sensitivity(model: LogLinearIntensity) -> np.ndarray:
     """Normalized sensitivity ``|W|^-1 int z z' exp(z'beta)``; symmetric PSD."""
     field = model.covariates
-    if window is not None and (window.dim != field.window.dim or window.side != field.window.side):
-        raise ValueError("covariate field does not cover the requested window")
     z = field.flat()
     w = model.cell_values() * field.cell_volume
     s = (z * w[:, None]).T @ z / field.window.volume

@@ -31,8 +31,11 @@ __all__ = [
 _AXIS_NAMES = ("x", "y", "z")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _write_csv(path, rows, header: str = "") -> None:
+    # One row per line, 17 significant digits, the header line (if any) first.
+    # Through an open file: given a path ending in ".gz", savetxt would gzip.
+    with open(path, "w") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def _axis_header(dim: int) -> list[str]:
@@ -47,10 +50,7 @@ def _sidecar(path: Path) -> Path:
 
 def write_pattern_csv(path, pattern: PointPattern) -> None:
     path = Path(path)
-    lines = [",".join(_axis_header(pattern.window.dim))]
-    for point in pattern.points:
-        lines.append(",".join(_fmt(v) for v in point))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, pattern.points, ",".join(_axis_header(pattern.window.dim)))
     _sidecar(path).write_text(
         json.dumps({"dim": pattern.window.dim, "side": pattern.window.side}) + "\n"
     )
@@ -87,17 +87,13 @@ def read_pattern_csv(path, side: float | None = None, dim: int | None = None) ->
 
 
 def write_covariate_field(path, field: CovariateField) -> None:
-    path = Path(path)
     header = {
         "side": field.window.side,
         "dim": field.window.dim,
         "resolution": list(field.resolution),
         "p": field.p,
     }
-    lines = [json.dumps(header)]
-    for row in field.flat():
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, field.flat(), json.dumps(header))
 
 
 def read_covariate_field(path) -> CovariateField:
@@ -122,20 +118,15 @@ def read_covariate_field(path) -> CovariateField:
 
 
 def write_curve_csv(path, curve: Curve, value_names=("khat",)) -> None:
-    path = Path(path)
     vals = curve.values if curve.values.ndim > 1 else curve.values[:, None]
     if len(value_names) != vals.shape[1]:
         raise ValueError("one name per value column required")
-    lines = [",".join(("r",) + tuple(value_names))]
-    for r, row in zip(curve.grid.values, vals):
-        lines.append(",".join([_fmt(r)] + [_fmt(v) for v in row]))
-    path.write_text("\n".join(lines) + "\n")
+    header = ",".join(("r",) + tuple(value_names))
+    _write_csv(path, np.column_stack([curve.grid.values, vals]), header)
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    path = Path(path)
-    lines = [",".join(_fmt(v) for v in row) for row in np.atleast_2d(matrix)]
-    path.write_text("\n".join(lines) + "\n")
+    _write_csv(path, np.atleast_2d(matrix))
 
 
 def read_matrix_csv(path) -> np.ndarray:

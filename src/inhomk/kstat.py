@@ -19,7 +19,7 @@ from math import gamma, pi
 
 import numpy as np
 
-from .geometry import PairList, PointPattern, close_pairs, overlap_volume
+from .geometry import PairList, PointPattern, check_positive, close_pairs, overlap_volume
 
 __all__ = [
     "RadiusGrid",
@@ -43,8 +43,8 @@ class RadiusGrid:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or len(vals) < 2:
             raise ValueError("grid needs at least two radii")
-        if not vals[0] > 0:
-            raise ValueError("grid radii must be strictly positive")
+        check_positive(vals[0], "smallest radius")
+        check_positive(vals[-1], "rmax")
         steps = np.diff(vals)
         if not np.all(steps > 0):
             raise ValueError("grid radii must be strictly increasing")
@@ -56,8 +56,7 @@ class RadiusGrid:
     @classmethod
     def uniform(cls, rmax: float, m: int = DEFAULT_GRID_SIZE) -> "RadiusGrid":
         """m points on (0, rmax], evenly spaced, last exactly rmax."""
-        if not rmax > 0:
-            raise ValueError("rmax must be positive")
+        check_positive(rmax, "rmax")
         return cls(np.append(rmax * np.arange(1, m) / m, rmax))
 
     @property

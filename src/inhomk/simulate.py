@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointPattern, Window
+from .geometry import PointPattern, Window, check_positive
 from .seeds import stream
 
 __all__ = [
@@ -37,8 +37,8 @@ class MaternParams:
     rdisp: float
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.mu > 0 and self.rdisp > 0):
-            raise ValueError("Matern parameters must be strictly positive")
+        for name in ("kappa", "mu", "rdisp"):
+            check_positive(getattr(self, name), name)
 
 
 def _rng(seed) -> np.random.Generator:
@@ -47,8 +47,7 @@ def _rng(seed) -> np.random.Generator:
 
 def simulate_poisson(rho: float, window: Window, seed) -> PointPattern:
     """Homogeneous Poisson pattern with intensity ``rho`` on ``window``."""
-    if not rho > 0:
-        raise ValueError("intensity must be positive")
+    check_positive(rho, "rho")
     rng = _rng(seed)
     n = rng.poisson(rho * window.volume)
     half = window.side / 2.0
@@ -64,8 +63,7 @@ def simulate_poisson_inhom(model, rho_max: float, window: Window, seed) -> Point
     ``model.value(u) / rho_max``; if the model exceeds the bound at any
     evaluated location this is an error.
     """
-    if not rho_max > 0:
-        raise ValueError("dominating intensity must be positive")
+    check_positive(rho_max, "rho_max")
     rng = _rng(seed)
     n = rng.poisson(rho_max * window.volume)
     half = window.side / 2.0

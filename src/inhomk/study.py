@@ -29,7 +29,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .geometry import Window
+from .geometry import Window, check_positive
 from .gof import PoissonNullTables, sup_distance
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat
@@ -54,7 +54,8 @@ class StudyConfig:
     """One rejection-probability study: a process, windows, and test modes.
 
     ``alpha`` is in (0, 1]; ``alpha = 1`` rejects every evaluable replicate.
-    Windows and null tables are ``dim``-dimensional.
+    ``rho``, ``R`` and every side must be finite and positive. Windows and
+    null tables are ``dim``-dimensional.
     """
 
     process: str = "poisson"
@@ -87,6 +88,10 @@ class StudyConfig:
                 raise ValueError(f"unknown mode {mode!r}")
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
         object.__setattr__(self, "modes", tuple(self.modes))
+        check_positive(self.rho, "rho")
+        check_positive(self.R, "R")
+        for side in self.sides:
+            check_positive(side, "side")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":

@@ -203,14 +203,38 @@ def test_cov_estimated_poisson_reduction():
     np.testing.assert_array_equal(est.matrix, est.matrix.T)
 
 
+def _estimated_formula(blocks, beta):
+    # The estimated-intensity covariance expanded by hand: the decay integral
+    # is (sigma2 - 2K) / beta and int(g - 1) is (sigma11 - beta) / beta^2.
+    k = blocks.k_curve
+    decay2 = blocks.sigma2[:, 0] - 2.0 * k
+    gm1 = (blocks.sigma11[0, 0] - beta) / beta**2
+    return (
+        blocks.c
+        - (2.0 / beta) * (np.outer(k, decay2) + np.outer(decay2, k))
+        + 4.0 * np.outer(k, k) * (gm1 - 1.0 / beta)
+    )
+
+
 def test_compose_reproduces_cov_estimated_exactly():
-    # pure algebra on exact Poisson blocks: the 4 pi^2 s^2 t^2 / beta term cancels
-    blocks = poisson_blocks(200.0, GRID10)
-    est = cov_estimated_constant(blocks, 200.0)
-    composed = compose_lim_cov(h_limit_constant(blocks, 200.0), blocks)
-    np.testing.assert_allclose(composed.matrix, est.matrix, rtol=1e-10)
+    # pure algebra on any constant-model blocks: exact Poisson ones (where the
+    # 4 pi^2 s^2 t^2 / beta term cancels) and quadrature ones
+    s = 0.02
+    synthetic = sigma_blocks_constant(
+        synthetic_densities(g_scale=s, g3_scale=s, g4_scale=s), 150.0, GRID5,
+        QuadratureConfig(samples=2**10, r_trunc=10 * s),
+    )
+    for blocks, beta in ((poisson_blocks(200.0, GRID10), 200.0), (synthetic, 150.0)):
+        est = cov_estimated_constant(blocks, beta)
+        composed = compose_lim_cov(h_limit_constant(blocks, beta), blocks)
+        np.testing.assert_array_equal(est.matrix, composed.matrix)
+        formula = _estimated_formula(blocks, beta)
+        np.testing.assert_allclose(
+            est.matrix, formula, rtol=1e-12, atol=1e-12 * np.abs(formula).max()
+        )
     closed = poisson_cov_matrix(GRID10, 200.0, "estimated").matrix
-    np.testing.assert_allclose(composed.matrix, closed, rtol=1e-10)
+    est = cov_estimated_constant(poisson_blocks(200.0, GRID10), 200.0)
+    np.testing.assert_allclose(est.matrix, closed, rtol=1e-10)
 
 
 def test_compose_zero_h_returns_c():

@@ -1,8 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inhomk.asymcov import (
+    POISSON_DENSITIES,
+    QuadratureConfig,
+    cov_estimated_constant,
+    poisson_blocks,
+    poisson_cov_matrix,
+    sigma_blocks_constant,
+)
 from inhomk.geometry import (
     PointPattern,
     Window,
@@ -10,6 +20,11 @@ from inhomk.geometry import (
     edge_correction,
     overlap_volume,
 )
+from inhomk.gof import GofConfig, PoissonNullTables
+from inhomk.intensity import ConstantIntensity
+from inhomk.kstat import RadiusGrid
+from inhomk.simulate import MaternParams, simulate_poisson, simulate_poisson_inhom
+from inhomk.study import StudyConfig
 
 
 def brute_force_pairs(points, rmax):
@@ -32,6 +47,52 @@ def test_window_volume():
         Window(2, 0.0)
     with pytest.raises(ValueError):
         Window(0, 1.0)
+
+
+W1 = Window(2, 1.0)
+GRID5 = RadiusGrid.uniform(0.05, 5)
+TABLES = PoissonNullTables(GRID5, 100, 1)
+
+# (parameter name, call taking the value): every entry point that takes an
+# intensity, a window side or a radius.
+POSITIVE_PARAMETERS = {
+    "Window.side": ("side", lambda v: Window(2, v)),
+    "RadiusGrid.uniform": ("rmax", lambda v: RadiusGrid.uniform(v, 5)),
+    "RadiusGrid": ("rmax", lambda v: RadiusGrid([0.01, v])),
+    "ConstantIntensity": ("beta", lambda v: ConstantIntensity(v)),
+    "MaternParams.kappa": ("kappa", lambda v: MaternParams(v, 8.0, 0.2)),
+    "MaternParams.mu": ("mu", lambda v: MaternParams(25.0, v, 0.2)),
+    "MaternParams.rdisp": ("rdisp", lambda v: MaternParams(25.0, 8.0, v)),
+    "simulate_poisson": ("rho", lambda v: simulate_poisson(v, W1, 0)),
+    "simulate_poisson_inhom": (
+        "rho_max", lambda v: simulate_poisson_inhom(ConstantIntensity(1.0), v, W1, 0)
+    ),
+    "QuadratureConfig": ("r_trunc", lambda v: QuadratureConfig(r_trunc=v)),
+    "poisson_cov_matrix": ("rho", lambda v: poisson_cov_matrix(GRID5, v, "known")),
+    "estimated_draws": ("rho", lambda v: TABLES.estimated_draws(v)),
+    "known_draws": ("rho", lambda v: TABLES.known_draws(v)),
+    "sigma_blocks_constant": (
+        "beta", lambda v: sigma_blocks_constant(POISSON_DENSITIES, v, GRID5)
+    ),
+    "cov_estimated_constant": (
+        "beta", lambda v: cov_estimated_constant(poisson_blocks(200.0, GRID5), v)
+    ),
+    "GofConfig.R": ("R", lambda v: GofConfig(R=v)),
+    "GofConfig.rho": ("rho", lambda v: GofConfig(rho=v)),
+    "StudyConfig.rho": ("rho", lambda v: StudyConfig(rho=v)),
+    "StudyConfig.R": ("R", lambda v: StudyConfig(R=v)),
+    "StudyConfig.sides": ("side", lambda v: StudyConfig(sides=(1.0, v))),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("site", list(POSITIVE_PARAMETERS))
+def test_positive_parameters_must_be_finite(site, value):
+    name, call = POSITIVE_PARAMETERS[site]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
+            call(value)
 
 
 def test_pattern_rejects_outside_points():
@@ -131,6 +192,9 @@ def test_close_pairs_rmax_larger_than_window():
     pts = rng.uniform(-0.5, 0.5, (40, 2))
     pat = PointPattern(Window(2, 1.0), pts)
     pairs = close_pairs(pat, 5.0)
+    assert set(zip(pairs.i.tolist(), pairs.j.tolist())) == brute_force_pairs(pts, 5.0)
+    # an infinite search radius is the one non-finite radius allowed: all pairs
+    pairs = close_pairs(pat, np.inf)
     assert set(zip(pairs.i.tolist(), pairs.j.tolist())) == brute_force_pairs(pts, 5.0)
 
 

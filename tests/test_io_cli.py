@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ def test_empty_pattern_round_trip(tmp_path):
     pat = PointPattern(Window(2, 1.0), np.empty((0, 2)))
     path = tmp_path / "empty.csv"
     write_pattern_csv(path, pat)
+    assert path.read_text() == "x,y\n"
     assert len(read_pattern_csv(path)) == 0
 
 
@@ -70,6 +72,11 @@ def test_matrix_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix_csv(path, mat)
     np.testing.assert_array_equal(read_matrix_csv(path), mat)
+    # special values, byte for byte: 17 significant digits, C-style names
+    special = np.array([[np.inf, np.nan, -0.0], [5e-324, 1.797e308, -np.inf]])
+    write_matrix_csv(path, special)
+    assert path.read_text() == "inf,nan,-0\n4.9406564584124654e-324,1.797e+308,-inf\n"
+    np.testing.assert_array_equal(read_matrix_csv(path), special)
 
 
 def test_cli_simulate_gof_reproducible(tmp_path, capsys):
@@ -156,6 +163,28 @@ def test_cli_crit_rejects_invalid_intensity(tmp_path, capsys, rho):
                  "--seed", "1", "-o", str(out)]) == 1
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kfunc", "{pat}", "--beta", "inf", "-o", "{out}"],
+        ["gof", "{pat}", "--mode", "known", "--rho", "inf", "--M", "200", "--seed", "1",
+         "-o", "{out}"],
+        ["cov", "--beta", "inf", "--grid", "5", "-o", "{out}"],
+    ],
+    ids=["kfunc", "gof", "cov"],
+)
+def test_cli_rejects_infinite_intensity(tmp_path, capsys, argv):
+    # an infinite intensity makes every K estimate zero; it is refused up
+    # front, before any arithmetic can warn
+    paths = {"pat": tmp_path / "pat.csv", "out": tmp_path / "out"}
+    write_pattern_csv(paths["pat"], simulate_poisson(200.0, Window(2, 1.0), seed=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([arg.format(**paths) for arg in argv]) == 1
+    assert "must be finite and positive, got inf" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_cli_crit_rejects_non_finite_cov(tmp_path, capsys):

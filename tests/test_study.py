@@ -9,7 +9,7 @@ from inhomk.kstat import RadiusGrid
 from inhomk.seeds import stream
 from inhomk.simulate import MaternParams, simulate_poisson
 from inhomk.geometry import Window
-from inhomk.study import StudyConfig, empirical_cov_oracle, rejection_study
+from inhomk.study import _CHUNK, StudyConfig, empirical_cov_oracle, rejection_study
 
 SMALL = dict(
     process="poisson",
@@ -29,9 +29,15 @@ def test_study_deterministic():
 
 
 def test_study_workers_do_not_change_result():
-    a = rejection_study(StudyConfig(**SMALL))
-    b = rejection_study(StudyConfig(**{**SMALL, "workers": 2}))
-    assert [c.rejections for c in a.cells] == [c.rejections for c in b.cells]
+    # at least three chunks, so 2 and 3 workers split them across processes;
+    # every cell but its timing must come out the same
+    cfg = {**SMALL, "replicates": 600}
+    assert cfg["replicates"] > 2 * _CHUNK
+    cells = [
+        [replace(c, wall_time=0.0) for c in rejection_study(StudyConfig(**cfg, workers=w)).cells]
+        for w in (1, 2, 3)
+    ]
+    assert cells[0] == cells[1] == cells[2]
 
 
 def test_study_alpha_one_always_rejects():
