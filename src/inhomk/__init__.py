@@ -16,7 +16,6 @@ from .asymcov import (
     cov_estimated_constant,
     h_limit_constant,
     h_limit_loglinear,
-    joint_cov,
     loglinear_sigma_blocks,
     poisson_blocks,
     poisson_cov_matrix,
@@ -28,7 +27,6 @@ from .geometry import (
     PointPattern,
     Window,
     close_pairs,
-    edge_correction,
     overlap_volume,
 )
 from .gof import GofConfig, GofResult, PoissonNullTables, gof_test, ks_statistic

@@ -9,7 +9,6 @@ estimate, K estimates on a radius grid):
   joint intensities, evaluated by deterministic low-discrepancy quadrature;
 * the composed limit covariance combining intensity-estimation and
   K-estimation fluctuations;
-* the congruence ``A Sigma A^T`` for joint confidence statements;
 * log-linear-model blocks as finite-window spatial averages times decay
   integrals.
 
@@ -59,7 +58,6 @@ __all__ = [
     "sigma_blocks_constant",
     "cov_estimated_constant",
     "compose_lim_cov",
-    "joint_cov",
     "loglinear_sigma_blocks",
     "h_limit_constant",
     "h_limit_loglinear",
@@ -295,6 +293,7 @@ def poisson_blocks(beta: float, grid: RadiusGrid, dim: int = 2) -> CovarianceBlo
     collapse to ball volumes: ``sigma11 = beta``, ``sigma2(r) = 2 K(r)`` and
     ``c`` is the known-intensity :func:`poisson_cov_matrix`.
     """
+    check_positive(beta, "beta")
     k = k_poisson(grid.values, dim)
     return CovarianceBlocks(
         grid=grid,
@@ -495,24 +494,6 @@ def compose_lim_cov(h, blocks: CovarianceBlocks) -> LimitCovariance:
     cross = hmat @ blocks.sigma2.T
     mat = hmat @ blocks.sigma11 @ hmat.T + cross + cross.T + blocks.c
     return LimitCovariance(blocks.grid, 0.5 * (mat + mat.T))
-
-
-def joint_cov(h_rows: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Covariance ``A Sigma A'`` of the joint (parameter, K) limit.
-
-    ``A = [[I_p, 0], [H, I_k]]`` with ``H = h_rows`` a ``(k, p)`` matrix.
-    Symmetric, and positive semidefinite whenever ``sigma`` is (congruence).
-    """
-    h_rows = np.atleast_2d(np.asarray(h_rows, dtype=float))
-    sigma = np.asarray(sigma, dtype=float)
-    k, p = h_rows.shape
-    if sigma.shape != (p + k, p + k):
-        raise ValueError(f"sigma must be ({p + k}, {p + k}), got {sigma.shape}")
-    if not np.allclose(sigma, sigma.T, rtol=1e-8, atol=1e-12):
-        raise ValueError("sigma must be symmetric")
-    a = np.eye(p + k)
-    a[p:, :p] = h_rows
-    return a @ sigma @ a.T
 
 
 def h_limit_constant(blocks: CovarianceBlocks, beta: float) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Observation windows, translation edge correction and fixed-radius pair search.
+"""Observation windows, window overlap volumes and fixed-radius pair search.
 
 Windows are axis-aligned cubes ``[-L/2, L/2]^d`` centered at the origin. The
 translation edge correction weight of a pair with displacement ``h`` is the
@@ -6,7 +6,7 @@ reciprocal of the overlap volume ``|W and (W + h)|``, which for a cube
 factorizes over the axes. Pair enumeration sorts the points by the
 flat index of a cell grid with cells no smaller than the search radius, and
 reads each point's 3^(d-1) rows of neighboring cells as ranges of the sorted
-keys.
+keys. Each unordered pair is returned once, in no particular order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "PointPattern",
     "PairList",
     "overlap_volume",
-    "edge_correction",
     "close_pairs",
 ]
 
@@ -93,10 +92,12 @@ class PointPattern:
 
 @dataclass(frozen=True)
 class PairList:
-    """All ordered point pairs within a search radius.
+    """All point pairs within a search radius, each unordered pair once.
 
-    Contains ``(i, j)`` iff it contains ``(j, i)``; entries are sorted by
-    nondecreasing Euclidean distance. ``disp[k] = points[i[k]] - points[j[k]]``.
+    Every pair with ``0 < dist <= rmax`` appears exactly once, as ``(i, j)``
+    or as ``(j, i)``, in no particular order; sums over ordered pairs count
+    each entry twice. ``disp[k] = points[i[k]] - points[j[k]]`` and
+    ``dist[k] = |disp[k]|``.
     """
 
     i: np.ndarray
@@ -128,23 +129,16 @@ def overlap_volume(window: Window, h) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def edge_correction(window: Window, h) -> float | np.ndarray:
-    """Translation edge correction weight ``1 / |W and (W + h)|``."""
-    vol = overlap_volume(window, h)
-    if np.any(np.asarray(vol) <= 0.0):
-        raise ValueError("pair displacement exceeds window")
-    return 1.0 / vol
-
-
 def close_pairs(pattern: PointPattern, rmax: float) -> PairList:
-    """Enumerate all ordered pairs with ``0 < |x_i - x_j| <= rmax``.
+    """Enumerate each unordered pair with ``0 < |x_i - x_j| <= rmax`` once.
 
     Points are sorted by the flat index of a cell grid whose cells are no
     smaller than ``rmax``. Cells sharing a point's leading coordinates are
     contiguous in that order, so each point reads its 3^(d-1) neighbor rows
     as ranges of the sorted keys, starting after its own position so that
-    every unordered pair is visited once. The result is independent of the
-    cell layout; a radius larger than the window simply means fewer cells.
+    every unordered pair is visited once. The set of pairs is independent of
+    the cell layout (their order and orientation are not); a radius larger
+    than the window simply means fewer cells.
     """
     if not rmax > 0:
         raise ValueError("rmax must be positive")
@@ -177,17 +171,9 @@ def close_pairs(pattern: PointPattern, rmax: float) -> PairList:
     pos_a = np.repeat(np.arange(n).repeat(len(lead)), counts)
     pos_b = first + np.arange(len(first))
 
-    a = order[pos_a]
-    b = order[pos_b]
-    diff = pts[a] - pts[b]
-    dist2 = np.einsum("ij,ij->i", diff, diff)
+    i = order[pos_a]
+    j = order[pos_b]
+    disp = pts[i] - pts[j]
+    dist2 = np.einsum("ij,ij->i", disp, disp)
     keep = (dist2 > 0.0) & (dist2 <= rmax * rmax)
-    a, b, diff, dist2 = a[keep], b[keep], diff[keep], dist2[keep]
-
-    # Mirror to ordered pairs, then sort by distance.
-    i = np.concatenate([a, b])
-    j = np.concatenate([b, a])
-    disp = np.concatenate([diff, -diff])
-    dist = np.sqrt(np.concatenate([dist2, dist2]))
-    by_dist = np.argsort(dist, kind="stable")
-    return PairList(i[by_dist], j[by_dist], disp[by_dist], dist[by_dist], float(rmax))
+    return PairList(i[keep], j[keep], disp[keep], np.sqrt(dist2[keep]), float(rmax))

@@ -55,9 +55,9 @@ class GofConfig:
     ``mode='estimated'`` uses the estimated-intensity variance formula;
     ``mode='known'`` uses the known-intensity formula with the estimate
     plugged in, quantifying what mistaking the estimate for the truth does to
-    the test. An explicit ``rho`` is honored as the intensity plugged
-    into the statistic in known mode, and as the fallback when the pattern is
-    empty.
+    the test. An explicit ``rho`` is allowed in known mode only: it is the
+    intensity plugged into the statistic, and the fallback when the pattern is
+    empty. Estimated mode always uses the estimate.
     """
 
     R: float = 0.05
@@ -78,6 +78,10 @@ class GofConfig:
             raise ValueError(f"sample size must be >= {MIN_SAMPLE}")
         if self.rho is not None:
             check_positive(self.rho, "rho")
+            if self.mode == "estimated":
+                raise ValueError(
+                    "rho applies to known mode only; estimated mode uses the estimate"
+                )
 
     def grid(self) -> RadiusGrid:
         return RadiusGrid.uniform(self.R, self.grid_size)
@@ -293,15 +297,12 @@ def gof_test(
     beta_hat = None
     if len(pattern) > 0:
         beta_hat = estimate_constant(pattern)
-    elif config.rho is not None and config.mode == "known":
+    elif config.rho is not None:
         beta_hat = config.rho
     else:
         raise ValueError("zero estimated intensity: empty pattern")
 
-    if config.mode == "known" and config.rho is not None:
-        stat_intensity = config.rho
-    else:
-        stat_intensity = beta_hat
+    stat_intensity = beta_hat if config.rho is None else config.rho
 
     statistic = ks_statistic(pattern, ConstantIntensity(stat_intensity), grid)
 

@@ -2,9 +2,12 @@
 
 The estimator sums, over ordered point pairs within distance r, the
 translation edge correction divided by the product of intensities at the two
-points. Pairs are enumerated once at the largest grid radius, sorted by
-distance, and all grid values are read off cumulative sums. The H matrix uses
-the same pair weights times the summed log-intensity gradients of the pair.
+points. The summand is symmetric, so each unordered pair is enumerated once at
+the largest grid radius and counted twice. One accumulator serves every
+statistic: pair contributions are summed per radius bin (the first grid
+radius at or above the pair distance) and all grid values are read off twice
+the cumulative sum over bins. The H matrix uses the same pair weights times
+the summed log-intensity gradients of the pair.
 
 Grids exclude r = 0 (the limit covariance degenerates there). Statistics are
 evaluated on the grid rather than the continuum; between grid points the
@@ -95,8 +98,17 @@ def k_poisson(r, dim: int):
     return float(out) if out.ndim == 0 else out
 
 
+def _pairs_for(pattern: PointPattern, grid: RadiusGrid, pairs: PairList | None) -> PairList:
+    """The pairs a grid needs: enumerated here when omitted, else checked."""
+    if pairs is None:
+        return close_pairs(pattern, grid.rmax)
+    if pairs.rmax < grid.rmax:
+        raise ValueError("pair list was built with a smaller rmax than the grid")
+    return pairs
+
+
 def _pair_weights(pattern: PointPattern, model, pairs: PairList) -> np.ndarray:
-    """Edge correction over intensity product, per ordered pair (distance order)."""
+    """Edge correction over intensity product, per listed pair."""
     rho = np.asarray(model.value(pattern.points), dtype=float)
     if np.any(rho <= 0):
         raise ValueError("invalid intensity: nonpositive value at a data point")
@@ -106,12 +118,19 @@ def _pair_weights(pattern: PointPattern, model, pairs: PairList) -> np.ndarray:
     return 1.0 / (overlap * rho[pairs.i] * rho[pairs.j])
 
 
-def _cumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid) -> np.ndarray:
-    """Sum pair contributions over 0 < dist <= r for every grid r."""
-    csum = np.concatenate(
-        [np.zeros((1,) + contrib.shape[1:]), np.cumsum(contrib, axis=0)]
-    )
-    return csum[np.searchsorted(pairs.dist, grid.values, side="right")]
+def _accumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid) -> np.ndarray:
+    """Sum symmetric pair contributions over ordered pairs with 0 < dist <= r.
+
+    ``contrib`` holds one value (or one row) per unordered pair. A pair at
+    distance exactly ``r`` counts at ``r``; pairs beyond ``grid.rmax`` fall in
+    the dropped bin ``m``.
+    """
+    bins = np.searchsorted(grid.values, pairs.dist, side="left")
+    if contrib.ndim == 1:
+        sums = np.bincount(bins, contrib, grid.m + 1)
+    else:
+        sums = np.stack([np.bincount(bins, col, grid.m + 1) for col in contrib.T], axis=1)
+    return 2.0 * np.cumsum(sums[: grid.m], axis=0)
 
 
 def k_hat(
@@ -135,12 +154,8 @@ def k_hat(
 
     Empty and singleton patterns yield an all-zero curve.
     """
-    if pairs is None:
-        pairs = close_pairs(pattern, grid.rmax)
-    elif pairs.rmax < grid.rmax:
-        raise ValueError("pair list was built with a smaller rmax than the grid")
-    w = _pair_weights(pattern, model, pairs)
-    return Curve(grid, _cumulate(pairs, w, grid))
+    pairs = _pairs_for(pattern, grid, pairs)
+    return Curve(grid, _accumulate(pairs, _pair_weights(pattern, model, pairs), grid))
 
 
 def h_matrix(
@@ -154,14 +169,11 @@ def h_matrix(
     For the constant model this equals ``-(2/beta) k_hat`` exactly at every
     grid point.
     """
-    if pairs is None:
-        pairs = close_pairs(pattern, grid.rmax)
-    elif pairs.rmax < grid.rmax:
-        raise ValueError("pair list was built with a smaller rmax than the grid")
+    pairs = _pairs_for(pattern, grid, pairs)
     w = _pair_weights(pattern, model, pairs)
     grad = np.asarray(model.log_gradient(pattern.points), dtype=float)
     contrib = -w[:, None] * (grad[pairs.i] + grad[pairs.j])
-    return Curve(grid, _cumulate(pairs, contrib, grid))
+    return Curve(grid, _accumulate(pairs, contrib, grid))
 
 
 def taylor_residual(

@@ -20,6 +20,7 @@ the config's dimension: the Poisson null is exact in any dimension.
 
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -96,6 +97,12 @@ class StudyConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
         raw = dict(raw)
+        # JSON integers are unbounded; one beyond the float range is an input
+        # error, not an OverflowError from the first float() that meets it.
+        for key, value in raw.items():
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, int) and abs(item) > sys.float_info.max:
+                    raise ValueError(f"{key} is outside the float range")
         if {"kappa", "mu", "rdisp"} <= raw.keys():
             raw["matern"] = MaternParams(
                 raw.pop("kappa"), raw.pop("mu"), raw.pop("rdisp")

@@ -276,7 +276,12 @@ def test_criterion_11_pair_search_oracle():
         pts = rng.uniform(-side / 2, side / 2, (n, 2))
         pattern = PointPattern(Window(2, side), pts)
         pairs = close_pairs(pattern, rmax)
-        got = set(zip(pairs.i.tolist(), pairs.j.tolist()))
+        # each unordered pair is stored once; compare its mirror
+        stored = list(zip(pairs.i.tolist(), pairs.j.tolist()))
+        assert len({frozenset(pair) for pair in stored}) == len(stored), (
+            f"trial {trial}: an unordered pair repeats"
+        )
+        got = set(stored) | {(j, i) for i, j in stored}
         diff = pts[:, None, :] - pts[None, :, :]
         d2 = np.einsum("ijk,ijk->ij", diff, diff)
         mask = (d2 > 0.0) & (d2 <= rmax * rmax)

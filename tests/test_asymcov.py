@@ -11,7 +11,6 @@ from inhomk.asymcov import (
     cov_estimated_constant,
     h_limit_constant,
     h_limit_loglinear,
-    joint_cov,
     loglinear_sigma_blocks,
     poisson_blocks,
     poisson_cov_matrix,
@@ -250,24 +249,29 @@ def test_compose_symmetric():
     np.testing.assert_allclose(composed.matrix, composed.matrix.T, atol=1e-18)
 
 
-def test_joint_cov_examples():
-    sigma = np.eye(2)
-    out = joint_cov(np.array([[0.7]]), sigma)
-    np.testing.assert_allclose(out, [[1.0, 0.7], [0.7, 1.49]])
-    np.testing.assert_array_equal(joint_cov(np.zeros((3, 2)), np.eye(5)), np.eye(5))
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2**31))
-def test_joint_cov_preserves_psd(seed):
-    rng = np.random.default_rng(seed)
-    p, k = rng.integers(1, 4), rng.integers(1, 5)
-    a = rng.normal(size=(p + k, p + k))
-    sigma = a @ a.T
-    h = rng.normal(size=(k, p))
-    out = joint_cov(h, sigma)
-    assert np.allclose(out, out.T)
-    assert np.linalg.eigvalsh(out).min() >= -1e-9 * np.abs(out).max()
+@pytest.mark.parametrize("model", ["constant", "loglinear"])
+def test_compose_is_k_block_of_joint_congruence(model):
+    # The joint (parameter, K) limit is A Sigma A' with A = [[I, 0], [H, I]]
+    # and Sigma the estimator-coordinate blocks; its K block is c-tilde.
+    if model == "constant":
+        blocks = poisson_blocks(100.0, GRID5)
+    else:
+        field = CovariateField.from_function(
+            Window(2, 1.0), lambda u: np.column_stack([np.ones(len(u)), u[:, 0]]), 4
+        )
+        blocks = loglinear_sigma_blocks(
+            field, [np.log(200.0), 0.5], POISSON_DENSITIES, GRID5,
+            QuadratureConfig(samples=2**10),
+        )
+    h = np.random.default_rng(5).normal(size=(GRID5.m, blocks.p))
+    b = blocks.beta_coords()
+    p, m = b.p, GRID5.m
+    sigma = np.block([[b.sigma11, b.sigma2.T], [b.sigma2, b.c]])
+    a = np.block([[np.eye(p), np.zeros((p, m))], [h, np.eye(m)]])
+    joint = a @ sigma @ a.T
+    np.testing.assert_allclose(
+        compose_lim_cov(h, blocks).matrix, joint[p:, p:], rtol=1e-12, atol=0
+    )
 
 
 def test_loglinear_reduces_to_constant_for_unit_covariate():

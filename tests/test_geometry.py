@@ -17,7 +17,6 @@ from inhomk.geometry import (
     PointPattern,
     Window,
     close_pairs,
-    edge_correction,
     overlap_volume,
 )
 from inhomk.gof import GofConfig, PoissonNullTables
@@ -38,6 +37,13 @@ def brute_force_pairs(points, rmax):
             if i != j and 0.0 < d2[i, j] <= rmax * rmax:
                 out.add((i, j))
     return out
+
+
+def mirrored(pairs):
+    """Both orders of every stored pair; no unordered pair may be stored twice."""
+    stored = list(zip(pairs.i.tolist(), pairs.j.tolist()))
+    assert len({frozenset(pair) for pair in stored}) == len(stored)
+    return set(stored) | {(j, i) for i, j in stored}
 
 
 def test_window_volume():
@@ -69,6 +75,7 @@ POSITIVE_PARAMETERS = {
     ),
     "QuadratureConfig": ("r_trunc", lambda v: QuadratureConfig(r_trunc=v)),
     "poisson_cov_matrix": ("rho", lambda v: poisson_cov_matrix(GRID5, v, "known")),
+    "poisson_blocks": ("beta", lambda v: poisson_blocks(v, GRID5)),
     "estimated_draws": ("rho", lambda v: TABLES.estimated_draws(v)),
     "known_draws": ("rho", lambda v: TABLES.known_draws(v)),
     "sigma_blocks_constant": (
@@ -162,24 +169,11 @@ def test_overlap_symmetry(side, h1, h2):
     assert overlap_volume(w, h) == overlap_volume(w, -h)
 
 
-def test_edge_correction_examples():
-    assert edge_correction(Window(2, 1.0), (0.0, 0.0)) == 1.0
-    assert edge_correction(Window(2, 1.0), (0.03, 0.0)) == pytest.approx(1 / 0.97)
-    assert edge_correction(Window(2, 2.0), (0.05, 0.05)) == pytest.approx(
-        1.0 / (2 - 0.05) ** 2
-    )
-
-
-def test_edge_correction_zero_overlap_errors():
-    with pytest.raises(ValueError, match="exceeds window"):
-        edge_correction(Window(2, 1.0), (1.0, 0.0))
-
-
 def test_close_pairs_two_points():
     pat = PointPattern(Window(2, 1.0), [[0.0, 0.0], [0.03, 0.0]])
     pairs = close_pairs(pat, 0.05)
-    assert sorted(zip(pairs.i.tolist(), pairs.j.tolist())) == [(0, 1), (1, 0)]
-    np.testing.assert_allclose(pairs.dist, [0.03, 0.03])
+    assert mirrored(pairs) == {(0, 1), (1, 0)}
+    np.testing.assert_allclose(pairs.dist, [0.03])
 
 
 def test_close_pairs_out_of_range():
@@ -191,23 +185,19 @@ def test_close_pairs_rmax_larger_than_window():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-0.5, 0.5, (40, 2))
     pat = PointPattern(Window(2, 1.0), pts)
-    pairs = close_pairs(pat, 5.0)
-    assert set(zip(pairs.i.tolist(), pairs.j.tolist())) == brute_force_pairs(pts, 5.0)
+    assert mirrored(close_pairs(pat, 5.0)) == brute_force_pairs(pts, 5.0)
     # an infinite search radius is the one non-finite radius allowed: all pairs
-    pairs = close_pairs(pat, np.inf)
-    assert set(zip(pairs.i.tolist(), pairs.j.tolist())) == brute_force_pairs(pts, 5.0)
+    assert mirrored(close_pairs(pat, np.inf)) == brute_force_pairs(pts, 5.0)
 
 
 def test_close_pairs_sorted_and_symmetric():
     rng = np.random.default_rng(11)
     pts = rng.uniform(-0.5, 0.5, (150, 2))
     pairs = close_pairs(PointPattern(Window(2, 1.0), pts), 0.1)
-    assert np.all(np.diff(pairs.dist) >= 0)
-    fwd = set(zip(pairs.i.tolist(), pairs.j.tolist()))
-    assert all((j, i) in fwd for i, j in fwd)
-    np.testing.assert_allclose(
-        pairs.disp, pts[pairs.i] - pts[pairs.j], rtol=0, atol=0
-    )
+    # disp and dist belong to the stored orientation of each pair
+    assert mirrored(pairs) == brute_force_pairs(pts, 0.1)
+    np.testing.assert_array_equal(pairs.disp, pts[pairs.i] - pts[pairs.j])
+    np.testing.assert_allclose(pairs.dist, np.linalg.norm(pairs.disp, axis=1), rtol=1e-15)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -229,18 +219,14 @@ def test_close_pairs_matches_brute_force(data):
         steps = np.round((pts + side / 2) / rmax)
         pts = np.unique(np.minimum(steps * rmax - side / 2, side / 2), axis=0)
     pat = PointPattern(Window(dim, side), pts)
-    pairs = close_pairs(pat, rmax)
-    got = list(zip(pairs.i.tolist(), pairs.j.tolist()))
-    assert len(got) == len(set(got))
-    assert set(got) == brute_force_pairs(pts, rmax)
+    assert mirrored(close_pairs(pat, rmax)) == brute_force_pairs(pts, rmax)
 
 
 def test_close_pairs_three_dimensions():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-0.5, 0.5, (120, 3))
     pat = PointPattern(Window(3, 1.0), pts)
-    pairs = close_pairs(pat, 0.25)
-    assert set(zip(pairs.i.tolist(), pairs.j.tolist())) == brute_force_pairs(pts, 0.25)
+    assert mirrored(close_pairs(pat, 0.25)) == brute_force_pairs(pts, 0.25)
 
 
 def test_close_pairs_empty_and_singleton():
@@ -255,4 +241,4 @@ def test_close_pairs_huge_cell_count():
         (Window(3, 1e7), [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]),
     ):
         pairs = close_pairs(PointPattern(window, pts), 1.0)
-        assert sorted(zip(pairs.i.tolist(), pairs.j.tolist())) == [(0, 1), (1, 0)]
+        assert mirrored(pairs) == {(0, 1), (1, 0)}

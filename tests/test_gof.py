@@ -124,6 +124,12 @@ def test_gof_empty_pattern_estimated_errors():
         gof_test(empty, GofConfig(seed=1, sample_size=500))
 
 
+def test_gof_estimated_mode_refuses_rho():
+    # estimated mode plugs in the estimate; a given rho would be silently ignored
+    with pytest.raises(ValueError, match="known mode only"):
+        GofConfig(mode="estimated", rho=5.0)
+
+
 def test_gof_empty_pattern_known_with_rho():
     empty = PointPattern(W1, np.empty((0, 2)))
     res = gof_test(empty, GofConfig(mode="known", rho=200.0, sample_size=500, seed=1))

@@ -263,6 +263,24 @@ def test_cli_study(tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_cli_study_rejects_integer_beyond_float_range(tmp_path, capsys):
+    # JSON integers are unbounded: 10**400 must not escape as OverflowError
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"rho": 1' + "0" * 400 + ', "replicates": 120}')
+    assert main(["study", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: rho is outside the float range\n"
+
+
+def test_cli_gof_estimated_mode_refuses_rho(tmp_path, capsys):
+    pat_path = tmp_path / "pat.csv"
+    write_pattern_csv(pat_path, simulate_poisson(200.0, Window(2, 1.0), seed=2))
+    out = tmp_path / "gof.json"
+    assert main(["gof", str(pat_path), "--mode", "estimated", "--rho", "5",
+                 "--M", "200", "--seed", "1", "-o", str(out)]) == 1
+    assert "error: rho applies to known mode only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_domain_error_exit_code(capsys):
     assert main(["gof", "does-not-exist.csv", "--seed", "1"]) == 1
     err = capsys.readouterr().err

@@ -113,6 +113,62 @@ def test_k_hat_rejects_bad_intensity():
         k_hat(TWO_POINTS, Broken(), RadiusGrid.uniform(0.05, 5))
 
 
+def test_k_hat_zero_overlap_errors():
+    # a pair as far apart as the window is wide has no translation overlap
+    pat = PointPattern(W1, [[-0.5, 0.0], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="pair displacement exceeds window"):
+        k_hat(pat, ConstantIntensity(2.0), RadiusGrid.uniform(1.0, 4))
+
+
+def brute_force_k_and_h(pattern, model, grid):
+    """O(n^2) oracle: K and H summed over ordered pairs i != j with dist <= r."""
+    pts, side = pattern.points, pattern.window.side
+    rho, grad = model.value(pts), model.log_gradient(pts)
+    n = len(pts)
+    k = np.zeros(grid.m)
+    h = np.zeros((grid.m, grad.shape[1]))
+    for a in range(n):
+        for b in range(n):
+            disp = pts[a] - pts[b]
+            dist = np.sqrt(np.sum(disp * disp))
+            if a == b or dist > grid.rmax:
+                continue
+            w = 1.0 / (np.prod(side - np.abs(disp)) * rho[a] * rho[b])
+            at = grid.values >= dist
+            k[at] += w
+            h[at] -= w * (grad[a] + grad[b])
+    return k, h
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_k_hat_and_h_match_ordered_pair_sum(data):
+    # Dyadic sides and grid steps: on the lattice, pair distances along an
+    # axis equal grid radii exactly, which must count at that radius.
+    dim = data.draw(st.integers(1, 3))
+    side = data.draw(st.sampled_from((1.0, 2.0)))
+    k = data.draw(st.integers(2, 4))
+    step = side / 2**k
+    multiple = data.draw(st.integers(2, 2**k - 1))
+    grid = RadiusGrid.uniform(multiple * step, multiple * data.draw(st.sampled_from((1, 2))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    pts = rng.uniform(-side / 2, side / 2, (data.draw(st.integers(2, 40)), dim))
+    if data.draw(st.booleans()):
+        pts = np.unique(np.round((pts + side / 2) / step) * step - side / 2, axis=0)
+    window = Window(dim, side)
+    field = CovariateField.from_function(
+        window,
+        lambda u: np.column_stack([np.ones(len(u)), 2.0 + u[:, 0] / side,
+                                   1.5 + np.sin(3.0 * u[:, -1])]),
+        4,
+    )
+    model = LogLinearIntensity([np.log(len(pts) / window.volume), 0.3, -0.2], field)
+    pattern = PointPattern(window, pts)
+    want_k, want_h = brute_force_k_and_h(pattern, model, grid)
+    np.testing.assert_allclose(k_hat(pattern, model, grid).values, want_k, rtol=1e-12)
+    np.testing.assert_allclose(h_matrix(pattern, model, grid).values, want_h, rtol=1e-12)
+
+
 def test_k_hat_shared_pairs():
     pat = simulate_poisson(200.0, W1, seed=32)
     grid = RadiusGrid.uniform(0.05, 10)
