@@ -3,10 +3,11 @@
 Windows are axis-aligned cubes ``[-L/2, L/2]^d`` centered at the origin. The
 translation edge correction weight of a pair with displacement ``h`` is the
 reciprocal of the overlap volume ``|W and (W + h)|``, which for a cube
-factorizes over the axes. Pair enumeration sorts the points by the
-flat index of a cell grid with cells no smaller than the search radius, and
-reads each point's 3^(d-1) rows of neighboring cells as ranges of the sorted
-keys. Each unordered pair is returned once, in no particular order.
+factorizes over the axes. Pair search is a cell list over a batch of
+patterns on one window: points are keyed by pattern, then by cell (cells no
+smaller than the search radius), and a counting sort gives a cell-start table
+whose ranges are each point's neighbor rows. No pair crosses two patterns,
+and each unordered pair is returned once, in no particular order.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ __all__ = [
     "overlap_volume",
     "close_pairs",
 ]
+
+# Pair search cells per batch point, at most (before one-cell borders).
+_CELLS_PER_POINT = 4
 
 
 def check_positive(value: float, name: str) -> None:
@@ -97,7 +101,9 @@ class PairList:
     Every pair with ``0 < dist <= rmax`` appears exactly once, as ``(i, j)``
     or as ``(j, i)``, in no particular order; sums over ordered pairs count
     each entry twice. ``disp[k] = points[i[k]] - points[j[k]]`` and
-    ``dist[k] = |disp[k]|``.
+    ``dist[k] = |disp[k]|``. For a batch, ``points`` are the batch's patterns
+    concatenated in order, so ``i`` and ``j`` index that concatenation; both
+    ends of a pair lie in one pattern.
     """
 
     i: np.ndarray
@@ -129,51 +135,61 @@ def overlap_volume(window: Window, h) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def close_pairs(pattern: PointPattern, rmax: float) -> PairList:
+def _cells_per_axis(side: float, rmax: float, dim: int, points: int, groups: int) -> int:
+    """``floor(side / rmax)`` (cells no smaller than ``rmax``), capped so that
+    the batch's ``groups`` grids hold at most ``_CELLS_PER_POINT`` cells per point."""
+    cap = (_CELLS_PER_POINT * max(points, 1) / groups) ** (1.0 / dim)
+    return max(1, int(min(side / rmax, cap)))
+
+
+def close_pairs(patterns, rmax: float) -> PairList:
     """Enumerate each unordered pair with ``0 < |x_i - x_j| <= rmax`` once.
 
-    Points are sorted by the flat index of a cell grid whose cells are no
-    smaller than ``rmax``. Cells sharing a point's leading coordinates are
-    contiguous in that order, so each point reads its 3^(d-1) neighbor rows
-    as ranges of the sorted keys, starting after its own position so that
-    every unordered pair is visited once. The set of pairs is independent of
-    the cell layout (their order and orientation are not); a radius larger
-    than the window simply means fewer cells.
+    ``patterns`` is one :class:`PointPattern` or a sequence of them on one
+    window, scanned as a batch. A point's key is its pattern's batch index,
+    then its flat cell index; counting the keys gives a cell-start table over
+    the stably sorted points. Each point reads its 3^(d-1) neighbor rows as
+    table ranges, starting after its own position so that every unordered
+    pair is visited once. The set of pairs is independent of the cell layout
+    (their order and orientation are not); a radius larger than the window
+    simply means fewer cells.
     """
+    batch = [patterns] if isinstance(patterns, PointPattern) else list(patterns)
     if not rmax > 0:
         raise ValueError("rmax must be positive")
-    pts = pattern.points
+    if not batch or any(p.window != batch[0].window for p in batch):
+        raise ValueError("a batch needs at least one pattern, all on one window")
+    pts = np.concatenate([p.points for p in batch])
     n, d = pts.shape
+    groups = len(batch)
 
-    # Cell side max(rmax, L / floor(L / rmax)) so cells never undercut rmax;
-    # at most 2**(62 // d) cells per axis keep the flat key below 2**62.
-    side = pattern.window.side
-    ncells = max(1, int(np.floor(min(side / rmax, 2.0 ** (62 // d)))))
+    # Cells per axis plus one empty border cell on each side, so every
+    # neighbor cell of every point has a key inside its own pattern's block.
+    side = batch[0].window.side
+    ncells = _cells_per_axis(side, rmax, d, n, groups)
+    span = ncells + 2
     axis_ix = ((pts + side / 2.0) / (side / ncells)).astype(np.int64)
     np.clip(axis_ix, 0, ncells - 1, out=axis_ix)
-    strides = ncells ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    keys = axis_ix @ strides
+    strides = span ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    group = np.repeat(np.arange(groups, dtype=np.int64), [len(p) for p in batch])
+    keys = group * span**d + (axis_ix + 1) @ strides
     order = np.argsort(keys, kind="stable")
-    keys, axis_ix = keys[order], axis_ix[order]
+    keys, pts = keys[order], pts[order]
+    starts = np.zeros(groups * span**d + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=groups * span**d), out=starts[1:])
 
-    # One key range per row of neighbor cells: leading offsets in {-1, 0, 1}
-    # on the first d - 1 axes, the last axis clipped to the grid.
+    # One table range per row of three neighbor cells along the last axis,
+    # with leading offsets in {-1, 0, 1} on the first d - 1 axes.
     lead = np.array(list(product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
-    rows = axis_ix[:, None, :-1] + lead
-    inside = np.all((rows >= 0) & (rows < ncells), axis=2)
-    base = rows @ strides[:-1]
-    last = axis_ix[:, -1:]
-    lo = np.searchsorted(keys, base + np.maximum(last - 1, 0), side="left")
-    hi = np.searchsorted(keys, base + np.minimum(last + 1, ncells - 1), side="right")
-    lo = np.maximum(lo, np.arange(1, n + 1)[:, None])
-    counts = np.where(inside, np.maximum(hi - lo, 0), 0).ravel()
+    rows = keys[:, None] + lead @ strides[:-1]
+    lo = np.maximum(starts[rows - 1], np.arange(1, n + 1)[:, None])
+    counts = np.maximum(starts[rows + 2] - lo, 0).ravel()
     first = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
     pos_a = np.repeat(np.arange(n).repeat(len(lead)), counts)
     pos_b = first + np.arange(len(first))
 
-    i = order[pos_a]
-    j = order[pos_b]
-    disp = pts[i] - pts[j]
+    disp = pts[pos_a] - pts[pos_b]
     dist2 = np.einsum("ij,ij->i", disp, disp)
-    keep = (dist2 > 0.0) & (dist2 <= rmax * rmax)
-    return PairList(i[keep], j[keep], disp[keep], np.sqrt(dist2[keep]), float(rmax))
+    keep = np.flatnonzero((dist2 > 0.0) & (dist2 <= rmax * rmax))
+    i, j = order[pos_a[keep]], order[pos_b[keep]]
+    return PairList(i, j, disp[keep], np.sqrt(dist2[keep]), float(rmax))

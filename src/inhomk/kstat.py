@@ -6,7 +6,8 @@ points. The summand is symmetric, so each unordered pair is enumerated once at
 the largest grid radius and counted twice. One accumulator serves every
 statistic: pair contributions are summed per radius bin (the first grid
 radius at or above the pair distance) and all grid values are read off twice
-the cumulative sum over bins. The H matrix uses the same pair weights times
+the cumulative sum over bins; a batch of patterns shares one pair scan and
+keys its bins by pattern too. The H matrix uses the same pair weights times
 the summed log-intensity gradients of the pair.
 
 Grids exclude r = 0 (the limit covariance degenerates there). Statistics are
@@ -98,82 +99,86 @@ def k_poisson(r, dim: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _pairs_for(pattern: PointPattern, grid: RadiusGrid, pairs: PairList | None) -> PairList:
+def _pairs_for(batch: list[PointPattern], grid: RadiusGrid, pairs: PairList | None) -> PairList:
     """The pairs a grid needs: enumerated here when omitted, else checked."""
     if pairs is None:
-        return close_pairs(pattern, grid.rmax)
+        return close_pairs(batch, grid.rmax)
+    if len(batch) != 1:
+        raise ValueError("a pre-enumerated pair list serves a single pattern")
     if pairs.rmax < grid.rmax:
         raise ValueError("pair list was built with a smaller rmax than the grid")
     return pairs
 
 
-def _pair_weights(pattern: PointPattern, model, pairs: PairList) -> np.ndarray:
+def _pair_weights(points: np.ndarray, window, model, pairs: PairList) -> np.ndarray:
     """Edge correction over intensity product, per listed pair."""
-    rho = np.asarray(model.value(pattern.points), dtype=float)
+    rho = np.asarray(model.value(points), dtype=float)
     if np.any(rho <= 0):
         raise ValueError("invalid intensity: nonpositive value at a data point")
-    overlap = overlap_volume(pattern.window, pairs.disp)
+    overlap = overlap_volume(window, pairs.disp)
     if np.any(overlap <= 0.0):
         raise ValueError("pair displacement exceeds window")
     return 1.0 / (overlap * rho[pairs.i] * rho[pairs.j])
 
 
-def _accumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid) -> np.ndarray:
-    """Sum symmetric pair contributions over ordered pairs with 0 < dist <= r.
+def _accumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid, group=0, groups=1):
+    """Per group, sum symmetric pair contributions over ordered pairs with 0 < dist <= r.
 
-    ``contrib`` holds one value (or one row) per unordered pair. A pair at
+    ``contrib`` holds one value (or one row) per unordered pair, keyed
+    ``group * (m + 1) + bin`` by the batch index of its pattern. A pair at
     distance exactly ``r`` counts at ``r``; pairs beyond ``grid.rmax`` fall in
     the dropped bin ``m``.
     """
-    bins = np.searchsorted(grid.values, pairs.dist, side="left")
+    size = grid.m + 1
+    keys = group * size + np.searchsorted(grid.values, pairs.dist, side="left")
     if contrib.ndim == 1:
-        sums = np.bincount(bins, contrib, grid.m + 1)
+        sums = np.bincount(keys, contrib, groups * size)
     else:
-        sums = np.stack([np.bincount(bins, col, grid.m + 1) for col in contrib.T], axis=1)
-    return 2.0 * np.cumsum(sums[: grid.m], axis=0)
+        sums = np.stack([np.bincount(keys, col, groups * size) for col in contrib.T], axis=1)
+    sums = sums.reshape(groups, size, *contrib.shape[1:])
+    return 2.0 * np.cumsum(sums[:, : grid.m], axis=1)
 
 
-def k_hat(
-    pattern: PointPattern,
-    model,
-    grid: RadiusGrid,
-    pairs: PairList | None = None,
-) -> Curve:
+def k_hat(pattern, model, grid: RadiusGrid, pairs: PairList | None = None) -> Curve | list[Curve]:
     """Edge-corrected K-function estimate on a radius grid.
 
     Parameters
     ----------
-    pattern : PointPattern
+    pattern : PointPattern, or a sequence of them on one window
+        A sequence is scanned as one batch and gives a list of curves.
     model : intensity model exposing ``value(points)``
         Known intensity gives the unbiased estimator; a fitted model gives the
         plug-in estimator.
     grid : RadiusGrid
     pairs : PairList, optional
-        Pre-enumerated pairs at ``rmax >= grid.rmax``; enumerated here when
-        omitted so repeated evaluations can share the dominant pair-search cost.
+        Pre-enumerated pairs of one pattern at ``rmax >= grid.rmax``; enumerated
+        here when omitted so repeated evaluations can share the pair search.
 
     Empty and singleton patterns yield an all-zero curve.
     """
-    pairs = _pairs_for(pattern, grid, pairs)
-    return Curve(grid, _accumulate(pairs, _pair_weights(pattern, model, pairs), grid))
+    single = isinstance(pattern, PointPattern)
+    batch = [pattern] if single else list(pattern)
+    pairs = _pairs_for(batch, grid, pairs)
+    points = np.concatenate([p.points for p in batch])
+    group = np.repeat(np.arange(len(batch)), [len(p) for p in batch])[pairs.i]
+    weights = _pair_weights(points, batch[0].window, model, pairs)
+    curves = [Curve(grid, v) for v in _accumulate(pairs, weights, grid, group, len(batch))]
+    return curves[0] if single else curves
 
 
 def h_matrix(
-    pattern: PointPattern,
-    model,
-    grid: RadiusGrid,
-    pairs: PairList | None = None,
+    pattern: PointPattern, model, grid: RadiusGrid, pairs: PairList | None = None
 ) -> Curve:
     """Gradient curve H(r): minus the pair sum weighted by summed log-intensity gradients.
 
     For the constant model this equals ``-(2/beta) k_hat`` exactly at every
     grid point.
     """
-    pairs = _pairs_for(pattern, grid, pairs)
-    w = _pair_weights(pattern, model, pairs)
+    pairs = _pairs_for([pattern], grid, pairs)
+    w = _pair_weights(pattern.points, pattern.window, model, pairs)
     grad = np.asarray(model.log_gradient(pattern.points), dtype=float)
     contrib = -w[:, None] * (grad[pairs.i] + grad[pairs.j])
-    return Curve(grid, _accumulate(pairs, contrib, grid))
+    return Curve(grid, _accumulate(pairs, contrib, grid)[0])
 
 
 def taylor_residual(

@@ -34,8 +34,6 @@ class SupSample:
     """Sorted Monte Carlo draws of the sup-norm statistic under one covariance."""
 
     draws: np.ndarray
-    cov: np.ndarray
-    seed: int
 
     def __post_init__(self):
         draws = np.asarray(self.draws, dtype=float)
@@ -97,7 +95,7 @@ def simulate_sup(cov, count: int, seed: int) -> SupSample:
     normals = normal_reservoir(seed, count, len(mat))
     draws = np.abs(normals @ factor.T).max(axis=1)
     draws.sort()
-    return SupSample(draws=draws, cov=mat, seed=int(seed))
+    return SupSample(draws)
 
 
 def upper_quantile(draws: np.ndarray, alpha: float) -> float:

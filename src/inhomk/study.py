@@ -6,7 +6,9 @@ processes only ever receive disjoint replicate ranges and the merged output
 preserves replicate order. One runner serves both the rejection study and
 the covariance oracle: per replicate it returns the point count and the
 unit-intensity K curve on the grid, from which every plug-in estimate is an
-exact rescaling. The oracle runs it at cell index 0.
+exact rescaling. The oracle runs it at cell index 0. Consecutive replicates
+share one pair scan up to a fixed point budget, ``_SCAN_POINTS``: thousands of
+points per set of array calls, in bounded memory, and no pair across patterns.
 
 Within a cell the same simulated patterns are evaluated under every requested
 variance mode (that is what makes the known-vs-estimated comparison a paired
@@ -47,6 +49,7 @@ __all__ = [
 
 _CELL_STRIDE = 10**6
 _CHUNK = 250
+_SCAN_POINTS = 8192
 _FAILURE_CAP = 0.01
 
 
@@ -170,13 +173,15 @@ def _replicate_curves(job):
     The unit-intensity curve divided by the squared intensity is the estimate
     with that constant intensity plugged in, so one curve serves every
     variance mode and every plug-in value. Empty and singleton patterns give
-    an all-zero curve.
+    an all-zero curve. Consecutive patterns share one scan until they hold
+    ``_SCAN_POINTS`` points, which bounds the memory a scan takes.
     """
     config, side, grid, seed, cell_index, lo, hi = job
     window = Window(config.dim, side)
     unit = ConstantIntensity(1.0)
     counts = np.empty(hi - lo, dtype=np.int64)
     curves = np.empty((hi - lo, grid.m))
+    batch, filled = [], 0
     for k, rep in enumerate(range(lo, hi)):
         rng = stream(seed, cell_index * _CELL_STRIDE + rep)
         if config.process == "poisson":
@@ -184,7 +189,11 @@ def _replicate_curves(job):
         else:
             pattern = simulate_matern(config.matern, window, rng)
         counts[k] = len(pattern)
-        curves[k] = k_hat(pattern, unit, grid).values
+        batch.append(pattern)
+        filled += len(pattern)
+        if filled >= _SCAN_POINTS or rep == hi - 1:
+            curves[k + 1 - len(batch) : k + 1] = [c.values for c in k_hat(batch, unit, grid)]
+            batch, filled = [], 0
     return counts, curves
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,12 +17,13 @@ from inhomk.asymcov import (
 from inhomk.geometry import (
     PointPattern,
     Window,
+    _cells_per_axis,
     close_pairs,
     overlap_volume,
 )
 from inhomk.gof import GofConfig, PoissonNullTables
 from inhomk.intensity import ConstantIntensity
-from inhomk.kstat import RadiusGrid
+from inhomk.kstat import RadiusGrid, k_hat
 from inhomk.simulate import MaternParams, simulate_poisson, simulate_poisson_inhom
 from inhomk.study import StudyConfig
 
@@ -242,3 +244,84 @@ def test_close_pairs_huge_cell_count():
     ):
         pairs = close_pairs(PointPattern(window, pts), 1.0)
         assert mirrored(pairs) == {(0, 1), (1, 0)}
+
+
+def test_close_pairs_cell_table_stays_linear():
+    # floor(side / rmax)**3 = 1e21 cells: the cell-start table must still hold
+    # O(n) entries, and the one close pair must be found.
+    rng = np.random.default_rng(5)
+    pair = [[0.1, 0.2, 0.3], [0.1 + 5e-8, 0.2, 0.3]]
+    pts = np.vstack([rng.uniform(-0.5, 0.5, (50, 3)), pair])
+    pat = PointPattern(Window(3, 1.0), pts)
+    tracemalloc.start()
+    try:
+        pairs = close_pairs(pat, 1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _cells_per_axis(1.0, 1e-7, 3, len(pts), 1) ** 3 <= 4 * len(pts)
+    assert peak < 64 * 1024
+    assert mirrored(pairs) == brute_force_pairs(pts, 1e-7) == {(50, 51), (51, 50)}
+
+
+class Ramp:
+    """Intensity ``1.5 + x_1 / side``: distinct per point, computed elementwise."""
+
+    def __init__(self, side):
+        self.side = side
+
+    def value(self, points):
+        return 1.5 + points[:, 0] / self.side
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batch_scans_like_each_pattern_alone(data):
+    # Dimension and sizes come from the seed: hypothesis would favor dim 1.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dim = int(rng.integers(1, 4))
+    side = data.draw(st.floats(0.2, 4.0))
+    frac = data.draw(
+        st.one_of(st.floats(0.02, 0.9), st.integers(2, 8).map(lambda k: 1.0 / k))
+    )
+    rmax = frac * side
+    window = Window(dim, side)
+    kinds = st.sampled_from(("random", "lattice", "empty", "singleton"))
+    batch = []
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=6)):
+        n = {"empty": 0, "singleton": 1}.get(kind, int(rng.integers(2, 61)))
+        pts = rng.uniform(-side / 2, side / 2, (n, dim))
+        if kind == "lattice":
+            # neighbors exactly rmax apart, points on cell and window faces
+            steps = np.round((pts + side / 2) / rmax)
+            pts = np.unique(np.minimum(steps * rmax - side / 2, side / 2), axis=0)
+        batch.append(PointPattern(window, pts))
+    offsets = np.cumsum([0] + [len(p) for p in batch])
+
+    # The batch's pairs are the union of each pattern's own, none across two.
+    want = set()
+    for pattern, first in zip(batch, offsets):
+        want |= {(i + first, j + first) for i, j in brute_force_pairs(pattern.points, rmax)}
+    assert mirrored(close_pairs(batch, rmax)) == want
+
+    # Each batched curve is the pattern's own curve, bitwise when the batch
+    # keeps the cell layout the pattern gets alone.
+    grid = RadiusGrid.uniform(rmax, data.draw(st.integers(2, 20)))
+    model = Ramp(side)
+    curves = k_hat(batch, model, grid)
+    assert len(curves) == len(batch)
+    batch_cells = _cells_per_axis(side, rmax, dim, offsets[-1], len(batch))
+    for pattern, curve in zip(batch, curves):
+        alone = k_hat(pattern, model, grid).values
+        if _cells_per_axis(side, rmax, dim, len(pattern), 1) == batch_cells:
+            np.testing.assert_array_equal(curve.values, alone)
+        else:
+            np.testing.assert_allclose(curve.values, alone, rtol=1e-13, atol=0.0)
+
+
+def test_batch_needs_one_window():
+    a = PointPattern(Window(2, 1.0), [[0.0, 0.0]])
+    b = PointPattern(Window(2, 2.0), [[0.0, 0.0]])
+    for batch in ([], [a, b]):
+        with pytest.raises(ValueError, match="one window"):
+            close_pairs(batch, 0.1)

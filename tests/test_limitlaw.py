@@ -65,7 +65,7 @@ def test_accepts_limit_covariance_object():
 
 
 def test_critical_value_order_statistic_rule():
-    sample = SupSample(np.arange(1.0, 101.0), np.eye(1), 0)
+    sample = SupSample(np.arange(1.0, 101.0))
     assert critical_value(sample, 0.05) == 95.0
     assert critical_value(sample, 0.5) == 50.0
     with pytest.raises(ValueError):
@@ -81,7 +81,7 @@ def test_critical_value_monotone_in_level():
 
 
 def test_p_value_bookkeeping():
-    sample = SupSample(np.arange(1.0, 101.0), np.eye(1), 0)
+    sample = SupSample(np.arange(1.0, 101.0))
     assert p_value(sample, 0.5) == 1.0
     assert p_value(sample, 1000.0) == pytest.approx(1 / 101)
     # statistic exactly at the critical value: p <= alpha + 2/(M+1)
@@ -94,7 +94,7 @@ def test_sample_size_floor():
     with pytest.raises(ValueError):
         simulate_sup(np.eye(2), 50, seed=0)
     with pytest.raises(ValueError):
-        SupSample(np.arange(10.0), np.eye(1), 0)
+        SupSample(np.arange(10.0))
 
 
 def test_jitter_handles_rank_deficiency():

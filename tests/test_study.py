@@ -3,13 +3,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from inhomk import study
 from inhomk.asymcov import poisson_cov_matrix
-from inhomk.gof import GofConfig, gof_test
-from inhomk.kstat import RadiusGrid
-from inhomk.seeds import stream
-from inhomk.simulate import MaternParams, simulate_poisson
 from inhomk.geometry import Window
-from inhomk.study import _CHUNK, StudyConfig, empirical_cov_oracle, rejection_study
+from inhomk.gof import GofConfig, gof_test
+from inhomk.intensity import ConstantIntensity
+from inhomk.kstat import RadiusGrid, k_hat
+from inhomk.seeds import stream
+from inhomk.simulate import MaternParams, simulate_matern, simulate_poisson
+from inhomk.study import (
+    _CHUNK,
+    _SCAN_POINTS,
+    StudyConfig,
+    _run_cell,
+    empirical_cov_oracle,
+    rejection_study,
+)
 
 SMALL = dict(
     process="poisson",
@@ -65,6 +74,29 @@ def test_study_matches_gof_test(dim):
             pat = simulate_poisson(cfg.rho, Window(dim, 1.0), stream(cfg.seed, rep))
             rejections += gof_test(pat, gof_cfg).reject
         assert rejections == res.cell(1.0, mode).rejections
+
+
+@pytest.mark.parametrize("budget", [1, _SCAN_POINTS, 10**9])
+@pytest.mark.parametrize("process", ["poisson", "matern"])
+def test_scan_budget_does_not_change_curves(monkeypatch, process, budget):
+    # However the point budget splits a chunk into scans (every pattern
+    # alone, the default, the whole chunk at once), each replicate's curve is
+    # its own pattern's k_hat curve.
+    monkeypatch.setattr(study, "_SCAN_POINTS", budget)
+    matern = MaternParams(25.0, 8.0, 0.2)
+    cfg = StudyConfig(process=process, matern=matern, replicates=_CHUNK)
+    window = Window(2, 1.0)
+    grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
+    counts, curves = _run_cell(cfg, 1.0, grid, 7, 0, _CHUNK, None)
+    for rep in range(_CHUNK):
+        if process == "poisson":
+            pattern = simulate_poisson(cfg.rho, window, stream(7, rep))
+        else:
+            pattern = simulate_matern(matern, window, stream(7, rep))
+        assert counts[rep] == len(pattern)
+        np.testing.assert_array_equal(
+            curves[rep], k_hat(pattern, ConstantIntensity(1.0), grid).values
+        )
 
 
 def test_study_replicate_streams_follow_cell_stride():
