@@ -5,6 +5,13 @@ assignment. Integration domains are balls and annuli: one coordinate maps to
 a volume-uniform radius, the remaining coordinates to a direction. Strata are
 carved out of the global sequence as index blocks with a fixed stride, so a
 larger sample extends a smaller one instead of replacing it.
+
+The radical inverse sums ``digit / base**k`` from the least significant digit
+up. It reads the low digits of every index from a small table of that same
+sum, and adds the high digits once per run of indices that share them, so a
+block of consecutive indices costs one table lookup per point instead of one
+integer division per point and digit. The summation order is the digit loop's
+own, so every point is bitwise the same as the loop's.
 """
 
 from __future__ import annotations
@@ -28,7 +35,13 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 6
 STRATUM_STRIDE = 2**24
 
 
-def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
+# Entries in the low-digit table of the radical inverse, per base.
+_TABLE_SIZE = 2**12
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _digit_loop(indices: np.ndarray, base: int, out: np.ndarray) -> None:
+    # The definition: add digit / base**k from the least significant digit up.
     out[:] = 0.0
     denom = 1.0
     work, digit = indices.copy(), np.empty_like(indices)
@@ -38,16 +51,66 @@ def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
         out += digit / denom
 
 
+def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
+    """``_digit_loop`` for non-negative indices, bitwise, at one lookup per point.
+
+    Each index splits as ``q * B + r`` with ``B = base**L`` the largest power
+    of ``base`` within ``_TABLE_SIZE``. The loop's first ``L`` steps on it add
+    exactly the terms that ``table[r]`` holds, in the same order (a shorter
+    ``r`` only adds ``+0.0``). The remaining steps add the digits of ``q`` with
+    the loop's own ``denom`` sequence; they are computed once per run of equal
+    consecutive ``q`` and repeated over the run, so blocks of consecutive
+    indices pay the integer divisions per run, not per point. Summing in a
+    different order (high digits first, or a second table) would move points
+    by an ulp.
+    """
+    size = base
+    while size * base <= _TABLE_SIZE:
+        size *= base
+    table = np.empty(size)
+    _digit_loop(np.arange(size, dtype=np.int64), base, table)
+    high = indices // size
+    # The low parts are in range; "clip" lets take write to out unbuffered.
+    np.take(table, indices - high * size, out=out, mode="clip")
+    first = np.empty(len(high), dtype=bool)
+    first[:1] = True
+    np.not_equal(high[1:], high[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    lengths = np.diff(starts, append=len(high))
+    work = high[starts]
+    digit = np.empty_like(work)
+    denom = float(size)  # the loop's denom after L steps, exact
+    while work.any():
+        denom *= base
+        np.divmod(work, base, out=(work, digit))
+        out += np.repeat(digit / denom, lengths)
+
+
+def _indices(values) -> np.ndarray:
+    # Sequence indices or strata as int64; negative ones would never finish
+    # the digit loop (floor division keeps -1 at -1).
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" or np.any(values < 0) or np.any(values > _INT64_MAX):
+        raise ValueError("Halton indices must be non-negative int64 integers")
+    return values.astype(np.int64)
+
+
 def halton(count: int, dims: int, start=1, dim_offset: int = 0) -> np.ndarray:
     """``count`` Halton points in [0,1)^dims from each sequence index in ``start``.
 
     ``start`` is one index or an array of them, whose blocks are stacked in
     order. ``dim_offset`` selects which primes are used, so different
     integrals can draw from disjoint coordinate sets of the same sequence.
+    Indices must be non-negative integers and every block must fit in int64.
     """
     if dim_offset + dims > len(_PRIMES):
         raise ValueError("not enough Halton dimensions configured")
-    idx = (np.reshape(start, (-1, 1)) + np.arange(count, dtype=np.int64)).ravel()
+    if count < 0:
+        raise ValueError("Halton point count must be non-negative")
+    starts = _indices(start).reshape(-1, 1)
+    if count and np.any(starts > _INT64_MAX - (count - 1)):
+        raise ValueError("Halton index block runs beyond int64")
+    idx = (starts + np.arange(count, dtype=np.int64)).ravel()
     out = np.empty((dims, len(idx)))
     for k in range(dims):
         _radical_inverse(idx, _PRIMES[dim_offset + k], out[k])
@@ -78,7 +141,10 @@ def _stratum_draws(count: int, dim: int, strata, dim_offset: int):
     # one-dimensional equidistribution is best); copied so ``u`` is freed here.
     if count >= STRATUM_STRIDE:
         raise ValueError("sample budget exceeds the per-stratum index block")
-    starts = np.asarray(strata, dtype=np.int64) * STRATUM_STRIDE + 1
+    strata = _indices(strata)
+    if np.any(strata > (_INT64_MAX - STRATUM_STRIDE) // STRATUM_STRIDE):
+        raise ValueError("stratum index block runs beyond int64")
+    starts = strata * STRATUM_STRIDE + 1
     u = halton(count, 1 + direction_dims(dim), start=starts, dim_offset=dim_offset)
     return u[:, 0].copy(), _directions(u[:, 1:], dim)
 
