@@ -29,7 +29,7 @@ from .geometry import (
     close_pairs,
     overlap_volume,
 )
-from .gof import GofConfig, GofResult, PoissonNullTables, gof_test, ks_statistic
+from .gof import GofConfig, GofResult, PoissonNullTables, gof_test
 from .intensity import (
     ConstantIntensity,
     CovariateField,

@@ -44,6 +44,7 @@ import numpy as np
 from .geometry import check_positive, overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
 from .kstat import Curve, RadiusGrid, k_poisson
+from .limitlaw import check_covariance
 from .qmc import ball_points_weighted, ball_shell_points, direction_dims
 
 __all__ = [
@@ -174,10 +175,7 @@ class LimitCovariance:
         m = self.grid.m
         if mat.shape != (m, m):
             raise ValueError(f"matrix must be {m}x{m}")
-        if not np.isfinite(mat).all():
-            raise ValueError("limit covariance must be finite")
-        if not np.allclose(mat, mat.T, rtol=1e-8, atol=1e-12 * max(1.0, np.abs(mat).max())):
-            raise ValueError("limit covariance must be symmetric")
+        check_covariance(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -224,10 +225,9 @@ def _cmd_gof(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    raw = json.loads(Path(args.config).read_text())
+    config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
     if args.threads is not None:
-        raw["workers"] = args.threads
-    config = StudyConfig.from_dict(raw)
+        config = replace(config, workers=args.threads)
     result = rejection_study(config)
     if args.output:
         path = Path(args.output)

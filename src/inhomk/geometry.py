@@ -110,7 +110,6 @@ class PairList:
     j: np.ndarray
     disp: np.ndarray
     dist: np.ndarray
-    rmax: float
 
     def __post_init__(self):
         for arr in (self.i, self.j, self.disp, self.dist):
@@ -192,4 +191,4 @@ def close_pairs(patterns, rmax: float) -> PairList:
     dist2 = np.einsum("ij,ij->i", disp, disp)
     keep = np.flatnonzero((dist2 > 0.0) & (dist2 <= rmax * rmax))
     i, j = order[pos_a[keep]], order[pos_b[keep]]
-    return PairList(i, j, disp[keep], np.sqrt(dist2[keep]), float(rmax))
+    return PairList(i, j, disp[keep], np.sqrt(dist2[keep]))

@@ -1,8 +1,10 @@
 """Kolmogorov-Smirnov goodness-of-fit test for the homogeneous Poisson null.
 
-The statistic is ``sqrt(n) sup_r |Khat(r) - K(r)|`` over the radius grid,
-with ``K`` the ball volume of the pattern's dimension and the intensity
-estimate plugged into Khat. Critical values come from the Monte Carlo law of
+One decision path serves :func:`gof_test` and the study harness. The
+statistic (:func:`sup_distance`) is ``sqrt(|W|) sup_r |Khat(r) - K(r)|`` over
+the radius grid, with ``K`` the ball volume of the pattern's dimension and
+Khat the unit-intensity curve divided by the squared intensity estimate.
+Critical values (:func:`critical_values`) come from the Monte Carlo law of
 the sup of the limiting Gaussian process, under either the
 estimated-intensity covariance ``2 K(min(s,t)) / rho^2`` or the
 known-intensity covariance (which adds ``4 K(s) K(t) / rho``), both from
@@ -43,7 +45,7 @@ __all__ = [
     "GofResult",
     "PoissonNullTables",
     "sup_distance",
-    "ks_statistic",
+    "critical_values",
     "gof_test",
 ]
 
@@ -148,18 +150,15 @@ class PoissonNullTables:
     def __init__(self, grid: RadiusGrid, sample_size: int, seed: int, dim: int = 2):
         if sample_size < MIN_SAMPLE:
             raise ValueError(f"sample size must be >= {MIN_SAMPLE}")
-        self.grid = grid
         self.sample_size = int(sample_size)
-        self.seed = int(seed)
-        self.dim = int(dim)
-        base = poisson_cov_matrix(grid, 1.0, "estimated", self.dim).matrix
+        base = poisson_cov_matrix(grid, 1.0, "estimated", dim).matrix
         factor = cholesky_with_jitter(base)
-        normals = normal_reservoir(self.seed, self.sample_size, grid.m)
+        normals = normal_reservoir(seed, self.sample_size, grid.m)
         # Signed rho=1 estimated-covariance paths plus one extra normal per
         # draw for the rank-one known-intensity component 2 K(r) / sqrt(rho).
         self._signed = normals @ factor.T
-        self._xi = stream(self.seed, "supnorm-xi").standard_normal(self.sample_size)
-        self._rank_one = 2.0 * k_poisson(grid.values, self.dim)
+        self._xi = stream(seed, "supnorm-xi").standard_normal(self.sample_size)
+        self._rank_one = 2.0 * k_poisson(grid.values, dim)
         self._peak = np.abs(self._signed).max(axis=1)
         self._std_estimated = np.sort(self._peak)
         # Certificate ladder: rung j -> per-row winning line; bracket j ->
@@ -265,70 +264,58 @@ def _finite(draws: np.ndarray, rho: float) -> np.ndarray:
     return draws
 
 
-def sup_distance(khat, grid: RadiusGrid, window: Window):
-    """``sqrt(|W|)`` times the grid sup of ``|Khat(r) - K_poisson(r)|``.
+def sup_distance(curves, rho, grid: RadiusGrid, window: Window):
+    """``sqrt(|W|)`` times the grid sup of ``|curves / rho**2 - K_poisson(r)|``.
 
-    ``khat`` holds K estimates on ``grid`` along its last axis; one distance
-    is returned per leading index.
+    ``curves`` holds unit-intensity K estimates on ``grid`` along its last
+    axis; divided by ``rho**2`` they are the estimates with the constant
+    intensity ``rho`` plugged in. ``rho`` is a scalar or one value per
+    leading index, and one distance is returned per leading index.
     """
     null = k_poisson(grid.values, window.dim)
+    khat = curves / np.square(np.asarray(rho, dtype=float))[..., None]
     return sqrt(window.volume) * np.abs(khat - null).max(axis=-1)
 
 
-def ks_statistic(pattern: PointPattern, model, grid: RadiusGrid) -> float:
-    """``sqrt(n)`` times the grid sup of ``|Khat(r) - K_poisson(r)|``."""
-    return float(sup_distance(k_hat(pattern, model, grid).values, grid, pattern.window))
+def critical_values(tables: PoissonNullTables, mode: str, alpha: float, estimates):
+    """Critical value at each intensity estimate under the ``mode`` null.
+
+    One ``tables.{mode}_critical`` call per distinct estimate; the result has
+    the shape of ``estimates``.
+    """
+    critical = getattr(tables, f"{mode}_critical")
+    distinct, inverse = np.unique(estimates, return_inverse=True)
+    return np.array([critical(alpha, b) for b in distinct])[inverse]
 
 
-def gof_test(
-    pattern: PointPattern,
-    config: GofConfig,
-    tables: PoissonNullTables | None = None,
-) -> GofResult:
+def gof_test(pattern: PointPattern, config: GofConfig) -> GofResult:
     """Run the Kolmogorov-Smirnov test of the homogeneous Poisson null.
 
-    Passing ``tables`` reuses a previously built Monte Carlo table (the study
-    harness shares one across replicates); it must match the config's grid,
-    sample size and seed, and the pattern's dimension.
+    The statistic and the critical value are those of the study harness for
+    the same pattern: :func:`sup_distance` of the unit-intensity curve and
+    :func:`critical_values` at the estimate, from fresh tables of the
+    config's grid, sample size and seed.
     """
     grid = config.grid()
-    dim = pattern.window.dim
-
-    beta_hat = None
     if len(pattern) > 0:
         beta_hat = estimate_constant(pattern)
     elif config.rho is not None:
         beta_hat = config.rho
     else:
         raise ValueError("zero estimated intensity: empty pattern")
-
     stat_intensity = beta_hat if config.rho is None else config.rho
 
-    statistic = ks_statistic(pattern, ConstantIntensity(stat_intensity), grid)
-
-    if tables is None:
-        tables = PoissonNullTables(grid, config.sample_size, config.seed, dim)
-    elif (
-        tables.grid.m != grid.m
-        or tables.grid.rmax != grid.rmax
-        or tables.sample_size != config.sample_size
-        or tables.seed != config.seed
-        or tables.dim != dim
-    ):
-        raise ValueError("tables were built for a different null configuration")
-
-    if config.mode == "estimated":
-        draws = tables.estimated_draws(beta_hat)
-    else:
-        draws = tables.known_draws(beta_hat)
-    crit = upper_quantile(draws, config.alpha)
-    pval = p_value(draws, statistic)
+    unit = k_hat(pattern, ConstantIntensity(1.0), grid).values
+    statistic = float(sup_distance(unit, stat_intensity, grid, pattern.window))
+    tables = PoissonNullTables(grid, config.sample_size, config.seed, pattern.window.dim)
+    crit = float(critical_values(tables, config.mode, config.alpha, beta_hat))
+    pval = p_value(getattr(tables, f"{config.mode}_draws")(beta_hat), statistic)
 
     return GofResult(
-        statistic=float(statistic),
-        critical_value=float(crit),
-        p_value=float(pval),
-        reject=bool(statistic > crit),
+        statistic=statistic,
+        critical_value=crit,
+        p_value=pval,
+        reject=statistic > crit,
         beta_hat=float(beta_hat),
         mode=config.mode,
         alpha=config.alpha,

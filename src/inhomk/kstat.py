@@ -99,17 +99,6 @@ def k_poisson(r, dim: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _pairs_for(batch: list[PointPattern], grid: RadiusGrid, pairs: PairList | None) -> PairList:
-    """The pairs a grid needs: enumerated here when omitted, else checked."""
-    if pairs is None:
-        return close_pairs(batch, grid.rmax)
-    if len(batch) != 1:
-        raise ValueError("a pre-enumerated pair list serves a single pattern")
-    if pairs.rmax < grid.rmax:
-        raise ValueError("pair list was built with a smaller rmax than the grid")
-    return pairs
-
-
 def _pair_weights(points: np.ndarray, window, model, pairs: PairList) -> np.ndarray:
     """Edge correction over intensity product, per listed pair."""
     rho = np.asarray(model.value(points), dtype=float)
@@ -139,7 +128,7 @@ def _accumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid, group=0,
     return 2.0 * np.cumsum(sums[:, : grid.m], axis=1)
 
 
-def k_hat(pattern, model, grid: RadiusGrid, pairs: PairList | None = None) -> Curve | list[Curve]:
+def k_hat(pattern, model, grid: RadiusGrid) -> Curve | list[Curve]:
     """Edge-corrected K-function estimate on a radius grid.
 
     Parameters
@@ -150,15 +139,12 @@ def k_hat(pattern, model, grid: RadiusGrid, pairs: PairList | None = None) -> Cu
         Known intensity gives the unbiased estimator; a fitted model gives the
         plug-in estimator.
     grid : RadiusGrid
-    pairs : PairList, optional
-        Pre-enumerated pairs of one pattern at ``rmax >= grid.rmax``; enumerated
-        here when omitted so repeated evaluations can share the pair search.
 
     Empty and singleton patterns yield an all-zero curve.
     """
     single = isinstance(pattern, PointPattern)
     batch = [pattern] if single else list(pattern)
-    pairs = _pairs_for(batch, grid, pairs)
+    pairs = close_pairs(batch, grid.rmax)
     points = np.concatenate([p.points for p in batch])
     group = np.repeat(np.arange(len(batch)), [len(p) for p in batch])[pairs.i]
     weights = _pair_weights(points, batch[0].window, model, pairs)
@@ -166,15 +152,13 @@ def k_hat(pattern, model, grid: RadiusGrid, pairs: PairList | None = None) -> Cu
     return curves[0] if single else curves
 
 
-def h_matrix(
-    pattern: PointPattern, model, grid: RadiusGrid, pairs: PairList | None = None
-) -> Curve:
+def h_matrix(pattern: PointPattern, model, grid: RadiusGrid) -> Curve:
     """Gradient curve H(r): minus the pair sum weighted by summed log-intensity gradients.
 
     For the constant model this equals ``-(2/beta) k_hat`` exactly at every
     grid point.
     """
-    pairs = _pairs_for([pattern], grid, pairs)
+    pairs = close_pairs(pattern, grid.rmax)
     w = _pair_weights(pattern.points, pattern.window, model, pairs)
     grad = np.asarray(model.log_gradient(pattern.points), dtype=float)
     contrib = -w[:, None] * (grad[pairs.i] + grad[pairs.j])
@@ -192,13 +176,13 @@ def taylor_residual(
 
     ``model_at(beta)`` must build the intensity model of the family at a given
     parameter. Returns ``Khat(beta_hat) - Khat(beta_star) - H(beta_star) dbeta``
-    per grid point; identically zero when the parameters coincide and second
-    order in their difference otherwise.
+    per grid point; identically zero when the parameters coincide (each call
+    scans the same pattern, so all three see the same pairs) and second order
+    in their difference otherwise.
     """
-    pairs = close_pairs(pattern, grid.rmax)
-    k_star = k_hat(pattern, model_at(beta_star), grid, pairs)
-    k_plug = k_hat(pattern, model_at(beta_hat), grid, pairs)
-    h_star = h_matrix(pattern, model_at(beta_star), grid, pairs)
+    k_star = k_hat(pattern, model_at(beta_star), grid)
+    k_plug = k_hat(pattern, model_at(beta_hat), grid)
+    h_star = h_matrix(pattern, model_at(beta_star), grid)
     dbeta = np.atleast_1d(np.asarray(beta_hat, dtype=float)) - np.atleast_1d(
         np.asarray(beta_star, dtype=float)
     )

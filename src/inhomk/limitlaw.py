@@ -21,7 +21,7 @@ import numpy as np
 
 from .seeds import stream
 
-__all__ = ["SupSample", "normal_reservoir", "cholesky_with_jitter",
+__all__ = ["SupSample", "normal_reservoir", "check_covariance", "cholesky_with_jitter",
            "simulate_sup", "upper_quantile", "critical_value", "p_value"]
 
 MIN_SAMPLE = 100
@@ -54,6 +54,18 @@ def normal_reservoir(seed: int, count: int, width: int) -> np.ndarray:
     return stream(seed, "supnorm").standard_normal((count, width))
 
 
+def check_covariance(cov: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``cov`` is finite and symmetric.
+
+    Symmetric means within ``rtol=1e-8`` and ``atol=1e-12 * max(1, max|C|)``
+    of its transpose.
+    """
+    if not np.isfinite(cov).all():
+        raise ValueError("covariance must be finite")
+    if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12 * max(1.0, np.abs(cov).max())):
+        raise ValueError("covariance must be symmetric")
+
+
 def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor, adding escalating relative jitter if needed.
 
@@ -63,10 +75,7 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("covariance must be square")
-    if not np.isfinite(cov).all():
-        raise ValueError("covariance must be finite")
-    if not np.allclose(cov, cov.T, rtol=1e-8, atol=1e-12 * max(1.0, np.abs(cov).max())):
-        raise ValueError("covariance must be symmetric")
+    check_covariance(cov)
     scale = max(float(np.abs(np.diag(cov)).max()), 0.0)
     try:
         return np.linalg.cholesky(cov)

@@ -1,23 +1,25 @@
 """Monte Carlo study harness: rejection probabilities and covariance oracles.
 
-Replicate ``r`` of cell ``i`` always draws from ``stream(seed, i * 10**6 + r)``,
-so results are identical no matter how replicates are scheduled; worker
-processes only ever receive disjoint replicate ranges and the merged output
-preserves replicate order. One runner serves both the rejection study and
-the covariance oracle: per replicate it returns the point count and the
-unit-intensity K curve on the grid, from which every plug-in estimate is an
-exact rescaling. The oracle runs it at cell index 0. Consecutive replicates
-share one pair scan up to a fixed point budget, ``_SCAN_POINTS``: thousands of
-points per set of array calls, in bounded memory, and no pair across patterns.
+Replicate ``r`` of cell ``i`` always draws from ``stream(seed, i * 10**6 + r)``
+(so a cell holds fewer than ``10**6`` replicates), and results are identical
+no matter how replicates are scheduled; worker processes only ever receive
+disjoint replicate ranges and the merged output preserves replicate order.
+One runner serves both the rejection study and the covariance oracle: per
+replicate it returns the point count and the unit-intensity K curve on the
+grid, from which every plug-in estimate is an exact rescaling. The oracle runs
+it at cell index 0. Consecutive replicates share one pair scan up to a fixed
+point budget, ``_SCAN_POINTS``: thousands of points per set of array calls,
+in bounded memory, and no pair across patterns.
 
-Within a cell the same simulated patterns are evaluated under every requested
-variance mode (that is what makes the known-vs-estimated comparison a paired
-one), sharing a single critical-value table: the estimated-intensity critical
-value is the standard table value scaled by the inverse intensity estimate,
-the known-intensity one comes from draws the tables certify line by line on a
-fixed ladder in ``sqrt(rho)``, so each distinct estimate costs an elementwise
-pass plus the few draws evaluated at full width. Windows and null tables take
-the config's dimension: the Poisson null is exact in any dimension.
+The study decides through the two calls of :func:`inhomk.gof.gof_test`,
+:func:`~inhomk.gof.sup_distance` at the replicates' estimates and
+:func:`~inhomk.gof.critical_values`, so each replicate's statistic and
+critical value are bitwise those of ``gof_test`` on its pattern. Within a cell
+the same simulated patterns are evaluated under every requested variance mode
+(that is what makes the known-vs-estimated comparison a paired one), sharing
+one null table, so each distinct estimate costs one critical-value call per
+mode. Windows and null tables take the config's dimension: the Poisson null
+is exact in any dimension.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import sqrt
 from multiprocessing import get_context
+from numbers import Integral, Real
 
 import numpy as np
 
 from .geometry import Window, check_positive
-from .gof import PoissonNullTables, sup_distance
+from .gof import PoissonNullTables, critical_values, sup_distance
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat
 from .seeds import stream
@@ -59,7 +62,8 @@ class StudyConfig:
 
     ``alpha`` is in (0, 1]; ``alpha = 1`` rejects every evaluable replicate.
     ``rho``, ``R`` and every side must be finite and positive. Windows and
-    null tables are ``dim``-dimensional.
+    null tables are ``dim``-dimensional. A cell holds at least 100 and fewer
+    than ``_CELL_STRIDE`` (10**6) replicates, so no two cells share a stream.
     """
 
     process: str = "poisson"
@@ -79,10 +83,20 @@ class StudyConfig:
     def __post_init__(self):
         if self.process not in ("poisson", "matern"):
             raise ValueError("process must be 'poisson' or 'matern'")
-        if self.process == "matern" and self.matern is None:
+        if self.process == "matern" and not isinstance(self.matern, MaternParams):
             raise ValueError("matern parameters required for a matern study")
-        if self.replicates < 100:
-            raise ValueError("need at least 100 replicates")
+        for name in ("replicates", "grid_size", "sample_size", "seed", "dim", "workers"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
+        for name in ("sides", "modes"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list")
+        for name, value in (("rho", self.rho), ("alpha", self.alpha), ("R", self.R),
+                            *(("side", side) for side in self.sides)):
+            if not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number")
+        if not 100 <= self.replicates < _CELL_STRIDE:
+            raise ValueError(f"replicates must be at least 100 and below {_CELL_STRIDE}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if self.dim < 1:
@@ -99,17 +113,26 @@ class StudyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
-        raw = dict(raw)
+        if not isinstance(raw, dict):
+            raise ValueError("study config must be a JSON object")
+        # JSON gives the Matern parameters as three keys, not as "matern".
+        triple = {"kappa", "mu", "rdisp"}
+        keys = ({f.name for f in fields(cls)} - {"matern"}) | triple
+        unknown = sorted(raw.keys() - keys)
+        if unknown:
+            raise ValueError(f"unknown study config key: {', '.join(unknown)}")
         # JSON integers are unbounded; one beyond the float range is an input
         # error, not an OverflowError from the first float() that meets it.
         for key, value in raw.items():
             for item in value if isinstance(value, (list, tuple)) else (value,):
                 if isinstance(item, int) and abs(item) > sys.float_info.max:
                     raise ValueError(f"{key} is outside the float range")
-        if {"kappa", "mu", "rdisp"} <= raw.keys():
-            raw["matern"] = MaternParams(
-                raw.pop("kappa"), raw.pop("mu"), raw.pop("rdisp")
-            )
+        raw = dict(raw)
+        if triple & raw.keys():
+            if not triple <= raw.keys():
+                missing = ", ".join(sorted(triple - raw.keys()))
+                raise ValueError(f"matern parameters need kappa, mu and rdisp; missing {missing}")
+            raw["matern"] = MaternParams(raw.pop("kappa"), raw.pop("mu"), raw.pop("rdisp"))
         return cls(**raw)
 
 
@@ -228,7 +251,6 @@ def rejection_study(config: StudyConfig) -> StudyResult:
     """
     grid = RadiusGrid.uniform(config.R, config.grid_size)
     tables = PoissonNullTables(grid, config.sample_size, config.seed, config.dim)
-    critical = {"estimated": tables.estimated_critical, "known": tables.known_critical}
 
     with _executor(config.workers) as executor:
         cells = []
@@ -245,13 +267,12 @@ def rejection_study(config: StudyConfig) -> StudyResult:
                     f"{failures} failed replicates out of {config.replicates}"
                 )
             beta_hats = counts[ok] / window.volume
-            stats = sup_distance(curves[ok] / (beta_hats**2)[:, None], grid, window)
-            distinct, inverse = np.unique(beta_hats, return_inverse=True)
+            stats = sup_distance(curves[ok], beta_hats, grid, window)
             elapsed = time.perf_counter() - start
             for mode in config.modes:
                 mode_start = time.perf_counter()
-                crits = np.array([critical[mode](config.alpha, b) for b in distinct])
-                rejections = int((stats > crits[inverse]).sum())
+                crits = critical_values(tables, mode, config.alpha, beta_hats)
+                rejections = int((stats > crits).sum())
                 cells.append(
                     StudyCell(
                         process=config.process,

@@ -38,3 +38,22 @@ def test_constant_blocks_draw_each_variable_once():
         )
     assert tracer.counts["qmc.calls"] == 9
     assert tracer.counts["qmc.points"] == blocks.points == 9184
+
+
+def test_study_reaches_known_critical_once_per_distinct_estimate():
+    # The benchmark's gof.critical.* layer counts PoissonNullTables.known_critical
+    # calls; a study that went around it would silently read zero there.
+    from inhomk import study
+    from inhomk.kstat import RadiusGrid
+
+    config = study.StudyConfig(sides=(1.0, 2.0), replicates=100, sample_size=1000, seed=5)
+    grid = RadiusGrid.uniform(config.R, config.grid_size)
+    estimates = []  # the distinct estimates of each cell
+    for cell_index, side in enumerate(config.sides):
+        counts, _ = study._run_cell(config, side, grid, config.seed, cell_index, 100, None)
+        estimates.append(set(counts[counts > 0] / study.Window(config.dim, side).volume))
+    with _load_spans().Tracer() as tracer:
+        study.rejection_study(config)
+    assert tracer.counts["gof.critical.calls"] == sum(map(len, estimates)) > 20
+    # distinct_beta counts an estimate seen in both cells once
+    assert tracer.counts["gof.critical.distinct_beta"] == len(set.union(*estimates))

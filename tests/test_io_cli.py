@@ -263,12 +263,31 @@ def test_cli_study(tmp_path, capsys):
     assert len(lines) == 2
 
 
-def test_cli_study_rejects_integer_beyond_float_range(tmp_path, capsys):
-    # JSON integers are unbounded: 10**400 must not escape as OverflowError
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"rho": 1' + "0" * 400 + ', "replicates": 120}', "rho is outside the float range"),
+        ('{"replicate": 150}', "unknown study config key: replicate"),
+        ('{"matern": {"kappa": 25}, "replicates": 150}', "unknown study config key: matern"),
+        ('{"process": "matern", "kappa": 25, "mu": 8, "replicates": 150}',
+         "matern parameters need kappa, mu and rdisp; missing rdisp"),
+        ('{"replicates": 150.5}', "replicates must be an integer"),
+        ('{"rho": "200", "replicates": 150}', "rho must be a number"),
+        ('{"sides": 1.0, "replicates": 150}', "sides must be a list"),
+        ('{"modes": "known", "replicates": 150}', "modes must be a list"),
+        ('{"sides": [1.0, null], "replicates": 150}', "side must be a number"),
+        ('[{"replicates": 150}]', "study config must be a JSON object"),
+    ],
+    ids=["float-range", "unknown-key", "matern-object", "partial-matern", "fractional",
+         "string-number", "scalar-sides", "string-modes", "null-side", "list"],
+)
+def test_cli_study_rejects_integer_beyond_float_range(tmp_path, capsys, text, message):
+    # A malformed config is one error line and exit 1, never a traceback; JSON
+    # integers are unbounded, so 10**400 must not escape as OverflowError
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{"rho": 1' + "0" * 400 + ', "replicates": 120}')
+    cfg_path.write_text(text)
     assert main(["study", "--config", str(cfg_path)]) == 1
-    assert capsys.readouterr().err == "error: rho is outside the float range\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_cli_gof_estimated_mode_refuses_rho(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from inhomk.geometry import PointPattern, Window, close_pairs
+from inhomk.geometry import PointPattern, Window
 from inhomk.intensity import ConstantIntensity, CovariateField, LogLinearIntensity
 from inhomk.kstat import RadiusGrid, h_matrix, k_hat, k_poisson, taylor_residual
 from inhomk.seeds import stream
@@ -167,17 +167,6 @@ def test_k_hat_and_h_match_ordered_pair_sum(data):
     want_k, want_h = brute_force_k_and_h(pattern, model, grid)
     np.testing.assert_allclose(k_hat(pattern, model, grid).values, want_k, rtol=1e-12)
     np.testing.assert_allclose(h_matrix(pattern, model, grid).values, want_h, rtol=1e-12)
-
-
-def test_k_hat_shared_pairs():
-    pat = simulate_poisson(200.0, W1, seed=32)
-    grid = RadiusGrid.uniform(0.05, 10)
-    pairs = close_pairs(pat, 0.05)
-    a = k_hat(pat, ConstantIntensity(200.0), grid)
-    b = k_hat(pat, ConstantIntensity(200.0), grid, pairs)
-    np.testing.assert_array_equal(a.values, b.values)
-    with pytest.raises(ValueError, match="smaller rmax"):
-        k_hat(pat, ConstantIntensity(200.0), RadiusGrid.uniform(0.1, 4), pairs)
 
 
 def test_h_matrix_constant_identity_exact():

@@ -6,12 +6,13 @@ import pytest
 from inhomk import study
 from inhomk.asymcov import poisson_cov_matrix
 from inhomk.geometry import Window
-from inhomk.gof import GofConfig, gof_test
+from inhomk.gof import GofConfig, critical_values, gof_test, sup_distance
 from inhomk.intensity import ConstantIntensity
 from inhomk.kstat import RadiusGrid, k_hat
 from inhomk.seeds import stream
 from inhomk.simulate import MaternParams, simulate_matern, simulate_poisson
 from inhomk.study import (
+    _CELL_STRIDE,
     _CHUNK,
     _SCAN_POINTS,
     StudyConfig,
@@ -74,6 +75,41 @@ def test_study_matches_gof_test(dim):
             pat = simulate_poisson(cfg.rho, Window(dim, 1.0), stream(cfg.seed, rep))
             rejections += gof_test(pat, gof_cfg).reject
         assert rejections == res.cell(1.0, mode).rejections
+
+
+@pytest.mark.parametrize("process", ["poisson", "matern"])
+def test_gof_test_decides_like_the_study(monkeypatch, process):
+    # Each replicate's statistic and critical value in the study are bitwise
+    # those of gof_test on the same pattern, in both modes: one decision path.
+    seen = {"statistic": [], "estimated": [], "known": []}
+
+    def statistic(*args):
+        seen["statistic"].append(sup_distance(*args))
+        return seen["statistic"][-1]
+
+    def critical(tables, mode, alpha, estimates):
+        seen[mode].append(critical_values(tables, mode, alpha, estimates))
+        return seen[mode][-1]
+
+    monkeypatch.setattr(study, "sup_distance", statistic)
+    monkeypatch.setattr(study, "critical_values", critical)
+    matern = MaternParams(25.0, 8.0, 0.2)
+    cfg = StudyConfig(**{**SMALL, "process": process, "matern": matern, "replicates": 100})
+    rejection_study(cfg)
+    window = Window(2, 1.0)
+    patterns = [
+        simulate_poisson(cfg.rho, window, stream(cfg.seed, rep)) if process == "poisson"
+        else simulate_matern(matern, window, stream(cfg.seed, rep))
+        for rep in range(cfg.replicates)
+    ]
+    for mode in cfg.modes:
+        gof_cfg = GofConfig(
+            R=cfg.R, grid_size=cfg.grid_size, alpha=cfg.alpha, mode=mode,
+            sample_size=cfg.sample_size, seed=cfg.seed,
+        )
+        results = [gof_test(p, gof_cfg) for p in patterns if len(p) > 0]
+        np.testing.assert_array_equal([r.statistic for r in results], seen["statistic"][0])
+        np.testing.assert_array_equal([r.critical_value for r in results], seen[mode][0])
 
 
 @pytest.mark.parametrize("budget", [1, _SCAN_POINTS, 10**9])
@@ -148,6 +184,15 @@ def test_study_config_validation():
         {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
     )
     assert cfg.matern == MaternParams(25, 8, 0.2)
+
+
+def test_study_replicates_stay_below_cell_stride():
+    # replicate r of cell i draws stream(seed, i * stride + r): a cell of
+    # stride replicates would reach the next cell's first stream
+    assert StudyConfig(replicates=_CELL_STRIDE - 1, sides=(1.0, 2.0))
+    for replicates in (_CELL_STRIDE, 10**6 + 5):
+        with pytest.raises(ValueError, match="replicates must be at least 100 and below"):
+            StudyConfig(replicates=replicates, sides=(1.0, 2.0))
 
 
 def test_oracle_modes_share_replicates_and_order():
