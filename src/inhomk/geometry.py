@@ -83,10 +83,13 @@ class PointPattern:
             raise ValueError("point coordinates must be finite")
         if reach > self.window.side / 2.0:
             raise ValueError("point outside the observation window")
-        # Equal rows are adjacent in lexicographic order (-0.0 equals 0.0).
-        ordered = pts[np.lexsort(pts.T)]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            raise ValueError("duplicate points: pattern must be simple")
+        # Equal rows share their first coordinate: compare whole rows, adjacent in
+        # lexicographic order, only if two of those tie (-0.0 equals 0.0).
+        first = np.sort(pts[:, 0])
+        if (first[1:] == first[:-1]).any():
+            ordered = pts[np.lexsort(pts.T)]
+            if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+                raise ValueError("duplicate points: pattern must be simple")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

@@ -12,12 +12,12 @@ known-intensity covariance (which adds ``4 K(s) K(t) / rho``), both from
 unknown intensity is replaced by the estimate. The sup
 is taken over the same grid used to simulate the Gaussian process, so the
 statistic and its null law are directly comparable. Critical values and
-p-values are read off the sorted draws by the rules in
-:mod:`inhomk.limitlaw`; :class:`PoissonNullTables` only supplies the draws.
-Its known-intensity draws are exact at every estimate without a full pass
-over the table: each draw is a maximum of lines in ``sqrt(rho)``, and where one
-signed line provably wins between two rungs ``2**(j/8)`` of a fixed ladder,
-that line alone gives the draw, bitwise equal to the full maximum.
+p-values are read off the draws by the rules in :mod:`inhomk.limitlaw`;
+:class:`PoissonNullTables` only supplies the draws. Its known-intensity draws
+are exact at every estimate without a full pass over the table: each draw is
+a maximum of lines in ``sqrt(rho)``, and between two rungs ``2**(j/8)`` of a
+fixed ladder only the lines that can win there are evaluated, so the draw is
+bitwise equal to the full maximum. Most rows keep one line.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "GofConfig",
     "GofResult",
     "PoissonNullTables",
+    "plug_in",
     "sup_distance",
     "critical_values",
     "gof_test",
@@ -140,8 +141,8 @@ class PoissonNullTables:
     because its difference with any other line is linear in ``s``; the row's
     draw there is that one term, computed with the same operations as the
     full-width maximum and so bitwise equal to it. The sign matters: a line
-    whose sign flips inside the bracket crosses zero there. Rows without a
-    certificate are evaluated at full width; :attr:`full_rows` counts them.
+    whose sign flips inside the bracket crosses zero there. Other rows keep
+    the lines that can still win (:func:`_kept_lines`), counted by :attr:`full_rows`.
 
     Every draw and critical-value method rejects an intensity that is not
     finite and positive, and one so small that the draws overflow.
@@ -162,14 +163,14 @@ class PoissonNullTables:
         self._peak = np.abs(self._signed).max(axis=1)
         self._std_estimated = np.sort(self._peak)
         # Certificate ladder: rung j -> per-row winning line; bracket j ->
-        # the terms of the rows certified on [s_j, s_j+1] and the other rows.
+        # the line terms kept on [s_j, s_j+1].
         self._rungs: dict[int, tuple] = {}
         self._brackets: dict[int, tuple] = {}
         self._full_rows = 0
 
     @property
     def full_rows(self) -> int:
-        """(row, rho) pairs that :meth:`known_draws` evaluated at full width."""
+        """(row, rho) pairs that :meth:`known_draws` found without a one-line certificate."""
         return self._full_rows
 
     def estimated_draws(self, rho: float) -> np.ndarray:
@@ -180,31 +181,39 @@ class PoissonNullTables:
 
     def known_draws(self, rho: float) -> np.ndarray:
         """Sorted sup draws under the known-intensity covariance at ``rho``."""
-        check_positive(rho, "rho")
-        root = sqrt(rho)
-        term, signed, xi_full, signed_full = self._bracket(_bracket_index(root))
-        # The operations of the full-width maximum, on one term per certified row.
-        with np.errstate(over="ignore", invalid="ignore"):
-            certified = np.abs(term / root + signed / rho)
-            paths = np.multiply.outer(xi_full, self._rank_one) / root + signed_full / rho
-            draws = np.concatenate([certified, np.abs(paths).max(axis=1)])
-        self._full_rows += len(xi_full)
-        draws.sort()
-        return _finite(draws, rho)
+        return np.sort(self._known(rho))
 
     def estimated_critical(self, alpha: float, rho: float) -> float:
         # Exact 1/rho scaling of the standard table.
         return upper_quantile(self.estimated_draws(rho), alpha)
 
     def known_critical(self, alpha: float, rho: float) -> float:
-        return upper_quantile(self.known_draws(rho), alpha)
+        return upper_quantile(self._known(rho), alpha)
+
+    def _known(self, rho: float) -> np.ndarray:
+        """Known-mode draws at ``rho``, in no particular order."""
+        check_positive(rho, "rho")
+        root = sqrt(rho)
+        term, signed, starts = self._bracket(_bracket_index(root))
+        # The operations of the full-width maximum, on the kept lines only.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.abs(term / root + signed / rho)
+        single = self.sample_size - len(starts)
+        draws = np.concatenate([values[:single], np.maximum.reduceat(values[single:], starts)])
+        self._full_rows += len(starts)
+        return _finite(draws, rho)
+
+    def _lines(self, rows, j: int) -> tuple:
+        """Signed lines ``xi a s_j + S`` of ``rows`` at rung ``j``, and the rows' margins."""
+        slope = self._xi[rows] * _rung_value(j)
+        lines = np.multiply.outer(slope, self._rank_one)
+        lines += self._signed[rows]
+        return lines, _MARGIN * (np.abs(slope) * self._rank_one.max() + self._peak[rows])
 
     def _rung(self, j: int) -> tuple:
         """Per row at ``s_j``: the winning ``r``, its sign, and whether it leads."""
         if j not in self._rungs:
-            slope = self._xi * _rung_value(j)
-            height = np.multiply.outer(slope, self._rank_one)
-            height += self._signed
+            height, margin = self._lines(slice(None), j)
             np.abs(height, out=height)
             rows = np.arange(self.sample_size)
             winner = height.argmax(axis=1)
@@ -213,27 +222,45 @@ class PoissonNullTables:
             # winner's own mirror image -top is below it (a grid has m >= 2).
             height[rows, winner] = 0.0
             lead = top - height[rows, height.argmax(axis=1)]
-            sign = slope * self._rank_one[winner] + self._signed[rows, winner] > 0
-            scale = np.abs(slope) * self._rank_one.max() + self._peak
-            self._rungs[j] = (winner, sign, lead > _MARGIN * scale)
+            line = self._xi * _rung_value(j) * self._rank_one[winner] + self._signed[rows, winner]
+            self._rungs[j] = (winner, line > 0, lead > margin)
         return self._rungs[j]
 
     def _bracket(self, j: int) -> tuple:
-        """Terms of the rows certified on ``[s_j, s_j+1]``, and the other rows."""
+        """Terms kept on ``[s_j, s_j+1]``, certified rows first; the others' group starts."""
         if j not in self._brackets:
             winner, sign, leads = self._rung(j)
             winner_up, sign_up, leads_up = self._rung(j + 1)
             certified = leads & leads_up & (winner == winner_up) & (sign == sign_up)
-            rows = np.flatnonzero(certified)
-            winner = winner[rows]
-            full = np.flatnonzero(~certified)
+            others = np.flatnonzero(~certified)
+            keep = _kept_lines(*self._lines(others, j), *self._lines(others, j + 1))
+            counts = keep.sum(axis=1)
+            index, lines = np.nonzero(keep)
+            rows = np.concatenate([np.flatnonzero(certified), others[index]])
+            lines = np.concatenate([winner[certified], lines])
             self._brackets[j] = (
-                self._xi[rows] * self._rank_one[winner],
-                self._signed[rows, winner],
-                self._xi[full],
-                self._signed[full],
+                self._xi[rows] * self._rank_one[lines],
+                self._signed[rows, lines],
+                np.cumsum(counts) - counts,
             )
         return self._brackets[j]
+
+
+def _kept_lines(lower, lower_margin, upper, upper_margin) -> np.ndarray:
+    """Mask of the lines (columns) that can win a row's maximum between two rungs,
+    from their signed values and each row's margin at both. A rung winner whose
+    sign holds at both rungs, minus any other ``|line|``, is concave on the bracket:
+    where it exceeds the margin at both rungs, that line never wins in between."""
+    keep = np.ones(lower.shape, dtype=bool)
+    rows = np.arange(len(lower))
+    low, up = np.abs(lower), np.abs(upper)
+    for winner in (low.argmax(axis=1), up.argmax(axis=1)):
+        stable = lower[rows, winner] * upper[rows, winner] > 0
+        beaten = (low[rows, winner, None] - low > lower_margin[:, None]) & (
+            up[rows, winner, None] - up > upper_margin[:, None]
+        )
+        keep &= ~(beaten & stable[:, None])
+    return keep
 
 
 # Ladder of the known-mode certificate: rungs s_j = 2**(j / _RUNGS_PER_DOUBLING)
@@ -258,23 +285,24 @@ def _bracket_index(s: float) -> int:
 
 
 def _finite(draws: np.ndarray, rho: float) -> np.ndarray:
-    # Sorted draws: the last is the largest, or NaN if any is.
-    if not isfinite(draws[-1]):
+    if not isfinite(draws.max()):
         raise ValueError(f"null draws overflow at intensity {rho!r}")
     return draws
 
 
+def plug_in(curves, rho) -> np.ndarray:
+    """Unit-intensity K curves (last axis) at intensity ``rho``: ``curves / rho**2``."""
+    return curves / np.square(np.asarray(rho, dtype=float))[..., None]
+
+
 def sup_distance(curves, rho, grid: RadiusGrid, window: Window):
-    """``sqrt(|W|)`` times the grid sup of ``|curves / rho**2 - K_poisson(r)|``.
+    """``sqrt(|W|)`` times the grid sup of ``|plug_in(curves, rho) - K_poisson(r)|``.
 
     ``curves`` holds unit-intensity K estimates on ``grid`` along its last
-    axis; divided by ``rho**2`` they are the estimates with the constant
-    intensity ``rho`` plugged in. ``rho`` is a scalar or one value per
-    leading index, and one distance is returned per leading index.
+    axis, and one distance is returned per leading index.
     """
     null = k_poisson(grid.values, window.dim)
-    khat = curves / np.square(np.asarray(rho, dtype=float))[..., None]
-    return sqrt(window.volume) * np.abs(khat - null).max(axis=-1)
+    return sqrt(window.volume) * np.abs(plug_in(curves, rho) - null).max(axis=-1)
 
 
 def critical_values(tables: PoissonNullTables, mode: str, alpha: float, estimates):

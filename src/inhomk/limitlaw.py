@@ -6,10 +6,10 @@ different covariances, so critical values are directly comparable across
 covariances and exact scaling relations of the covariance carry over to the
 draws.
 
-This module owns the two rules that turn sorted draws into a decision: the
+This module owns the two rules that turn draws into a decision: the
 order-statistic critical value (:func:`upper_quantile`) and the Monte Carlo
-p-value (:func:`p_value`). The goodness-of-fit test, the study harness and
-the ``crit`` command all go through them.
+p-value (:func:`p_value`, of sorted draws). The goodness-of-fit test, the
+study harness and the ``crit`` command all go through them.
 """
 
 from __future__ import annotations
@@ -108,13 +108,13 @@ def simulate_sup(cov, count: int, seed: int) -> SupSample:
 
 
 def upper_quantile(draws: np.ndarray, alpha: float) -> float:
-    """The ``k``-th smallest of ``M`` sorted draws, ``k = ceil(M (1 - alpha))``.
+    """The ``k``-th smallest of ``M`` draws in any order, ``k = ceil(M (1 - alpha))``.
 
     ``alpha = 1`` (always reject) gives 0. The level is not validated here:
     callers check it against their own admissible range.
     """
     k = ceil((1.0 - alpha) * len(draws))
-    return float(draws[k - 1]) if k > 0 else 0.0
+    return float(np.partition(draws, k - 1)[k - 1]) if k > 0 else 0.0
 
 
 def critical_value(sample: SupSample, alpha: float) -> float:

@@ -36,7 +36,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .geometry import Window, check_positive
-from .gof import PoissonNullTables, critical_values, sup_distance
+from .gof import PoissonNullTables, critical_values, plug_in, sup_distance
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat
 from .seeds import stream
@@ -193,9 +193,8 @@ class StudyResult:
 def _replicate_curves(job):
     """Point counts and unit-intensity K curves of replicates [lo, hi) of one cell.
 
-    The unit-intensity curve divided by the squared intensity is the estimate
-    with that constant intensity plugged in, so one curve serves every
-    variance mode and every plug-in value. Empty and singleton patterns give
+    One unit-intensity curve serves every variance mode and plug-in value
+    (:func:`~inhomk.gof.plug_in`). Empty and singleton patterns give
     an all-zero curve. Consecutive patterns share one scan until they hold
     ``_SCAN_POINTS`` points, which bounds the memory a scan takes.
     """
@@ -310,10 +309,10 @@ def empirical_cov_oracle(
     with _executor(config.workers) as executor:
         counts, curves = _run_cell(config, side, grid, seed, 0, replicates, executor)
     ok = counts > 0
-    plug_in = {"estimated": curves[ok] / ((counts[ok] / volume) ** 2)[:, None]}
+    estimates = {"estimated": plug_in(curves[ok], counts[ok] / volume)}
     if config.process == "poisson":
-        plug_in["known"] = curves / config.rho**2
+        estimates["known"] = plug_in(curves, config.rho)
     return {
         mode: volume * np.cov(k, rowvar=False, ddof=1)
-        for mode, k in plug_in.items()
+        for mode, k in estimates.items()
     }

@@ -125,6 +125,49 @@ def test_pattern_rejects_duplicates():
     PointPattern(Window(2, 1.0), [[0.1, 0.1], [0.1, 0.1 + 1e-12]])
 
 
+def test_duplicate_check_on_tied_first_coordinates():
+    # Tied first coordinates send the check on to whole rows.
+    plane = Window(2, 1.0)
+    PointPattern(plane, [[0.1, 0.0], [0.1, 0.2], [0.1, -0.2]])
+    with pytest.raises(ValueError, match="simple"):
+        PointPattern(plane, [[0.1, 0.0], [0.1, 0.2], [0.1, -0.0]])
+    with pytest.raises(ValueError, match="simple"):
+        PointPattern(Window(3, 1.0), [[-0.0, 0.1, 0.0], [0.0, 0.2, 0.0], [0.0, 0.1, -0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        PointPattern(plane, [[0.1, np.nan], [0.1, np.nan]])
+    # In one dimension the first coordinate is the whole point.
+    line = Window(1, 1.0)
+    PointPattern(line, [[0.0], [0.3], [-0.3]])
+    with pytest.raises(ValueError, match="simple"):
+        PointPattern(line, [[0.0], [0.3], [-0.0]])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(2, 30),
+    levels=st.integers(1, 4),
+    first=st.sampled_from([0.0, 0.25]),
+    seed=st.integers(0, 2**16),
+)
+def test_duplicate_verdict_with_all_first_coordinates_tied(dim, n, levels, first, seed):
+    # Every first coordinate ties, so the whole-row comparison decides; -0.0
+    # and 0.0 mix in every coordinate, the first one included when it is zero.
+    rng = np.random.default_rng(seed)
+    pts = rng.integers(-levels, levels + 1, size=(n, dim)) / (2.0 * levels + 1)
+    pts[:, 0] = first
+    flip = rng.random(pts.shape) < 0.5
+    flip[:, 0] &= first == 0.0
+    pts[flip] *= -1.0
+    simple = len(np.unique(pts, axis=0)) == n
+    try:
+        PointPattern(Window(dim, 1.0), pts)
+    except ValueError as err:
+        assert "simple" in str(err) and not simple
+    else:
+        assert simple
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     dim=st.integers(1, 3),

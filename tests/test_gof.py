@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 
 from inhomk.asymcov import poisson_cov_matrix
 from inhomk.geometry import PointPattern, Window
-from inhomk.gof import GofConfig, PoissonNullTables, gof_test, sup_distance
+from inhomk.gof import (
+    _MARGIN,
+    GofConfig,
+    PoissonNullTables,
+    _kept_lines,
+    _rung_value,
+    gof_test,
+    sup_distance,
+)
 from inhomk.intensity import ConstantIntensity
 from inhomk.kstat import RadiusGrid, k_hat
 from inhomk.limitlaw import (
@@ -255,7 +263,50 @@ def test_known_draws_certify_most_rows_on_table1_cell():
     for rho in distinct:
         tables.known_draws(rho)
     assert tables.full_rows < 0.1 * len(distinct) * tables.sample_size
-    # The property test above must have exercised the full-width path too.
+    # A row without a one-line certificate keeps a few candidate lines, not m.
+    assert tables._brackets
+    for term, _, _ in tables._brackets.values():
+        assert len(term) < 1.1 * tables.sample_size
+    # The property test above must have exercised rows with several lines too.
     if not _FULL_ROWS_SEEN:
         test_known_draws_equal_full_width_formula()
     assert max(_FULL_ROWS_SEEN) > 0
+
+
+_END = st.floats(-1.0, 1.0)
+# Offsets of a near tie from the margin, relative to the margin.
+_TIE = st.sampled_from([-1e-3, -1e-7, 0.0, 1e-7, 1e-3])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(j=st.integers(-40, 80), m=st.integers(2, 8), rows=st.integers(1, 6), data=st.data())
+def test_kept_lines_hold_every_float_argmax(j, m, rows, data):
+    # Lines are drawn by their values at the two rungs, so that winners
+    # crossing zero inside the bracket are common; some lines are then set to
+    # tie with a rung winner within a hair of the margin at both rungs.
+    lo, hi = _rung_value(j), _rung_value(j + 1)
+    ends = np.array(data.draw(st.lists(st.tuples(_END, _END), min_size=rows * m,
+                                       max_size=rows * m))).reshape(rows, m, 2)
+    margin = _MARGIN * np.abs(ends).max(axis=(1, 2)) * data.draw(st.floats(1.0, 1e3))
+    for row in range(rows):
+        rung = data.draw(st.integers(0, 1))
+        winner = np.abs(ends[row, :, rung]).argmax()
+        for line in data.draw(st.sets(st.integers(0, m - 1), max_size=m - 1)) - {winner}:
+            ties = [data.draw(_TIE), data.draw(_TIE)]
+            signs = [data.draw(st.sampled_from([-1.0, 1.0])) for _ in ties]
+            ends[row, line] = [
+                sign * (abs(ends[row, winner, end]) - margin[row] * (1.0 + tie))
+                for end, (tie, sign) in enumerate(zip(ties, signs))
+            ]
+    slope = (ends[..., 1] - ends[..., 0]) / (hi - lo)
+    intercept = ends[..., 0] - slope * lo
+    keep = _kept_lines(slope * lo + intercept, margin, slope * hi + intercept, margin)
+    assert keep.any(axis=1).all()
+    # A dense sweep of rho over the bracket, plus every zero crossing in it.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossings = (-intercept / slope).ravel()
+    rho = np.concatenate([np.linspace(lo, hi, 2001), crossings]) ** 2
+    rho = rho[(np.sqrt(rho) >= lo) & (np.sqrt(rho) <= hi), None, None]
+    # The draw's operations, as in the tables; argmax over lines per rho and row.
+    winners = np.abs(slope / np.sqrt(rho) + intercept / rho).argmax(axis=2)
+    assert keep[np.arange(rows), winners].all()
