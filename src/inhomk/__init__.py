@@ -41,7 +41,7 @@ from .intensity import (
     fit_loglinear,
 )
 from .kstat import Curve, RadiusGrid, h_matrix, k_hat, k_poisson, taylor_residual
-from .limitlaw import SupSample, critical_value, p_value, simulate_sup
+from .limitlaw import critical_value, p_value, simulate_sup
 from .seeds import stream
 from .simulate import (
     MaternParams,

@@ -234,19 +234,16 @@ class CovarianceBlocks:
 
         Applies the inverse sensitivity sandwich that maps score fluctuations
         to parameter fluctuations; a no-op when the blocks are already in
-        estimator coordinates. Near-singular sensitivities are a modelling
-        problem (the limit may not be identified), surfaced as a warning.
+        estimator coordinates. A near-singular sensitivity (condition number
+        above 1e12) means the limit may not be identified, and is an error.
         """
         if self.sensitivity is None:
             return self
-        if np.linalg.cond(self.sensitivity) > 1e12:
-            import warnings
-
-            warnings.warn(
-                "sensitivity matrix is nearly singular; parameter-coordinate "
-                "blocks are unreliable",
-                RuntimeWarning,
-                stacklevel=2,
+        cond = np.linalg.cond(self.sensitivity)
+        if cond > 1e12:
+            raise ValueError(
+                f"sensitivity matrix is nearly singular (condition number {cond:.3g}); "
+                "parameter-coordinate blocks are unreliable"
             )
         sinv = np.linalg.inv(self.sensitivity)
         return replace(

@@ -195,10 +195,10 @@ def _cmd_crit(args) -> int:
             )
     else:
         matrix = poisson_cov_matrix(grid, args.rho, args.mode).matrix
-    sample = simulate_sup(matrix, args.M, args.seed)
+    draws = simulate_sup(matrix, args.M, args.seed)
     payload = {
         "alpha": args.alpha,
-        "critical_value": critical_value(sample, args.alpha),
+        "critical_value": critical_value(draws, args.alpha),
         "M": args.M,
         "seed": args.seed,
         "R": args.R,

@@ -13,11 +13,13 @@ unknown intensity is replaced by the estimate. The sup
 is taken over the same grid used to simulate the Gaussian process, so the
 statistic and its null law are directly comparable. Critical values and
 p-values are read off the draws by the rules in :mod:`inhomk.limitlaw`;
-:class:`PoissonNullTables` only supplies the draws. Its known-intensity draws
-are exact at every estimate without a full pass over the table: each draw is
-a maximum of lines in ``sqrt(rho)``, and between two rungs ``2**(j/8)`` of a
-fixed ladder only the lines that can win there are evaluated, so the draw is
-bitwise equal to the full maximum. Most rows keep one line.
+:class:`PoissonNullTables` only supplies the draws, as sorted arrays, from
+the signed rho = 1 paths of :func:`inhomk.limitlaw.gaussian_paths`, the one
+sampler of the limit law. Its known-intensity draws are exact at every
+estimate without a full pass over the table: each draw is a maximum of lines
+in ``sqrt(rho)``, and between two rungs ``2**(j/8)`` of a fixed ladder only
+the lines that can win there are evaluated, so the draw is bitwise equal to
+the full maximum. Most rows keep one line.
 """
 
 from __future__ import annotations
@@ -31,13 +33,10 @@ from .asymcov import poisson_cov_matrix
 from .geometry import PointPattern, Window, check_positive
 from .intensity import ConstantIntensity, estimate_constant
 from .kstat import RadiusGrid, k_hat, k_poisson
-from .limitlaw import (
-    MIN_SAMPLE,
-    cholesky_with_jitter,
-    normal_reservoir,
-    p_value,
-    upper_quantile,
-)
+from .limitlaw import MIN_SAMPLE, gaussian_paths, p_value, upper_quantile
+# Unused here: the benchmark tracer (perfbench/spans.py) patches these names on
+# this module, so they must resolve until its patch table drops them.
+from .limitlaw import cholesky_with_jitter, normal_reservoir  # noqa: F401
 from .seeds import stream
 
 __all__ = [
@@ -149,19 +148,16 @@ class PoissonNullTables:
     """
 
     def __init__(self, grid: RadiusGrid, sample_size: int, seed: int, dim: int = 2):
-        if sample_size < MIN_SAMPLE:
-            raise ValueError(f"sample size must be >= {MIN_SAMPLE}")
         self.sample_size = int(sample_size)
-        base = poisson_cov_matrix(grid, 1.0, "estimated", dim).matrix
-        factor = cholesky_with_jitter(base)
-        normals = normal_reservoir(seed, self.sample_size, grid.m)
         # Signed rho=1 estimated-covariance paths plus one extra normal per
         # draw for the rank-one known-intensity component 2 K(r) / sqrt(rho).
-        self._signed = normals @ factor.T
+        base = poisson_cov_matrix(grid, 1.0, "estimated", dim)
+        self._signed = gaussian_paths(base, self.sample_size, seed)
         self._xi = stream(seed, "supnorm-xi").standard_normal(self.sample_size)
         self._rank_one = 2.0 * k_poisson(grid.values, dim)
         self._peak = np.abs(self._signed).max(axis=1)
         self._std_estimated = np.sort(self._peak)
+        self._std_critical: dict[float, float] = {}  # level -> rho = 1 critical value
         # Certificate ladder: rung j -> per-row winning line; bracket j ->
         # the line terms kept on [s_j, s_j+1].
         self._rungs: dict[int, tuple] = {}
@@ -184,8 +180,14 @@ class PoissonNullTables:
         return np.sort(self._known(rho))
 
     def estimated_critical(self, alpha: float, rho: float) -> float:
-        # Exact 1/rho scaling of the standard table.
-        return upper_quantile(self.estimated_draws(rho), alpha)
+        # The order statistic of the rho = 1 table divided by rho: division by
+        # a positive rho keeps the order, so it is the scaled table's statistic.
+        check_positive(rho, "rho")
+        with np.errstate(over="ignore"):
+            _finite(self._std_estimated[-1:] / rho, rho)
+        if alpha not in self._std_critical:
+            self._std_critical[alpha] = upper_quantile(self._std_estimated, alpha)
+        return self._std_critical[alpha] / rho
 
     def known_critical(self, alpha: float, rho: float) -> float:
         return upper_quantile(self._known(rho), alpha)

@@ -38,6 +38,14 @@ def _write_csv(path, rows, header: str = "") -> None:
         np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
+def _parse_rows(lines, message: str) -> np.ndarray:
+    """Comma-separated float rows as a 2-D array; ``ValueError(message)`` if malformed."""
+    try:
+        return np.array([[float(v) for v in line.split(",")] for line in lines], dtype=float)
+    except ValueError as err:
+        raise ValueError(message) from err
+
+
 def _axis_header(dim: int) -> list[str]:
     if dim <= len(_AXIS_NAMES):
         return list(_AXIS_NAMES[:dim])
@@ -77,13 +85,7 @@ def read_pattern_csv(path, side: float | None = None, dim: int | None = None) ->
     window = Window(int(dim), float(side))
     if len(text) == 1:
         return PointPattern(window, np.empty((0, dim)))
-    try:
-        pts = np.array(
-            [[float(v) for v in line.split(",")] for line in text[1:]], dtype=float
-        )
-    except ValueError as err:
-        raise ValueError(f"{path}: malformed pattern CSV") from err
-    return PointPattern(window, pts)
+    return PointPattern(window, _parse_rows(text[1:], f"{path}: malformed pattern CSV"))
 
 
 def write_covariate_field(path, field: CovariateField) -> None:
@@ -104,11 +106,9 @@ def read_covariate_field(path) -> CovariateField:
         window = Window(int(header["dim"]), float(header["side"]))
         resolution = tuple(int(r) for r in header["resolution"])
         p = int(header["p"])
-        body = np.array(
-            [[float(v) for v in line.split(",")] for line in text[1:]], dtype=float
-        )
     except (ValueError, KeyError, IndexError, json.JSONDecodeError) as err:
         raise ValueError(f"{path}: malformed covariate raster") from err
+    body = _parse_rows(text[1:], f"{path}: malformed covariate raster")
     expected = int(np.prod(resolution))
     if body.shape != (expected, p):
         raise ValueError(
@@ -131,13 +131,4 @@ def write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 def read_matrix_csv(path) -> np.ndarray:
     path = Path(path)
-    try:
-        return np.array(
-            [
-                [float(v) for v in line.split(",")]
-                for line in path.read_text().strip().splitlines()
-            ],
-            dtype=float,
-        )
-    except ValueError as err:
-        raise ValueError(f"{path}: malformed matrix CSV") from err
+    return _parse_rows(path.read_text().strip().splitlines(), f"{path}: malformed matrix CSV")

@@ -1,10 +1,12 @@
 """Monte Carlo law of the sup-norm of the limiting Gaussian process.
 
-Draws of ``max_j |Z(r_j)|`` with ``Z ~ N(0, cov)`` on the grid, via a
-Cholesky factor. One standard-normal reservoir per seed is reused against
-different covariances, so critical values are directly comparable across
-covariances and exact scaling relations of the covariance carry over to the
-draws.
+:func:`gaussian_paths` is the one sampler of ``Z ~ N(0, cov)`` on the grid,
+via a Cholesky factor; :func:`simulate_sup` turns its paths into draws of
+``max_j |Z(r_j)|``, and the null tables of :mod:`inhomk.gof` take their
+signed paths from it too. Draws are plain sorted arrays. One standard-normal
+reservoir per seed is reused against different covariances, so critical
+values are directly comparable across covariances and exact scaling relations
+of the covariance carry over to the draws.
 
 This module owns the two rules that turn draws into a decision: the
 order-statistic critical value (:func:`upper_quantile`) and the Monte Carlo
@@ -14,39 +16,18 @@ study harness and the ``crit`` command all go through them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
 
 from .seeds import stream
 
-__all__ = ["SupSample", "normal_reservoir", "check_covariance", "cholesky_with_jitter",
+__all__ = ["normal_reservoir", "check_covariance", "cholesky_with_jitter", "gaussian_paths",
            "simulate_sup", "upper_quantile", "critical_value", "p_value"]
 
 MIN_SAMPLE = 100
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
-
-
-@dataclass(frozen=True)
-class SupSample:
-    """Sorted Monte Carlo draws of the sup-norm statistic under one covariance."""
-
-    draws: np.ndarray
-
-    def __post_init__(self):
-        draws = np.asarray(self.draws, dtype=float)
-        if len(draws) < MIN_SAMPLE:
-            raise ValueError(f"need at least {MIN_SAMPLE} draws")
-        if np.any(np.diff(draws) < 0):
-            raise ValueError("draws must be sorted")
-        draws.flags.writeable = False
-        object.__setattr__(self, "draws", draws)
-
-    @property
-    def size(self) -> int:
-        return len(self.draws)
 
 
 def normal_reservoir(seed: int, count: int, width: int) -> np.ndarray:
@@ -91,8 +72,8 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     raise ValueError("covariance not numerically PSD")
 
 
-def simulate_sup(cov, count: int, seed: int) -> SupSample:
-    """Monte Carlo sample of ``max_j |Z(r_j)|`` for ``Z ~ N(0, cov)``.
+def gaussian_paths(cov, count: int, seed: int) -> np.ndarray:
+    """``count`` paths of ``Z ~ N(0, cov)`` on the grid, as a ``(count, m)`` array.
 
     ``cov`` is a square matrix or anything exposing ``.matrix`` (a
     LimitCovariance). Deterministic in ``(cov, count, seed)``.
@@ -101,10 +82,15 @@ def simulate_sup(cov, count: int, seed: int) -> SupSample:
     if count < MIN_SAMPLE:
         raise ValueError(f"need at least {MIN_SAMPLE} draws")
     factor = cholesky_with_jitter(mat)
-    normals = normal_reservoir(seed, count, len(mat))
-    draws = np.abs(normals @ factor.T).max(axis=1)
+    return normal_reservoir(seed, count, len(mat)) @ factor.T
+
+
+def simulate_sup(cov, count: int, seed: int) -> np.ndarray:
+    """Sorted, read-only Monte Carlo draws of ``max_j |Z(r_j)|`` for ``Z ~ N(0, cov)``."""
+    draws = np.abs(gaussian_paths(cov, count, seed)).max(axis=1)
     draws.sort()
-    return SupSample(draws)
+    draws.flags.writeable = False
+    return draws
 
 
 def upper_quantile(draws: np.ndarray, alpha: float) -> float:
@@ -117,18 +103,14 @@ def upper_quantile(draws: np.ndarray, alpha: float) -> float:
     return float(np.partition(draws, k - 1)[k - 1]) if k > 0 else 0.0
 
 
-def critical_value(sample: SupSample, alpha: float) -> float:
-    """Upper-alpha critical value of a sample, ``alpha`` in (0, 1)."""
+def critical_value(draws: np.ndarray, alpha: float) -> float:
+    """Upper-alpha critical value of sup draws, ``alpha`` in (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
-    return upper_quantile(sample.draws, alpha)
+    return upper_quantile(draws, alpha)
 
 
-def p_value(sample, statistic: float) -> float:
-    """Monte Carlo p-value ``(1 + #{draws >= statistic}) / (M + 1)``.
-
-    ``sample`` is a :class:`SupSample` or an array of sorted draws.
-    """
-    draws = getattr(sample, "draws", sample)
+def p_value(draws: np.ndarray, statistic: float) -> float:
+    """Monte Carlo p-value ``(1 + #{draws >= statistic}) / (M + 1)`` of sorted draws."""
     exceed = len(draws) - np.searchsorted(draws, statistic, side="left")
     return float((1 + exceed) / (len(draws) + 1))

@@ -313,7 +313,7 @@ def test_loglinear_hbar_limit():
     )
 
 
-def test_beta_coords_warns_on_near_singular_sensitivity():
+def test_beta_coords_rejects_near_singular_sensitivity():
     w = Window(2, 1.0)
     # second covariate nearly proportional to the first across cells
     field = CovariateField.from_function(
@@ -324,7 +324,7 @@ def test_beta_coords_warns_on_near_singular_sensitivity():
     ll = loglinear_sigma_blocks(
         field, [0.0, 0.0], POISSON_DENSITIES, GRID5, QuadratureConfig(samples=2**10)
     )
-    with pytest.warns(RuntimeWarning, match="nearly singular"):
+    with pytest.raises(ValueError, match=r"nearly singular \(condition number \d"):
         ll.beta_coords()
 
 

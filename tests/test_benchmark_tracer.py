@@ -57,3 +57,17 @@ def test_study_reaches_known_critical_once_per_distinct_estimate():
     assert tracer.counts["gof.critical.calls"] == sum(map(len, estimates)) > 20
     # distinct_beta counts an estimate seen in both cells once
     assert tracer.counts["gof.critical.distinct_beta"] == len(set.union(*estimates))
+
+
+def test_null_tables_sample_inside_the_null_tables_span():
+    # The tables draw their paths through limitlaw's patched sampler names; an
+    # unpatched alias would move that time out of limitlaw.s unnoticed.
+    from inhomk.gof import PoissonNullTables
+    from inhomk.kstat import RadiusGrid
+
+    with _load_spans().Tracer() as tracer:
+        PoissonNullTables(RadiusGrid.uniform(0.05, 5), 200, 3)
+    names = [span[0] for span in tracer.spans]
+    parents = {names[span[3]] for span in tracer.spans if span[0] == "limitlaw"}
+    assert names.count("limitlaw") >= 2
+    assert parents == {"gof.null_tables"}

@@ -88,7 +88,7 @@ def test_gof_estimated_table_matches_simulate_sup():
     for dim in (1, 2, 3):
         tables = PoissonNullTables(grid, 2000, 17, dim)
         sup = simulate_sup(poisson_cov_matrix(grid, 1.0, "estimated", dim), 2000, 17)
-        np.testing.assert_array_equal(tables.estimated_draws(1.0), sup.draws)
+        np.testing.assert_array_equal(tables.estimated_draws(1.0), sup)
 
 
 def test_gof_known_table_agrees_with_general_path():
