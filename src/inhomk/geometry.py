@@ -5,9 +5,11 @@ translation edge correction weight of a pair with displacement ``h`` is the
 reciprocal of the overlap volume ``|W and (W + h)|``, which for a cube
 factorizes over the axes. Pair search is a cell list over a batch of
 patterns on one window: points are keyed by pattern, then by cell (cells no
-smaller than the search radius), and a counting sort gives a cell-start table
-whose ranges are each point's neighbor rows. No pair crosses two patterns,
-and each unordered pair is returned once, in no particular order.
+smaller than the search radius) in a narrow unsigned dtype; a stable radix
+sort and a bincount give a cell-start table whose ranges are each point's
+neighbor rows, and coordinates are gathered column by column. No pair
+crosses two patterns, and each unordered pair is returned once, in no
+particular order.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ __all__ = [
 
 # Pair search cells per batch point, at most (before one-cell borders).
 _CELLS_PER_POINT = 4
+# Pair search neighbor rows and cell-start entries per scan, at most.
+_SCAN_ENTRIES = 2**24
 
 
 def check_positive(value: float, name: str) -> None:
@@ -149,48 +153,60 @@ def close_pairs(patterns, rmax: float) -> PairList:
 
     ``patterns`` is one :class:`PointPattern` or a sequence of them on one
     window, scanned as a batch. A point's key is its pattern's batch index,
-    then its flat cell index; counting the keys gives a cell-start table over
-    the stably sorted points. Each point reads its 3^(d-1) neighbor rows as
-    table ranges, starting after its own position so that every unordered
-    pair is visited once. The set of pairs is independent of the cell layout
-    (their order and orientation are not); a radius larger than the window
-    simply means fewer cells.
+    then its flat cell index, in the narrowest unsigned dtype that holds all
+    keys (so the stable argsort is a radix sort); a bincount of the sorted
+    keys gives the cell-start table. Each point reads its 3^(d-1) neighbor
+    rows as table ranges, starting after its own position so that every
+    unordered pair is visited once, and coordinates are gathered per column.
+    The set of pairs is independent of the cell layout (their order and
+    orientation are not); a radius larger than the window simply means fewer
+    cells. More than ``2**24`` neighbor rows (``max(n, 1) * 3**(d-1)``) or
+    cells raise ``ValueError`` naming the dimension, before any allocation.
     """
     batch = [patterns] if isinstance(patterns, PointPattern) else list(patterns)
     if not rmax > 0:
         raise ValueError("rmax must be positive")
     if not batch or any(p.window != batch[0].window for p in batch):
         raise ValueError("a batch needs at least one pattern, all on one window")
-    pts = np.concatenate([p.points for p in batch])
-    n, d = pts.shape
-    groups = len(batch)
+    sizes, d, groups = [len(p) for p in batch], batch[0].window.dim, len(batch)
+    n = sum(sizes)
 
     # Cells per axis plus one empty border cell on each side, so every
     # neighbor cell of every point has a key inside its own pattern's block.
     side = batch[0].window.side
     ncells = _cells_per_axis(side, rmax, d, n, groups)
     span = ncells + 2
-    axis_ix = ((pts + side / 2.0) / (side / ncells)).astype(np.int64)
-    np.clip(axis_ix, 0, ncells - 1, out=axis_ix)
-    strides = span ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    group = np.repeat(np.arange(groups, dtype=np.int64), [len(p) for p in batch])
-    keys = group * span**d + (axis_ix + 1) @ strides
+    nkeys = groups * span**d
+    nrows = max(n, 1) * 3 ** (d - 1)
+    if max(nrows, nkeys) > _SCAN_ENTRIES:
+        raise ValueError(f"close_pairs in dimension {d}: {nrows} neighbor rows and {nkeys} "
+                         f"cells, over the limit of {_SCAN_ENTRIES} each")
+    pts = np.concatenate([p.points for p in batch])
+    keys = np.repeat(np.arange(groups, dtype=np.min_scalar_type(nkeys)), sizes)
+    for col in pts.T:
+        cell = ((col + side / 2.0) / (side / ncells)).astype(keys.dtype)
+        keys = keys * span + np.minimum(cell, ncells - 1) + 1
     order = np.argsort(keys, kind="stable")
-    keys, pts = keys[order], pts[order]
-    starts = np.zeros(groups * span**d + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=groups * span**d), out=starts[1:])
+    keys = keys[order].astype(np.int64)
+    cols = [col[order] for col in pts.T]
+    starts = np.zeros(nkeys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=nkeys), out=starts[1:])
 
     # One table range per row of three neighbor cells along the last axis,
     # with leading offsets in {-1, 0, 1} on the first d - 1 axes.
     lead = np.array(list(product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
-    rows = keys[:, None] + lead @ strides[:-1]
+    rows = keys[:, None] + lead @ span ** np.arange(d - 1, 0, -1, dtype=np.int64)
     lo = np.maximum(starts[rows - 1], np.arange(1, n + 1)[:, None])
     counts = np.maximum(starts[rows + 2] - lo, 0).ravel()
     first = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
     pos_a = np.repeat(np.arange(n).repeat(len(lead)), counts)
     pos_b = first + np.arange(len(first))
 
-    disp = pts[pos_a] - pts[pos_b]
+    # einsum sums the axes in its own order: a hand-written sum rounds 3-D
+    # distances differently in the last bit, and seeded results would move.
+    disp = np.empty((len(pos_a), d))
+    for k, col in enumerate(cols):
+        np.subtract(col[pos_a], col[pos_b], out=disp[:, k])
     dist2 = np.einsum("ij,ij->i", disp, disp)
     keep = np.flatnonzero((dist2 > 0.0) & (dist2 <= rmax * rmax))
     i, j = order[pos_a[keep]], order[pos_b[keep]]

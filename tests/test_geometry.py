@@ -41,6 +41,15 @@ def brute_force_pairs(points, rmax):
     return out
 
 
+def assert_pair_arithmetic(pairs, points):
+    """``disp`` and ``dist`` are bitwise the difference and einsum norm of the stored ends."""
+    disp = points[pairs.i] - points[pairs.j]
+    np.testing.assert_array_equal(pairs.disp, disp, strict=True)
+    np.testing.assert_array_equal(
+        pairs.dist, np.sqrt(np.einsum("ij,ij->i", disp, disp)), strict=True
+    )
+
+
 def mirrored(pairs):
     """Both orders of every stored pair; no unordered pair may be stored twice."""
     stored = list(zip(pairs.i.tolist(), pairs.j.tolist()))
@@ -264,7 +273,11 @@ def test_close_pairs_matches_brute_force(data):
         steps = np.round((pts + side / 2) / rmax)
         pts = np.unique(np.minimum(steps * rmax - side / 2, side / 2), axis=0)
     pat = PointPattern(Window(dim, side), pts)
-    assert mirrored(close_pairs(pat, rmax)) == brute_force_pairs(pts, rmax)
+    pairs = close_pairs(pat, rmax)
+    assert mirrored(pairs) == brute_force_pairs(pts, rmax)
+    # Bitwise, not to a tolerance: a hand-written sum over three axes rounds
+    # differently from einsum's, and seeded results would move.
+    assert_pair_arithmetic(pairs, pat.points)
 
 
 def test_close_pairs_three_dimensions():
@@ -305,6 +318,51 @@ def test_close_pairs_cell_table_stays_linear():
     assert _cells_per_axis(1.0, 1e-7, 3, len(pts), 1) ** 3 <= 4 * len(pts)
     assert peak < 64 * 1024
     assert mirrored(pairs) == brute_force_pairs(pts, 1e-7) == {(50, 51), (51, 50)}
+
+
+@pytest.mark.parametrize("dim, rmax", [(1, 0.01), (2, 0.2), (3, 0.4)])
+def test_batch_keys_wider_than_16_bits(dim, rmax):
+    # Thousands of small patterns need more than 2**16 cell keys, so the keys
+    # take a 32-bit dtype; pairs, displacements and distances are still each
+    # pattern's own.
+    rng = np.random.default_rng(17 + dim)
+    window = Window(dim, 1.0)
+    batch = [PointPattern(window, rng.uniform(-0.5, 0.5, (k, dim)))
+             for k in rng.integers(0, 9, 4000)]
+    offsets = np.cumsum([0] + [len(p) for p in batch])
+    span = _cells_per_axis(1.0, rmax, dim, offsets[-1], len(batch)) + 2
+    assert len(batch) * span**dim > 2**16
+
+    pairs = close_pairs(batch, rmax)
+    want, alone = set(), {}
+    for pattern, first in zip(batch, offsets):
+        want |= {(i + first, j + first) for i, j in brute_force_pairs(pattern.points, rmax)}
+        own = close_pairs(pattern, rmax)
+        for i, j, h, r in zip(own.i + first, own.j + first, own.disp, own.dist):
+            alone[i, j] = (h, r)
+    assert mirrored(pairs) == want
+    points = np.concatenate([p.points for p in batch])
+    assert_pair_arithmetic(pairs, points)
+    for i, j, h, r in zip(pairs.i, pairs.j, pairs.disp, pairs.dist):
+        h_own, r_own = alone[i, j] if (i, j) in alone else (-alone[j, i][0], alone[j, i][1])
+        assert h.tolist() == h_own.tolist() and r == r_own
+
+
+def test_close_pairs_dimension_limit():
+    # 3^39 neighbor rows per point: refused before the offset table is built,
+    # so the call allocates next to nothing.
+    pat = PointPattern(Window(40, 1.0), np.eye(2, 40) / 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="close_pairs in dimension 40: "):
+            close_pairs(pat, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
+    # A single point still refuses: the offset table alone has 3^(d-1) rows.
+    with pytest.raises(ValueError, match="dimension 17"):
+        close_pairs(PointPattern(Window(17, 1.0), np.zeros((1, 17))), 0.1)
 
 
 class Ramp:
