@@ -5,11 +5,11 @@ translation edge correction weight of a pair with displacement ``h`` is the
 reciprocal of the overlap volume ``|W and (W + h)|``, which for a cube
 factorizes over the axes. Pair search is a cell list over a batch of
 patterns on one window: points are keyed by pattern, then by cell (cells no
-smaller than the search radius) in a narrow unsigned dtype; a stable radix
-sort and a bincount give a cell-start table whose ranges are each point's
-neighbor rows, and coordinates are gathered column by column. No pair
-crosses two patterns, and each unordered pair is returned once, in no
-particular order.
+smaller than the search radius) in a narrow unsigned dtype; a stable sort
+(radix, for 16-bit keys) and a bincount give a cell-start table whose
+ranges are each point's neighbor rows, and coordinates are gathered column
+by column. No pair crosses two patterns, and each unordered pair is
+returned once, in no particular order.
 """
 
 from __future__ import annotations
@@ -154,14 +154,15 @@ def close_pairs(patterns, rmax: float) -> PairList:
     ``patterns`` is one :class:`PointPattern` or a sequence of them on one
     window, scanned as a batch. A point's key is its pattern's batch index,
     then its flat cell index, in the narrowest unsigned dtype that holds all
-    keys (so the stable argsort is a radix sort); a bincount of the sorted
-    keys gives the cell-start table. Each point reads its 3^(d-1) neighbor
-    rows as table ranges, starting after its own position so that every
-    unordered pair is visited once, and coordinates are gathered per column.
+    keys (numpy's stable argsort is a radix sort up to 16 bits); a bincount
+    of the sorted keys gives the cell-start table. Each point reads its
+    3^(d-1) neighbor rows as table ranges, starting after its own position so
+    that every unordered pair is visited once, and coordinates are gathered
+    per column.
     The set of pairs is independent of the cell layout (their order and
     orientation are not); a radius larger than the window simply means fewer
     cells. More than ``2**24`` neighbor rows (``max(n, 1) * 3**(d-1)``) or
-    cells raise ``ValueError`` naming the dimension, before any allocation.
+    cells raise ``ValueError`` naming the dimension, before any table is built.
     """
     batch = [patterns] if isinstance(patterns, PointPattern) else list(patterns)
     if not rmax > 0:
