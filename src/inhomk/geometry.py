@@ -27,12 +27,14 @@ __all__ = [
     "PairList",
     "overlap_volume",
     "close_pairs",
+    "MAX_SCAN_DIM",
 ]
 
 # Pair search cells per batch point, at most (before one-cell borders).
 _CELLS_PER_POINT = 4
-# Pair search neighbor rows and cell-start entries per scan, at most.
-_SCAN_ENTRIES = 2**24
+# Pair search dimension, at most: each point reads 3**(d-1) neighbor rows, and
+# the one-cell borders multiply the cell table by up to 3**d.
+MAX_SCAN_DIM = 12
 
 
 def check_positive(value: float, name: str) -> None:
@@ -158,19 +160,22 @@ def close_pairs(patterns, rmax: float) -> PairList:
     of the sorted keys gives the cell-start table. Each point reads its
     3^(d-1) neighbor rows as table ranges, starting after its own position so
     that every unordered pair is visited once, and coordinates are gathered
-    per column.
-    The set of pairs is independent of the cell layout (their order and
-    orientation are not); a radius larger than the window simply means fewer
-    cells. More than ``2**24`` neighbor rows (``max(n, 1) * 3**(d-1)``) or
-    cells raise ``ValueError`` naming the dimension, before any table is built.
+    per column. The set of pairs is independent of the cell layout (their
+    order and orientation are not); a radius larger than the window simply
+    means fewer cells. A dimension above ``MAX_SCAN_DIM`` (12) raises
+    ``ValueError`` before any table is built; up to it, memory grows
+    linearly with the batch's points and patterns.
     """
     batch = [patterns] if isinstance(patterns, PointPattern) else list(patterns)
     if not rmax > 0:
         raise ValueError("rmax must be positive")
     if not batch or any(p.window != batch[0].window for p in batch):
         raise ValueError("a batch needs at least one pattern, all on one window")
-    sizes, d, groups = [len(p) for p in batch], batch[0].window.dim, len(batch)
-    n = sum(sizes)
+    d, groups = batch[0].window.dim, len(batch)
+    if d > MAX_SCAN_DIM:
+        raise ValueError(f"close_pairs takes dimension at most {MAX_SCAN_DIM}, got {d}")
+    pts = np.concatenate([p.points for p in batch])
+    n = len(pts)
 
     # Cells per axis plus one empty border cell on each side, so every
     # neighbor cell of every point has a key inside its own pattern's block.
@@ -178,11 +183,7 @@ def close_pairs(patterns, rmax: float) -> PairList:
     ncells = _cells_per_axis(side, rmax, d, n, groups)
     span = ncells + 2
     nkeys = groups * span**d
-    nrows = max(n, 1) * 3 ** (d - 1)
-    if max(nrows, nkeys) > _SCAN_ENTRIES:
-        raise ValueError(f"close_pairs in dimension {d}: {nrows} neighbor rows and {nkeys} "
-                         f"cells, over the limit of {_SCAN_ENTRIES} each")
-    pts = np.concatenate([p.points for p in batch])
+    sizes = [len(p) for p in batch]
     keys = np.repeat(np.arange(groups, dtype=np.min_scalar_type(nkeys)), sizes)
     for col in pts.T:
         cell = ((col + side / 2.0) / (side / ncells)).astype(keys.dtype)

@@ -7,9 +7,10 @@ disjoint replicate ranges and the merged output preserves replicate order.
 One runner serves both the rejection study and the covariance oracle: per
 replicate it returns the point count and the unit-intensity K curve on the
 grid, from which every plug-in estimate is an exact rescaling. The oracle runs
-it at cell index 0. Consecutive replicates share one pair scan up to a fixed
-point budget, ``_SCAN_POINTS``: thousands of points per set of array calls,
-in bounded memory, and no pair across patterns.
+it at cell index 0. Consecutive replicates share one pair scan up to fixed
+budgets of points and neighbor rows, ``_SCAN_POINTS`` and ``_SCAN_ROWS``:
+thousands of points per set of array calls, in bounded memory, and no pair
+across patterns.
 
 The study decides through the two calls of :func:`inhomk.gof.gof_test`,
 :func:`~inhomk.gof.sup_distance` at the replicates' estimates and
@@ -18,8 +19,8 @@ critical value are bitwise those of ``gof_test`` on its pattern. Within a cell
 the same simulated patterns are evaluated under every requested variance mode
 (that is what makes the known-vs-estimated comparison a paired one), sharing
 one null table, so each distinct estimate costs one critical-value call per
-mode. Windows and null tables take the config's dimension: the Poisson null
-is exact in any dimension.
+mode. Windows and null tables take the config's dimension, up to the pair
+scan's ``MAX_SCAN_DIM`` (12): the Poisson null is exact in each.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .geometry import Window, check_positive
+from .geometry import MAX_SCAN_DIM, Window, check_positive
 from .gof import PoissonNullTables, critical_values, plug_in, sup_distance
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat
@@ -53,6 +54,7 @@ __all__ = [
 _CELL_STRIDE = 10**6
 _CHUNK = 250
 _SCAN_POINTS = 8192
+_SCAN_ROWS = 2**22
 _FAILURE_CAP = 0.01
 
 
@@ -62,8 +64,9 @@ class StudyConfig:
 
     ``alpha`` is in (0, 1]; ``alpha = 1`` rejects every evaluable replicate.
     ``rho``, ``R`` and every side must be finite and positive. Windows and
-    null tables are ``dim``-dimensional. A cell holds at least 100 and fewer
-    than ``_CELL_STRIDE`` (10**6) replicates, so no two cells share a stream.
+    null tables are ``dim``-dimensional, ``1 <= dim <= 12``. A cell holds at
+    least 100 and fewer than ``_CELL_STRIDE`` (10**6) replicates, so no two
+    cells share a stream.
     """
 
     process: str = "poisson"
@@ -99,8 +102,8 @@ class StudyConfig:
             raise ValueError(f"replicates must be at least 100 and below {_CELL_STRIDE}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.dim < 1:
-            raise ValueError("window dimension must be >= 1")
+        if not 1 <= self.dim <= MAX_SCAN_DIM:
+            raise ValueError(f"window dimension must be >= 1 and <= {MAX_SCAN_DIM}")
         for mode in self.modes:
             if mode not in ("estimated", "known"):
                 raise ValueError(f"unknown mode {mode!r}")
@@ -196,13 +199,15 @@ def _replicate_curves(job):
     One unit-intensity curve serves every variance mode and plug-in value
     (:func:`~inhomk.gof.plug_in`). Empty and singleton patterns give
     an all-zero curve. Consecutive patterns share one scan until they hold
-    ``_SCAN_POINTS`` points, which bounds the memory a scan takes.
+    ``_SCAN_POINTS`` points or ``_SCAN_ROWS`` neighbor rows, which bounds the
+    memory a scan takes.
     """
     config, side, grid, seed, cell_index, lo, hi = job
     window = Window(config.dim, side)
     unit = ConstantIntensity(1.0)
     counts = np.empty(hi - lo, dtype=np.int64)
     curves = np.empty((hi - lo, grid.m))
+    budget = min(_SCAN_POINTS, _SCAN_ROWS // 3 ** (config.dim - 1))
     batch, filled = [], 0
     for k, rep in enumerate(range(lo, hi)):
         rng = stream(seed, cell_index * _CELL_STRIDE + rep)
@@ -213,7 +218,7 @@ def _replicate_curves(job):
         counts[k] = len(pattern)
         batch.append(pattern)
         filled += len(pattern)
-        if filled >= _SCAN_POINTS or rep == hi - 1:
+        if filled >= budget or rep == hi - 1:
             curves[k + 1 - len(batch) : k + 1] = [c.values for c in k_hat(batch, unit, grid)]
             batch, filled = [], 0
     return counts, curves

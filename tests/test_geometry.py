@@ -346,15 +346,35 @@ def test_close_pairs_dimension_limit():
     pat = PointPattern(Window(40, 1.0), np.eye(2, 40) / 4)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="close_pairs in dimension 40: "):
+        with pytest.raises(ValueError, match="dimension at most 12, got 40"):
             close_pairs(pat, 0.1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
-    # A single point still refuses: the offset table alone has 3^(d-1) rows.
-    with pytest.raises(ValueError, match="dimension 17"):
-        close_pairs(PointPattern(Window(17, 1.0), np.zeros((1, 17))), 0.1)
+    # The limit is the dimension's alone: a single point in d = 13 refuses,
+    # and d = 12 still scans.
+    with pytest.raises(ValueError, match="got 13"):
+        close_pairs(PointPattern(Window(13, 1.0), np.zeros((1, 13))), 0.1)
+    pts = np.zeros((3, 12))
+    pts[1, 0], pts[2, 11] = 0.05, 0.3
+    pairs = close_pairs(PointPattern(Window(12, 1.0), pts), 0.1)
+    assert mirrored(pairs) == brute_force_pairs(pts, 0.1) == {(0, 1), (1, 0)}
+
+
+def test_close_pairs_high_dimension_batch():
+    # Dimension 8: 3^7 neighbor rows per point, over many small patterns.
+    rng = np.random.default_rng(8)
+    window = Window(8, 1.0)
+    batch = [PointPattern(window, rng.uniform(-0.5, 0.5, (k, 8)))
+             for k in rng.integers(0, 12, 40)]
+    offsets = np.cumsum([0] + [len(p) for p in batch])
+    pairs = close_pairs(batch, 0.6)
+    want = set()
+    for pattern, first in zip(batch, offsets):
+        want |= {(i + first, j + first) for i, j in brute_force_pairs(pattern.points, 0.6)}
+    assert want and mirrored(pairs) == want
+    assert_pair_arithmetic(pairs, np.concatenate([p.points for p in batch]))
 
 
 class Ramp:

@@ -135,6 +135,30 @@ def test_scan_budget_does_not_change_curves(monkeypatch, process, budget):
         )
 
 
+def test_scan_rows_close_batches_in_high_dimensions(monkeypatch):
+    # In dimension 8 a point reads 3**7 neighbor rows, so the row budget, not
+    # the point budget, closes each scan; every curve is still its own pattern's.
+    scans = []
+
+    def recording_k_hat(batch, *args):
+        scans.append(sum(len(p) for p in batch[:-1]))
+        return k_hat(batch, *args)
+
+    monkeypatch.setattr(study, "k_hat", recording_k_hat)
+    monkeypatch.setattr(study, "_SCAN_ROWS", 60 * 3**7)
+    cfg = StudyConfig(rho=10.0, R=0.6, dim=8, replicates=100)
+    grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
+    counts, curves = _run_cell(cfg, 1.0, grid, 7, 0, 100, None)
+    assert len(scans) > 1 and max(scans) < 60
+    assert curves.any()
+    for rep in range(100):
+        pattern = simulate_poisson(cfg.rho, Window(8, 1.0), stream(7, rep))
+        assert counts[rep] == len(pattern)
+        np.testing.assert_array_equal(
+            curves[rep], k_hat(pattern, ConstantIntensity(1.0), grid).values
+        )
+
+
 def test_study_replicate_streams_follow_cell_stride():
     cfg = StudyConfig(**{**SMALL, "sides": (1.0, 2.0)})
     res = rejection_study(cfg)
@@ -179,6 +203,9 @@ def test_study_config_validation():
             StudyConfig(alpha=alpha)
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
+            StudyConfig(dim=dim)
+    for dim in (13, 10**9):
+        with pytest.raises(ValueError, match="dimension must be >= 1 and <= 12"):
             StudyConfig(dim=dim)
     cfg = StudyConfig.from_dict(
         {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
