@@ -45,7 +45,7 @@ from .geometry import check_positive, overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
 from .kstat import Curve, RadiusGrid, k_poisson
 from .limitlaw import check_covariance
-from .qmc import ball_points_weighted, ball_shell_points, direction_dims
+from .qmc import HALTON_DIMS, ball_points_weighted, ball_shell_points, direction_dims
 
 __all__ = [
     "ProductDensityModel",
@@ -62,6 +62,7 @@ __all__ = [
     "loglinear_sigma_blocks",
     "h_limit_constant",
     "h_limit_loglinear",
+    "MAX_QUADRATURE_DIM",
 ]
 
 # Disjoint stratum-id regions per integral, so no two integrals share
@@ -73,6 +74,12 @@ _REGION_C3 = 3
 _REGION_C4 = 4
 _REGION_LL_S11 = 5
 _REGION_LL_C2 = 6
+
+# The pair integrals draw three ball variables, each on its own Halton
+# coordinates, so the prime table bounds the dimension.
+MAX_QUADRATURE_DIM = max(
+    d for d in range(1, HALTON_DIMS) if 3 * (1 + direction_dims(d)) <= HALTON_DIMS
+)
 
 # Reported quadrature errors are the accumulated absolute full-vs-half-sample
 # differences times this factor; the margin is what makes "doubling the budget
@@ -343,6 +350,10 @@ def _ball_integrals(grid, dim, quad, region, k, integrand, truncated=False) -> _
     integral over ball ``l`` times ball ``l'``; the error is the same cumulation
     of the absolute full-vs-half-sample differences, without the safety factor.
     """
+    if dim > MAX_QUADRATURE_DIM:
+        raise ValueError(
+            f"covariance quadrature takes dimension at most {MAX_QUADRATURE_DIM}, got {dim}"
+        )
     m = grid.m
     if k == 2:
         annuli = np.array(np.triu_indices(m))

@@ -2,7 +2,8 @@
 
 Plain (unscrambled) Halton points with a fixed prime-per-dimension
 assignment. Integration domains are balls and annuli: one coordinate maps to
-a volume-uniform radius, the remaining coordinates to a direction. Strata are
+a volume-uniform radius, the remaining coordinates to a direction (a sign, an
+angle, or normalized Box-Muller Gaussians from three dimensions on). Strata are
 carved out of the global sequence as index blocks with a fixed stride, so a
 larger sample extends a smaller one instead of replacing it.
 
@@ -19,17 +20,18 @@ from __future__ import annotations
 from math import gamma
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "halton",
     "ball_shell_points",
     "ball_points_weighted",
     "direction_dims",
+    "HALTON_DIMS",
     "STRATUM_STRIDE",
 ]
 
-_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73)
+HALTON_DIMS = len(_PRIMES)
 
 # Index block reserved per stratum; sample budgets must stay below this.
 STRATUM_STRIDE = 2**24
@@ -103,7 +105,7 @@ def halton(count: int, dims: int, start=1, dim_offset: int = 0) -> np.ndarray:
     integrals can draw from disjoint coordinate sets of the same sequence.
     Indices must be non-negative integers and every block must fit in int64.
     """
-    if dim_offset + dims > len(_PRIMES):
+    if dim_offset + dims > HALTON_DIMS:
         raise ValueError("not enough Halton dimensions configured")
     if count < 0:
         raise ValueError("Halton point count must be non-negative")
@@ -118,21 +120,23 @@ def halton(count: int, dims: int, start=1, dim_offset: int = 0) -> np.ndarray:
 
 
 def direction_dims(dim: int) -> int:
-    """Halton coordinates consumed by one direction draw in ``dim`` dimensions."""
-    return dim if dim > 2 else 1
+    """Halton coordinates per direction: 1 up to the plane, else Box-Muller pairs."""
+    return dim + dim % 2 if dim > 2 else 1
 
 
 def _directions(u: np.ndarray, dim: int) -> np.ndarray:
+    """Uniform directions from Halton rows ``u`` in (0, 1) (sequence indices
+    are at least 1): a sign, an angle, or the first ``dim`` of the exact iid
+    Gaussians that Box-Muller makes of the coordinate pairs, normalized."""
     if dim == 1:
         return np.where(u[:, 0] < 0.5, -1.0, 1.0)[:, None]
     if dim == 2:
         theta = 2.0 * np.pi * u[:, 0]
         return np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    # Gaussian map then normalize; clip away the endpoints ndtri cannot take.
-    g = ndtri(np.clip(u, 1e-12, 1.0 - 1e-12))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    return g / norms[:, None]
+    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
+    angle = 2.0 * np.pi * u[:, 1::2]
+    g = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :dim]
+    return g / np.linalg.norm(g, axis=1)[:, None]
 
 
 def _stratum_draws(count: int, dim: int, strata, dim_offset: int):

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inhomk import asymcov
 from inhomk.asymcov import (
+    MAX_QUADRATURE_DIM,
     POISSON_DENSITIES,
     QuadratureConfig,
     _lag_averages,
@@ -19,7 +23,7 @@ from inhomk.asymcov import (
 )
 from inhomk.geometry import Window
 from inhomk.intensity import CovariateField
-from inhomk.kstat import RadiusGrid
+from inhomk.kstat import RadiusGrid, k_poisson
 
 GRID10 = RadiusGrid.uniform(0.05, 10)
 GRID5 = RadiusGrid.uniform(0.05, 5)
@@ -80,24 +84,34 @@ def test_blocks_poisson_closed_forms():
     np.testing.assert_allclose(blocks.k_curve, np.pi * GRID10.values**2, rtol=1e-12)
 
 
-def test_blocks_synthetic_kernels_within_one_percent():
+def exp_mass(radius, s, dim):
+    # int_{|h| <= radius} exp(-|h|/s) dh = d V_d s^d gamma(d, radius/s), with
+    # the lower incomplete gamma in closed form for integer d.
+    x = np.asarray(radius, float) / s
+    tail = np.exp(-x) * sum(x**k / math.factorial(k) for k in range(dim))
+    return dim * k_poisson(1.0, dim) * s**dim * math.factorial(dim - 1) * (1 - tail)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_blocks_synthetic_kernels_within_one_percent(dim):
     # g - 1, g3 - g and g4 - g g all exp(-|.|/s): separable closed forms
     s = 0.5
     beta = 200.0
+    r_trunc = 10 * s
     model = synthetic_densities(g_scale=s, g3_scale=s, g4_scale=s)
     blocks = sigma_blocks_constant(
-        model, beta, GRID5, QuadratureConfig(samples=2**16, r_trunc=10 * s)
+        model, beta, GRID5, QuadratureConfig(samples=2**16, r_trunc=r_trunc), dim=dim
     )
     r = GRID5.values
-    ball = np.pi * r**2
-    exp_mass = 2 * np.pi * s**2
-    trunc_mass = lambda rr: 2 * np.pi * s**2 * (1 - np.exp(-rr / s) * (1 + rr / s))
+    ball = k_poisson(r, dim)
+    # the unbounded variables are integrated over the r_trunc ball
+    trunc_mass = exp_mass(r_trunc, s, dim)
 
-    k_true = ball + trunc_mass(r)
-    sigma11_true = beta**2 * exp_mass + beta
-    sigma2_true = beta * ball * exp_mass + 2 * k_true
-    t1_true = np.outer(ball, ball) * exp_mass
-    t2_true = np.outer(k_true, ball) + np.outer(ball, trunc_mass(r))
+    k_true = ball + exp_mass(r, s, dim)
+    sigma11_true = beta**2 * trunc_mass + beta
+    sigma2_true = beta * ball * trunc_mass + 2 * k_true
+    t1_true = np.outer(ball, ball) * trunc_mass
+    t2_true = np.outer(k_true, ball) + np.outer(ball, exp_mass(r, s, dim))
     kmin = k_true[np.minimum.outer(np.arange(5), np.arange(5))]
     c_true = t1_true + 4 / beta * t2_true + 2 / beta**2 * kmin
 
@@ -134,16 +148,33 @@ def test_quadrature_doubling_within_reported_error():
     assert np.all(np.abs(p2.c - p1.c) <= p1.c_err + 1e-15)
 
 
-def test_blocks_poisson_three_dimensions():
-    # the quadrature is dimension-generic; g == 1 stays exact in 3d
+@pytest.mark.parametrize("dim", range(1, MAX_QUADRATURE_DIM + 1))
+def test_blocks_poisson_exact_in_every_dimension(dim):
+    # the quadrature is dimension-generic; g == 1 stays exact up to the limit
     blocks = sigma_blocks_constant(
-        POISSON_DENSITIES, 50.0, GRID5, QuadratureConfig(samples=2**13), dim=3
+        POISSON_DENSITIES, 50.0, GRID5, QuadratureConfig(samples=2**13), dim=dim
     )
-    closed = poisson_blocks(50.0, GRID5, dim=3)
+    closed = poisson_blocks(50.0, GRID5, dim=dim)
     np.testing.assert_allclose(blocks.k_curve, closed.k_curve, rtol=1e-10)
     np.testing.assert_allclose(blocks.sigma2, closed.sigma2, rtol=1e-10)
     np.testing.assert_allclose(blocks.c, closed.c, rtol=1e-10)
     assert blocks.sigma11[0, 0] == pytest.approx(50.0, rel=1e-12)
+
+
+def test_quadrature_refuses_dimensions_beyond_the_prime_table(monkeypatch):
+    # three variables of 1 + direction_dims(d) coordinates fit 21 primes up
+    # to d = 6; a larger dim is refused before any point is drawn
+    assert MAX_QUADRATURE_DIM == 6
+    drawn = []
+    monkeypatch.setattr(asymcov, "ball_shell_points", lambda *a, **k: drawn.append(a))
+    monkeypatch.setattr(asymcov, "ball_points_weighted", lambda *a, **k: drawn.append(a))
+    quad = QuadratureConfig(samples=64)
+    with pytest.raises(ValueError, match="dimension at most 6, got 7"):
+        sigma_blocks_constant(POISSON_DENSITIES, 50.0, GRID5, quad, dim=7)
+    field = CovariateField(Window(7, 1.0), np.ones((2,) * 7 + (1,)))
+    with pytest.raises(ValueError, match="dimension at most 6, got 7"):
+        loglinear_sigma_blocks(field, [np.log(200.0)], POISSON_DENSITIES, GRID5, quad)
+    assert drawn == []
 
 
 def test_blocks_grid_beyond_64_radii():

@@ -133,6 +133,13 @@ def test_cli_cov_blocks(tmp_path, capsys):
     assert meta["beta"] == 200.0
 
 
+def test_cli_cov_refuses_dimension_beyond_quadrature_limit(tmp_path, capsys):
+    prefix = tmp_path / "blocks"
+    assert main(["cov", "--beta", "200", "--grid", "5", "--dim", "7", "-o", str(prefix)]) == 1
+    assert "dimension at most 6, got 7" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_crit(tmp_path, capsys):
     out = tmp_path / "crit.json"
     assert main(["crit", "--rho", "200", "--mode", "estimated", "--M", "1000",

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from inhomk import qmc
 from inhomk.asymcov import (
+    MAX_QUADRATURE_DIM,
     POISSON_DENSITIES,
     QuadratureConfig,
     loglinear_sigma_blocks,
@@ -148,9 +149,9 @@ def test_covariance_blocks_equal_with_oracle_radical_inverse(monkeypatch):
 
 @st.composite
 def stratum_batches(draw):
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, MAX_QUADRATURE_DIM))
     vdims = 1 + direction_dims(dim)
-    offset = draw(st.integers(0, 20 - vdims))
+    offset = draw(st.integers(0, len(PRIMES) - vdims))
     strata = np.array(draw(st.lists(st.integers(0, 7 * 4096 - 1), min_size=1, max_size=6)))
     radii = np.array(
         draw(st.lists(
@@ -193,3 +194,16 @@ def test_shell_points_stay_in_their_shells():
         pts = ball_shell_points(64, dim, r_in, r_out, strata)
         norms = np.linalg.norm(pts, axis=1).reshape(3, 64)
         assert np.all(norms > r_in[:, None] - 1e-12) and np.all(norms <= r_out[:, None] + 1e-12)
+
+
+def test_directions_are_uniform_in_every_supported_dimension():
+    # Unit shells hold bare directions: norm 1, mean 0 and second moment I/d,
+    # on the coordinates of each of the pair integrals' three variables.
+    for dim in range(3, MAX_QUADRATURE_DIM + 1):
+        vdims = 1 + direction_dims(dim)
+        for offset in (0, vdims, 2 * vdims):
+            pts = ball_shell_points(2**14, dim, [1.0], [1.0], [4096 + 7], dim_offset=offset)
+            np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0, atol=1e-12)
+            assert np.abs(pts.mean(axis=0)).max() < 1e-2
+            moments = pts.T @ pts / len(pts)
+            assert np.abs(moments - np.eye(dim) / dim).max() < 1e-2
