@@ -350,9 +350,9 @@ def _ball_integrals(grid, dim, quad, region, k, integrand, truncated=False) -> _
     integral over ball ``l`` times ball ``l'``; the error is the same cumulation
     of the absolute full-vs-half-sample differences, without the safety factor.
     """
-    if dim > MAX_QUADRATURE_DIM:
+    if not 1 <= dim <= MAX_QUADRATURE_DIM:
         raise ValueError(
-            f"covariance quadrature takes dimension at most {MAX_QUADRATURE_DIM}, got {dim}"
+            f"covariance quadrature takes dimensions 1 to {MAX_QUADRATURE_DIM}, got {dim}"
         )
     m = grid.m
     if k == 2:

@@ -9,6 +9,7 @@ from inhomk import asymcov
 from inhomk.asymcov import (
     MAX_QUADRATURE_DIM,
     POISSON_DENSITIES,
+    ProductDensityModel,
     QuadratureConfig,
     _lag_averages,
     compose_lim_cov,
@@ -98,7 +99,15 @@ def test_blocks_synthetic_kernels_within_one_percent(dim):
     s = 0.5
     beta = 200.0
     r_trunc = 10 * s
-    model = synthetic_densities(g_scale=s, g3_scale=s, g4_scale=s)
+    base = synthetic_densities(g_scale=s, g3_scale=s)
+    # The pair term's g4 - g g is exp(-|u + z|/s): unlike a radial kernel it
+    # depends on the directions of u and z, yet for |u| <= 0.05 its integral
+    # over the r_trunc ball of z is the radial one to within 5e-4.
+    model = ProductDensityModel(
+        base.g,
+        base.g3,
+        lambda x, y, z: base.g(x) * base.g(y - z) + np.exp(-np.linalg.norm(y, axis=1) / s),
+    )
     blocks = sigma_blocks_constant(
         model, beta, GRID5, QuadratureConfig(samples=2**16, r_trunc=r_trunc), dim=dim
     )
@@ -163,16 +172,17 @@ def test_blocks_poisson_exact_in_every_dimension(dim):
 
 def test_quadrature_refuses_dimensions_beyond_the_prime_table(monkeypatch):
     # three variables of 1 + direction_dims(d) coordinates fit 21 primes up
-    # to d = 6; a larger dim is refused before any point is drawn
+    # to d = 6; any other dim is refused before any point is drawn
     assert MAX_QUADRATURE_DIM == 6
     drawn = []
     monkeypatch.setattr(asymcov, "ball_shell_points", lambda *a, **k: drawn.append(a))
     monkeypatch.setattr(asymcov, "ball_points_weighted", lambda *a, **k: drawn.append(a))
     quad = QuadratureConfig(samples=64)
-    with pytest.raises(ValueError, match="dimension at most 6, got 7"):
-        sigma_blocks_constant(POISSON_DENSITIES, 50.0, GRID5, quad, dim=7)
+    for dim in (7, 0, -1):
+        with pytest.raises(ValueError, match=f"dimensions 1 to 6, got {dim}"):
+            sigma_blocks_constant(POISSON_DENSITIES, 50.0, GRID5, quad, dim=dim)
     field = CovariateField(Window(7, 1.0), np.ones((2,) * 7 + (1,)))
-    with pytest.raises(ValueError, match="dimension at most 6, got 7"):
+    with pytest.raises(ValueError, match="dimensions 1 to 6, got 7"):
         loglinear_sigma_blocks(field, [np.log(200.0)], POISSON_DENSITIES, GRID5, quad)
     assert drawn == []
 

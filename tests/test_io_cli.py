@@ -133,10 +133,11 @@ def test_cli_cov_blocks(tmp_path, capsys):
     assert meta["beta"] == 200.0
 
 
-def test_cli_cov_refuses_dimension_beyond_quadrature_limit(tmp_path, capsys):
+@pytest.mark.parametrize("dim", ["7", "0"])
+def test_cli_cov_refuses_dimension_outside_quadrature_limit(tmp_path, capsys, dim):
     prefix = tmp_path / "blocks"
-    assert main(["cov", "--beta", "200", "--grid", "5", "--dim", "7", "-o", str(prefix)]) == 1
-    assert "dimension at most 6, got 7" in capsys.readouterr().err
+    assert main(["cov", "--beta", "200", "--grid", "5", "--dim", dim, "-o", str(prefix)]) == 1
+    assert f"dimensions 1 to 6, got {dim}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
