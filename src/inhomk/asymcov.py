@@ -8,7 +8,9 @@ estimate, K estimates on a radius grid):
 * general constant-intensity blocks as truncated integrals of the normalized
   joint intensities, evaluated by deterministic low-discrepancy quadrature;
 * the composed limit covariance combining intensity-estimation and
-  K-estimation fluctuations;
+  K-estimation fluctuations, with one H rule ``-2 K(r) zbar`` for both
+  models (``zbar`` the average log-intensity gradient: ``1/beta``, or the
+  covariate mean);
 * log-linear-model blocks as finite-window spatial averages times decay
   integrals.
 
@@ -25,8 +27,9 @@ reported together with the difference between the full-sample and half-sample
 estimates, a practical quadrature error gauge. The integrals that involve no
 intensity (``K``, the third-order decay and the two pair terms of the K
 covariance) are computed in one place for both intensity models, so the two
-models integrate them on the same points. Stratum-id regions are sized from
-the grid, so any grid size fits.
+models integrate them on the same points, and one routine combines them with
+each model's window averages. Stratum-id regions are sized from the grid, so
+any grid size fits.
 
 Raster lag averages of the log-linear blocks are exact: on rasters constant
 on cells, ``int q_u(u) q_s(u - v)' du`` is the cell volume times the
@@ -43,7 +46,7 @@ import numpy as np
 
 from .geometry import check_positive, overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
-from .kstat import Curve, RadiusGrid, k_poisson
+from .kstat import RadiusGrid, k_poisson
 from .limitlaw import check_covariance
 from .qmc import HALTON_DIMS, ball_points_weighted, ball_shell_points, direction_dims
 
@@ -196,10 +199,14 @@ class CovarianceBlocks:
     ``lim n Cov(beta_hat, Khat(r))`` and ``c`` is the known-intensity K
     covariance. For the log-linear model the blocks are in score coordinates
     (the variance of the normalized composite likelihood score) and carry the
-    ``sensitivity`` matrix; :meth:`beta_coords` converts. ``k_curve`` is the
-    model K-function on the grid, computed by the same quadrature, and
-    ``points`` the number of quadrature points drawn for all the blocks (0
-    for closed forms).
+    ``sensitivity`` matrix; :meth:`beta_coords` converts. ``sigma11`` is
+    ``(p, p)`` and ``sigma2`` is ``(m, p)``, both 2-D as given. The
+    ``p``-vector ``zbar`` is the window average of the log-intensity
+    gradient: ``[1/beta]`` for the constant model and the covariate mean for
+    the log-linear one, so one rule, :func:`h_limit_loglinear`, gives both
+    models' H rows. ``k_curve`` is the model K-function on the grid, computed
+    by the same quadrature, and ``points`` the number of quadrature points
+    drawn for all the blocks (0 for closed forms). The arrays are read-only.
     """
 
     grid: RadiusGrid
@@ -207,30 +214,23 @@ class CovarianceBlocks:
     sigma2: np.ndarray
     c: np.ndarray
     k_curve: np.ndarray
+    zbar: np.ndarray
     sigma11_err: np.ndarray | None = None
     sigma2_err: np.ndarray | None = None
     c_err: np.ndarray | None = None
     sensitivity: np.ndarray | None = None
-    zbar: np.ndarray | None = None
     points: int = 0
 
     def __post_init__(self):
         m = self.grid.m
-        s11 = np.atleast_2d(np.asarray(self.sigma11, dtype=float))
-        s2 = np.asarray(self.sigma2, dtype=float)
-        if s2.ndim == 1:
-            s2 = s2[:, None]
-        c = np.asarray(self.c, dtype=float)
-        k = np.asarray(self.k_curve, dtype=float)
-        p = s11.shape[0]
-        if s11.shape != (p, p) or s2.shape != (m, p) or c.shape != (m, m) or k.shape != (m,):
+        names = ("sigma11", "sigma2", "c", "k_curve", "zbar")
+        arrays = [np.asarray(getattr(self, n), dtype=float) for n in names]
+        p = arrays[0].shape[0] if arrays[0].ndim else 0
+        if [a.shape for a in arrays] != [(p, p), (m, p), (m, m), (m,), (p,)]:
             raise ValueError("inconsistent block shapes")
-        for arr in (s11, s2, c, k):
+        for name, arr in zip(names, arrays):
             arr.flags.writeable = False
-        object.__setattr__(self, "sigma11", s11)
-        object.__setattr__(self, "sigma2", s2)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "k_curve", k)
+            object.__setattr__(self, name, arr)
 
     @property
     def p(self) -> int:
@@ -303,6 +303,7 @@ def poisson_blocks(beta: float, grid: RadiusGrid, dim: int = 2) -> CovarianceBlo
         sigma2=(2.0 * k)[:, None],
         c=poisson_cov_matrix(grid, beta, "known", dim).matrix,
         k_curve=k,
+        zbar=np.array([1.0 / beta]),
     )
 
 
@@ -412,6 +413,37 @@ def _model_integrals(model: ProductDensityModel, grid, quad, dim) -> list[_Integ
     ]
 
 
+def _assemble_blocks(
+    grid, integrals, s11, c3, base, rho_grad, log_grad, inv_rho_bar, zbar, sensitivity=None
+):
+    """Blocks from :func:`_model_integrals` and one intensity model's averages.
+
+    ``sigma11 = base + s11``, ``sigma2(r) = decay(r) rho_grad' + 2 K(r) log_grad'``
+    (window averages of the intensity and log-intensity gradients) and
+    ``c(r1, r2) = t1 + 4 inv_rho_bar t2 + 2 c3(min(r1, r2))`` with ``c3`` the
+    ``g``-weighted ball integral of ``1/(rho rho)``; the error gauges are the
+    same sums of absolute errors times ``_ERROR_SAFETY``.
+    """
+    (k_curve, k_err, _), (decay2, d_err, _), (t1, t1_err, _), (t2, t2_err, _) = integrals
+    sigma11 = base + s11.value
+    minix = np.minimum.outer(np.arange(grid.m), np.arange(grid.m))
+    c = t1 + 4.0 * inv_rho_bar * t2 + 2.0 * c3.value[minix]
+    sigma2_err = np.outer(d_err, np.abs(rho_grad)) + 2.0 * np.outer(k_err, np.abs(log_grad))
+    return CovarianceBlocks(
+        grid=grid,
+        sigma11=0.5 * (sigma11 + sigma11.T),
+        sigma2=np.outer(decay2, rho_grad) + 2.0 * np.outer(k_curve, log_grad),
+        c=0.5 * (c + c.T),
+        k_curve=k_curve,
+        sigma11_err=_ERROR_SAFETY * s11.err,
+        sigma2_err=_ERROR_SAFETY * sigma2_err,
+        c_err=_ERROR_SAFETY * (t1_err + 4.0 * inv_rho_bar * t2_err + 2.0 * c3.err[minix]),
+        sensitivity=sensitivity,
+        zbar=zbar,
+        points=sum(i.points for i in integrals) + s11.points + c3.points,
+    )
+
+
 def sigma_blocks_constant(
     model: ProductDensityModel,
     beta: float,
@@ -430,69 +462,47 @@ def sigma_blocks_constant(
     check_positive(beta, "beta")
     quad = quad or QuadratureConfig()
     integrals = _model_integrals(model, grid, quad, dim)
-    (k_curve, k_err, _), (decay2, d_err, _), (t1, t1_err, _), (t2, t2_err, _) = integrals
-
-    # sigma11 = beta^2 int (g - 1) + beta.
     gm1 = _ball_integrals(
         grid, dim, quad, _REGION_S11, 0, lambda v: model.g(v) - 1.0, truncated=True
     )
-    sigma11 = np.array([[beta**2 * gm1.value + beta]])
-    sigma11_err = _ERROR_SAFETY * np.array([[beta**2 * gm1.err]])
-
-    # sigma2(r) = beta * int_{B_r} dx int dy (g3(x,y) - g(x)) + 2 K(r).
-    sigma2 = (beta * decay2 + 2.0 * k_curve)[:, None]
-    sigma2_err = _ERROR_SAFETY * (beta * d_err + 2.0 * k_err)[:, None]
-
-    # c(r1, r2): fourth-order term + (4/beta) third-order term + (2/beta^2) K(min).
-    minix = np.minimum.outer(np.arange(grid.m), np.arange(grid.m))
-    c = t1 + 4.0 / beta * t2 + 2.0 / beta**2 * k_curve[minix]
-    c = 0.5 * (c + c.T)
-    c_err = _ERROR_SAFETY * (
-        t1_err + 4.0 / beta * t2_err + 2.0 / beta**2 * k_err[minix]
-    )
-
-    return CovarianceBlocks(
-        grid=grid,
-        sigma11=sigma11,
-        sigma2=sigma2,
-        c=c,
-        k_curve=k_curve,
-        sigma11_err=sigma11_err,
-        sigma2_err=sigma2_err,
-        c_err=c_err,
-        points=sum(i.points for i in integrals) + gm1.points,
+    s11 = _Integral(np.array([[beta**2 * gm1.value]]), np.array([[beta**2 * gm1.err]]), gm1.points)
+    k, inv_rho2 = integrals[0], 1.0 / beta**2
+    # Estimator coordinates: the score-coordinate gradient averages (1, 1/beta)
+    # times the inverse sensitivity beta; with 1/(rho rho) = 1/beta^2, c3 is K/beta^2.
+    return _assemble_blocks(
+        grid, integrals, s11, _Integral(inv_rho2 * k.value, inv_rho2 * k.err, 0),
+        np.array([[beta]]), [beta], [1.0], 1.0 / beta, np.array([1.0 / beta]),
     )
 
 
-def cov_estimated_constant(blocks: CovarianceBlocks, beta: float) -> LimitCovariance:
+def cov_estimated_constant(blocks: CovarianceBlocks) -> LimitCovariance:
     """Estimated-intensity K covariance from constant-model blocks.
 
-    The composed limit covariance with the constant model's H rows
-    ``-2 K(r) / beta``: expanding it recombines the block integrals into the
-    estimated-intensity formula (the third-order decay integral is
-    ``(sigma2(r) - 2K(r)) / beta`` and ``int(g-1)`` is
-    ``(sigma11 - beta) / beta^2``), so no further quadrature is involved.
+    The composed limit covariance with the blocks' own H rows
+    ``-2 K(r) zbar = -2 K(r) / beta``, so the blocks fix ``beta``: expanding
+    it recombines the block integrals into the estimated-intensity formula
+    (the third-order decay integral is ``(sigma2(r) - 2K(r)) / beta`` and
+    ``int(g-1)`` is ``(sigma11 - beta) / beta^2``), so no further quadrature
+    is involved.
     """
     if blocks.sensitivity is not None:
         raise ValueError("expected constant-model blocks")
     if blocks.p != 1:
         raise ValueError("constant-model blocks must have p = 1")
-    return compose_lim_cov(h_limit_constant(blocks, beta), blocks)
+    return compose_lim_cov(h_limit_loglinear(blocks), blocks)
 
 
 def compose_lim_cov(h, blocks: CovarianceBlocks) -> LimitCovariance:
     """Limit covariance of the plug-in K estimator.
 
     ``c~(s,t) = H(s) Sigma11 H(t)' + H(s) Sigma2,t + H(t) Sigma2,s + c(s,t)``
-    where ``h`` holds the rows ``H(r)`` for each grid radius (a Curve of
-    p-vectors or an ``(m, p)`` array). Score-coordinate blocks are converted
-    to estimator coordinates first. The result is averaged with its transpose,
-    so it is exactly symmetric.
+    where ``h`` is the ``(m, p)`` array of rows ``H(r)``, one per grid
+    radius. Score-coordinate blocks are converted to estimator coordinates
+    first. The result is averaged with its transpose, so it is exactly
+    symmetric.
     """
     blocks = blocks.beta_coords()
-    hmat = np.asarray(h.values if isinstance(h, Curve) else h, dtype=float)
-    if hmat.ndim == 1:
-        hmat = hmat[:, None]
+    hmat = np.asarray(h, dtype=float)
     if hmat.shape != (blocks.grid.m, blocks.p):
         raise ValueError(
             f"H must be ({blocks.grid.m}, {blocks.p}), got {hmat.shape}"
@@ -502,17 +512,16 @@ def compose_lim_cov(h, blocks: CovarianceBlocks) -> LimitCovariance:
     return LimitCovariance(blocks.grid, 0.5 * (mat + mat.T))
 
 
-def h_limit_constant(blocks: CovarianceBlocks, beta: float) -> np.ndarray:
-    """Limit H rows for the constant model: ``-2 K(r) / beta``."""
-    check_positive(beta, "beta")
-    return (-2.0 / beta) * blocks.k_curve[:, None]
-
-
 def h_limit_loglinear(blocks: CovarianceBlocks) -> np.ndarray:
-    """Limit H rows for the log-linear model: ``-2 K(r) zbar``."""
-    if blocks.zbar is None:
-        raise ValueError("blocks do not carry a covariate average")
+    """Limit H rows ``-2 K(r) zbar`` for either intensity model.
+
+    ``zbar`` is the blocks' average log-intensity gradient: ``1/beta`` for
+    the constant model, the covariate mean for the log-linear one.
+    """
     return -2.0 * np.outer(blocks.k_curve, blocks.zbar)
+
+
+h_limit_constant = h_limit_loglinear
 
 
 # ---------------------------------------------------------------------------
@@ -593,8 +602,6 @@ def loglinear_sigma_blocks(
     inv_rho_bar = float((1.0 / rho_cells).mean())
     q_invrho = (1.0 / rho_cells)[:, None]
     integrals = _model_integrals(model, grid, quad, dim)
-    (k_curve, k_err, _), (decay2, d_err, _), (t1, t1_err, _), (t2, t2_err, _) = integrals
-
     # Score variance: sensitivity plus the lag integral of (g-1) against the
     # spatial average of z z' rho rho.
     s11 = _ball_integrals(
@@ -602,37 +609,11 @@ def loglinear_sigma_blocks(
         lambda v: (model.g(v) - 1.0)[:, None, None] * _lag_averages(q_zrho, q_zrho, field, v),
         truncated=True,
     )
-    sigma11 = sens + s11.value
-    sigma11 = 0.5 * (sigma11 + sigma11.T)
-    sigma11_err = _ERROR_SAFETY * s11.err
-
-    # Cross block: decay integral times avg(z rho) plus 2 K(r) zbar.
-    sigma2 = np.outer(decay2, z_rho_bar) + 2.0 * np.outer(k_curve, zbar)
-    sigma2_err = _ERROR_SAFETY * (
-        np.outer(d_err, np.abs(z_rho_bar)) + 2.0 * np.outer(k_err, np.abs(zbar))
-    )
-
-    # K covariance: fourth-order term (no intensity), third-order term times
-    # avg(1/rho), and the lag average of g(w)/(rho(u) rho(u-w)).
+    # K covariance pair term: the lag average of g(w)/(rho(u) rho(u-w)).
     c3 = _ball_integrals(
         grid, dim, quad, _REGION_LL_C2, 1,
         lambda x: model.g(x) * _lag_averages(q_invrho, q_invrho, field, x)[:, 0, 0],
     )
-    minix = np.minimum.outer(np.arange(grid.m), np.arange(grid.m))
-    c = t1 + 4.0 * inv_rho_bar * t2 + 2.0 * c3.value[minix]
-    c = 0.5 * (c + c.T)
-    c_err = _ERROR_SAFETY * (t1_err + 4.0 * inv_rho_bar * t2_err + 2.0 * c3.err[minix])
-
-    return CovarianceBlocks(
-        grid=grid,
-        sigma11=sigma11,
-        sigma2=sigma2,
-        c=c,
-        k_curve=k_curve,
-        sigma11_err=sigma11_err,
-        sigma2_err=sigma2_err,
-        c_err=c_err,
-        sensitivity=sens,
-        zbar=zbar,
-        points=sum(i.points for i in integrals) + s11.points + c3.points,
+    return _assemble_blocks(
+        grid, integrals, s11, c3, sens, z_rho_bar, zbar, inv_rho_bar, zbar, sens
     )

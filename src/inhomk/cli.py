@@ -158,9 +158,9 @@ def _cmd_cov(args) -> int:
     write_matrix_csv(out(".sigma11.csv"), blocks.sigma11)
     write_matrix_csv(out(".sigma2.csv"), blocks.sigma2)
     write_matrix_csv(out(".c.csv"), blocks.c)
-    estimated = cov_estimated_constant(blocks, args.beta)
+    estimated = cov_estimated_constant(blocks)
     write_matrix_csv(out(".c_estimated.csv"), estimated.matrix)
-    composed = compose_lim_cov(h_limit_constant(blocks, args.beta), blocks)
+    composed = compose_lim_cov(h_limit_constant(blocks), blocks)
     write_matrix_csv(out(".c_tilde.csv"), composed.matrix)
     meta = {
         "g_model": args.g_model,

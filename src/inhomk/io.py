@@ -65,7 +65,11 @@ def write_pattern_csv(path, pattern: PointPattern) -> None:
 
 
 def read_pattern_csv(path, side: float | None = None, dim: int | None = None) -> PointPattern:
-    """Read a pattern CSV; window from explicit arguments or the JSON sidecar."""
+    """Read a pattern CSV; window from explicit arguments or the JSON sidecar.
+
+    An argument fills a key the sidecar lacks; a sidecar that is not a JSON
+    object with the keys still needed raises one ``ValueError`` naming it.
+    """
     path = Path(path)
     if side is None or dim is None:
         sidecar = _sidecar(path)
@@ -73,9 +77,14 @@ def read_pattern_csv(path, side: float | None = None, dim: int | None = None) ->
             raise ValueError(
                 f"window unknown: pass side/dim or provide {sidecar.name}"
             )
-        meta = json.loads(sidecar.read_text())
-        side = meta["side"] if side is None else side
-        dim = meta["dim"] if dim is None else dim
+        try:
+            meta = json.loads(sidecar.read_text())
+            side = float(meta["side"]) if side is None else side
+            dim = meta["dim"] if dim is None else dim
+        except (ValueError, KeyError, TypeError, OverflowError) as err:
+            raise ValueError(
+                f"{sidecar}: malformed window sidecar, need a JSON object with side and dim"
+            ) from err
     text = path.read_text().strip().splitlines()
     if not text:
         raise ValueError(f"{path}: empty pattern file")

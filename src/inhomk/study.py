@@ -40,6 +40,7 @@ from .geometry import MAX_SCAN_DIM, Window, check_positive
 from .gof import PoissonNullTables, critical_values, plug_in, sup_distance
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat
+from .limitlaw import MIN_SAMPLE
 from .seeds import stream
 from .simulate import MaternParams, simulate_matern, simulate_poisson
 
@@ -66,7 +67,8 @@ class StudyConfig:
     ``rho``, ``R`` and every side must be finite and positive. Windows and
     null tables are ``dim``-dimensional, ``1 <= dim <= 12``. A cell holds at
     least 100 and fewer than ``_CELL_STRIDE`` (10**6) replicates, so no two
-    cells share a stream.
+    cells share a stream. The null law takes at least ``MIN_SAMPLE`` (100)
+    draws, ``sample_size``, on a grid of at least two radii, ``grid_size``.
     """
 
     process: str = "poisson"
@@ -100,6 +102,10 @@ class StudyConfig:
                 raise ValueError(f"{name} must be a number")
         if not 100 <= self.replicates < _CELL_STRIDE:
             raise ValueError(f"replicates must be at least 100 and below {_CELL_STRIDE}")
+        if self.sample_size < MIN_SAMPLE:
+            raise ValueError(f"sample_size must be >= {MIN_SAMPLE}")
+        if self.grid_size < 2:
+            raise ValueError("grid_size must be >= 2")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 1 <= self.dim <= MAX_SCAN_DIM:

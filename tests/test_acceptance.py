@@ -131,7 +131,7 @@ def test_criterion_4_closed_form_consistency():
     )
     known_closed = poisson_cov_matrix(grid, RHO, "known").matrix
     est_closed = poisson_cov_matrix(grid, RHO, "estimated").matrix
-    est = cov_estimated_constant(blocks, RHO)
+    est = cov_estimated_constant(blocks)
     err_known = float(np.abs((blocks.c - known_closed) / known_closed).max())
     err_est = float(np.abs((est.matrix - est_closed) / est_closed).max())
     ok = err_known <= 0.01 and err_est <= 0.01
@@ -146,7 +146,7 @@ def test_criterion_4_closed_form_consistency():
 def test_criterion_5_composition_identity():
     grid = RadiusGrid.uniform(R, 10)
     blocks = poisson_blocks(RHO, grid)
-    composed = compose_lim_cov(h_limit_constant(blocks, RHO), blocks)
+    composed = compose_lim_cov(h_limit_constant(blocks), blocks)
     est_closed = poisson_cov_matrix(grid, RHO, "estimated").matrix
     err = float(np.abs((composed.matrix - est_closed) / est_closed).max())
     _report("criterion 5", err <= 1e-10, f"max rel err {err:.2e} <= 1e-10")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -66,7 +67,7 @@ def test_poisson_cov_matrix_matches_blocks():
                 # c - 4 K K / beta cancels, hence the loose bound
                 np.testing.assert_allclose(
                     poisson_cov_matrix(grid, beta, "estimated", dim).matrix,
-                    cov_estimated_constant(blocks, beta).matrix,
+                    cov_estimated_constant(blocks).matrix,
                     rtol=1e-10,
                 )
 
@@ -136,7 +137,7 @@ def test_blocks_symmetry_and_psd():
         model, 150.0, GRID5, QuadratureConfig(samples=2**14, r_trunc=3.0)
     )
     np.testing.assert_array_equal(blocks.c, blocks.c.T)
-    composed = compose_lim_cov(h_limit_constant(blocks, 150.0), blocks)
+    composed = compose_lim_cov(h_limit_constant(blocks), blocks)
     eigs = np.linalg.eigvalsh(composed.matrix)
     assert eigs.min() >= -1e-6 * composed.matrix.diagonal().max()
 
@@ -234,7 +235,7 @@ def test_cov_estimated_poisson_reduction():
     blocks = sigma_blocks_constant(
         POISSON_DENSITIES, 200.0, GRID10, QuadratureConfig(samples=2**14)
     )
-    est = cov_estimated_constant(blocks, 200.0)
+    est = cov_estimated_constant(blocks)
     closed = poisson_cov_matrix(GRID10, 200.0, "estimated").matrix
     np.testing.assert_allclose(est.matrix, closed, rtol=1e-10)
     # estimating the intensity is beneficial: smaller diagonal than known
@@ -265,16 +266,47 @@ def test_compose_reproduces_cov_estimated_exactly():
         QuadratureConfig(samples=2**10, r_trunc=10 * s),
     )
     for blocks, beta in ((poisson_blocks(200.0, GRID10), 200.0), (synthetic, 150.0)):
-        est = cov_estimated_constant(blocks, beta)
-        composed = compose_lim_cov(h_limit_constant(blocks, beta), blocks)
+        est = cov_estimated_constant(blocks)
+        composed = compose_lim_cov(h_limit_constant(blocks), blocks)
         np.testing.assert_array_equal(est.matrix, composed.matrix)
         formula = _estimated_formula(blocks, beta)
         np.testing.assert_allclose(
             est.matrix, formula, rtol=1e-12, atol=1e-12 * np.abs(formula).max()
         )
     closed = poisson_cov_matrix(GRID10, 200.0, "estimated").matrix
-    est = cov_estimated_constant(poisson_blocks(200.0, GRID10), 200.0)
+    est = cov_estimated_constant(poisson_blocks(200.0, GRID10))
     np.testing.assert_allclose(est.matrix, closed, rtol=1e-10)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_constant_blocks_carry_inverse_beta_as_zbar(dim):
+    # -2 K(r) zbar with zbar = [1/beta] is bitwise -2 K(r) / beta, since
+    # fl(2/beta) = 2 fl(1/beta)
+    assert h_limit_constant is h_limit_loglinear
+    quad = QuadratureConfig(samples=2**10, r_trunc=0.2)
+    model = synthetic_densities(g_scale=0.02, g3_scale=0.02, g4_scale=0.02)
+    for beta in (1e-3, 0.7, 3.0, 150.0, 7e5):
+        for blocks in (
+            poisson_blocks(beta, GRID5, dim),
+            sigma_blocks_constant(model, beta, GRID5, quad, dim),
+        ):
+            np.testing.assert_array_equal(blocks.zbar, [1.0 / beta])
+            np.testing.assert_array_equal(
+                h_limit_constant(blocks), (-2.0 / beta) * blocks.k_curve[:, None]
+            )
+            with pytest.raises(ValueError, match="read-only"):
+                blocks.zbar[0] = 1.0
+    # 2-D sigma11 and sigma2 and a p-vector zbar are taken as given, not promoted
+    closed = poisson_blocks(100.0, GRID5)
+    for field, value in (("sigma2", closed.sigma2[:, 0]), ("sigma11", 100.0), ("zbar", [0.1, 0.2])):
+        with pytest.raises(ValueError, match="inconsistent block shapes"):
+            dataclasses.replace(closed, **{field: value})
+
+
+def test_compose_refuses_one_dimensional_h():
+    blocks = poisson_blocks(100.0, GRID5)
+    with pytest.raises(ValueError, match=r"H must be \(5, 1\), got \(5,\)"):
+        compose_lim_cov(np.zeros(GRID5.m), blocks)
 
 
 def test_compose_zero_h_returns_c():
@@ -328,7 +360,7 @@ def test_loglinear_reduces_to_constant_for_unit_covariate():
     np.testing.assert_allclose(ll.c, cc.c, rtol=1e-10)
     # composed limit covariances agree too (score -> estimator coordinates)
     ct_ll = compose_lim_cov(h_limit_loglinear(ll), ll)
-    ct_cc = compose_lim_cov(h_limit_constant(cc, 200.0), cc)
+    ct_cc = compose_lim_cov(h_limit_constant(cc), cc)
     np.testing.assert_allclose(ct_ll.matrix, ct_cc.matrix, rtol=1e-9)
 
 

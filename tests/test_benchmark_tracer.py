@@ -5,7 +5,9 @@ with a timing wrapper. A renamed or removed attribute breaks only the traced
 benchmark run, so this guard keeps the names in the fast suite.
 """
 
+import ast
 import importlib.util
+import types
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -23,6 +25,37 @@ def test_tracer_patch_table_resolves():
     assert table
     for owner, attr, name, _count in table:
         assert callable(getattr(owner, attr)), f"{owner.__name__}.{attr} ({name})"
+
+
+# Imported by gof for the tracer alone; ROADMAP item 7's benchmark change
+# drops their rows, then these imports.
+TRACER_ONLY_IMPORTS = {("gof", "cholesky_with_jitter"), ("gof", "normal_reservoir")}
+
+
+def _defined_or_called(module) -> set[str]:
+    tree = ast.parse(Path(module.__file__).read_text())
+    names = {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_tracer_patches_names_their_module_uses():
+    # A patched module attribute that its module only imports times nothing:
+    # the module must define it or call it by that name.
+    unused = {
+        (owner.__name__.rsplit(".", 1)[-1], attr)
+        for owner, attr, _name, _count in _load_spans()._patch_table()
+        if isinstance(owner, types.ModuleType) and attr not in _defined_or_called(owner)
+    }
+    assert unused == TRACER_ONLY_IMPORTS
 
 
 def test_constant_blocks_draw_each_variable_once():

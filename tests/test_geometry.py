@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from inhomk.asymcov import (
     POISSON_DENSITIES,
     QuadratureConfig,
-    cov_estimated_constant,
     poisson_blocks,
     poisson_cov_matrix,
     sigma_blocks_constant,
@@ -91,9 +90,6 @@ POSITIVE_PARAMETERS = {
     "known_draws": ("rho", lambda v: TABLES.known_draws(v)),
     "sigma_blocks_constant": (
         "beta", lambda v: sigma_blocks_constant(POISSON_DENSITIES, v, GRID5)
-    ),
-    "cov_estimated_constant": (
-        "beta", lambda v: cov_estimated_constant(poisson_blocks(200.0, GRID5), v)
     ),
     "GofConfig.R": ("R", lambda v: GofConfig(R=v)),
     "GofConfig.rho": ("rho", lambda v: GofConfig(rho=v)),

@@ -42,6 +42,27 @@ def test_pattern_missing_window(tmp_path):
         read_pattern_csv(path)
 
 
+@pytest.mark.parametrize(
+    "sidecar", ['{"dim": 2}', "[2, 1.0]", "{", '{"dim": 2, "side": null}',
+                '{"dim": 2, "side": 1' + "0" * 400 + "}"],
+    ids=["no-side", "list", "json", "null-side", "float-range"],
+)
+@pytest.mark.parametrize("command", ["kfunc", "gof"])
+def test_cli_malformed_sidecar_is_one_error_line(tmp_path, capsys, command, sidecar):
+    path = tmp_path / "p.csv"
+    write_pattern_csv(path, PointPattern(Window(2, 1.0), [[0.1, 0.2], [0.5, 0.5]]))
+    meta = tmp_path / "p.csv.window.json"
+    meta.write_text(sidecar)
+    flags = {"kfunc": ["--fit"], "gof": ["--seed", "1"]}[command]
+    assert main([command, str(path), *flags, "-o", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {meta}: malformed window sidecar, need a JSON object with side and dim\n"
+    )
+    # a flag still fills the key the sidecar lacks
+    if sidecar == '{"dim": 2}':
+        assert read_pattern_csv(path, side=1.0).window == Window(2, 1.0)
+
+
 def test_pattern_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0.0,zap\n")

@@ -198,6 +198,13 @@ def test_study_config_validation():
         StudyConfig(replicates=50)
     with pytest.raises(ValueError, match="mode"):
         StudyConfig(modes=("bogus",))
+    for sample_size in (99, 0, -5):
+        with pytest.raises(ValueError, match="^sample_size must be >= 100$"):
+            StudyConfig(sample_size=sample_size)
+    for grid_size in (1, 0, -2):
+        with pytest.raises(ValueError, match="^grid_size must be >= 2$"):
+            StudyConfig(grid_size=grid_size)
+    assert StudyConfig(sample_size=100, grid_size=2).grid_size == 2
     for alpha in (-0.1, 0.0, 1.5):
         with pytest.raises(ValueError, match="alpha"):
             StudyConfig(alpha=alpha)
