@@ -7,9 +7,9 @@ factorizes over the axes. Pair search is a cell list over a batch of
 patterns on one window: points are keyed by pattern, then by cell (cells no
 smaller than the search radius) in a narrow unsigned dtype; a stable sort
 (radix, for 16-bit keys) and a bincount give a cell-start table whose
-ranges are each point's neighbor rows, and coordinates are gathered column
-by column. No pair crosses two patterns, and each unordered pair is
-returned once, in no particular order.
+ranges are each point's forward neighbor rows, (3^(d-1)+1)/2 per point, and
+coordinates are gathered column by column. No pair crosses two patterns,
+and each unordered pair is returned once, in no particular order.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ __all__ = [
 
 # Pair search cells per batch point, at most (before one-cell borders).
 _CELLS_PER_POINT = 4
-# Pair search dimension, at most: each point reads 3**(d-1) neighbor rows, and
+# Pair search dimension, at most: each point reads (3**(d-1)+1)/2 neighbor rows, and
 # the one-cell borders multiply the cell table by up to 3**d.
 MAX_SCAN_DIM = 12
 
@@ -138,8 +138,9 @@ def overlap_volume(window: Window, h) -> float | np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape[-1] != window.dim:
         raise ValueError(f"displacement must have {window.dim} components")
-    overlaps = np.maximum(window.side - np.abs(h), 0.0)
-    out = overlaps.prod(axis=-1)
+    out = np.maximum(window.side - np.abs(h[..., 0]), 0.0)
+    for k in range(1, window.dim):
+        out = out * np.maximum(window.side - np.abs(h[..., k]), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -157,14 +158,14 @@ def close_pairs(patterns, rmax: float) -> PairList:
     window, scanned as a batch. A point's key is its pattern's batch index,
     then its flat cell index, in the narrowest unsigned dtype that holds all
     keys (numpy's stable argsort is a radix sort up to 16 bits); a bincount
-    of the sorted keys gives the cell-start table. Each point reads its
-    3^(d-1) neighbor rows as table ranges, starting after its own position so
-    that every unordered pair is visited once, and coordinates are gathered
-    per column. The set of pairs is independent of the cell layout (their
-    order and orientation are not); a radius larger than the window simply
-    means fewer cells. A dimension above ``MAX_SCAN_DIM`` (12) raises
-    ``ValueError`` before any table is built; up to it, memory grows
-    linearly with the batch's points and patterns.
+    of the sorted keys gives the cell-start table. Each point reads the
+    (3^(d-1)+1)/2 forward ones of its 3^(d-1) neighbor rows as table ranges,
+    starting after its own position so that every unordered pair is visited
+    once, and coordinates are gathered per column. The set of pairs is
+    independent of the cell layout (their order and orientation are not); a
+    radius larger than the window simply means fewer cells. A dimension above
+    ``MAX_SCAN_DIM`` (12) raises ``ValueError`` before any table is built; up
+    to it, memory grows linearly with the batch's points and patterns.
     """
     batch = [patterns] if isinstance(patterns, PointPattern) else list(patterns)
     if not rmax > 0:
@@ -195,8 +196,9 @@ def close_pairs(patterns, rmax: float) -> PairList:
     np.cumsum(np.bincount(keys, minlength=nkeys), out=starts[1:])
 
     # One table range per row of three neighbor cells along the last axis,
-    # with leading offsets in {-1, 0, 1} on the first d - 1 axes.
-    lead = np.array(list(product((-1, 0, 1), repeat=d - 1)), dtype=np.int64)
+    # with leading offsets in {-1, 0, 1} on the first d - 1 axes. Rows with a
+    # lexicographically negative lead end before the point's own cell: skipped.
+    lead = np.array(list(product((-1, 0, 1), repeat=d - 1))[3 ** (d - 1) // 2 :], dtype=np.int64)
     rows = keys[:, None] + lead @ span ** np.arange(d - 1, 0, -1, dtype=np.int64)
     lo = np.maximum(starts[rows - 1], np.arange(1, n + 1)[:, None])
     counts = np.maximum(starts[rows + 2] - lo, 0).ravel()
@@ -212,4 +214,4 @@ def close_pairs(patterns, rmax: float) -> PairList:
     dist2 = np.einsum("ij,ij->i", disp, disp)
     keep = np.flatnonzero((dist2 > 0.0) & (dist2 <= rmax * rmax))
     i, j = order[pos_a[keep]], order[pos_b[keep]]
-    return PairList(i, j, disp[keep], np.sqrt(dist2[keep]))
+    return PairList(i, j, np.take(disp, keep, axis=0), np.sqrt(dist2[keep]))

@@ -52,6 +52,12 @@ def _axis_header(dim: int) -> list[str]:
     return [f"x{k + 1}" for k in range(dim)]
 
 
+def _number(value):
+    if isinstance(value, bool):  # a JSON true or false, which Python takes for an int
+        raise ValueError(f"{value} is not a number")
+    return value
+
+
 def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".window.json")
 
@@ -79,8 +85,8 @@ def read_pattern_csv(path, side: float | None = None, dim: int | None = None) ->
             )
         try:
             meta = json.loads(sidecar.read_text())
-            side = float(meta["side"]) if side is None else side
-            dim = meta["dim"] if dim is None else dim
+            side = float(_number(meta["side"])) if side is None else side
+            dim = _number(meta["dim"]) if dim is None else dim
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             raise ValueError(
                 f"{sidecar}: malformed window sidecar, need a JSON object with side and dim"
@@ -112,9 +118,9 @@ def read_covariate_field(path) -> CovariateField:
     text = path.read_text().strip().splitlines()
     try:
         header = json.loads(text[0])
-        window = Window(int(header["dim"]), float(header["side"]))
-        resolution = tuple(int(r) for r in header["resolution"])
-        p = int(header["p"])
+        window = Window(int(_number(header["dim"])), float(_number(header["side"])))
+        resolution = tuple(int(_number(r)) for r in header["resolution"])
+        p = int(_number(header["p"]))
     except (ValueError, KeyError, IndexError, json.JSONDecodeError) as err:
         raise ValueError(f"{path}: malformed covariate raster") from err
     body = _parse_rows(text[1:], f"{path}: malformed covariate raster")

@@ -7,8 +7,12 @@ the largest grid radius and counted twice. One accumulator serves every
 statistic: pair contributions are summed per radius bin (the first grid
 radius at or above the pair distance) and all grid values are read off twice
 the cumulative sum over bins; a batch of patterns shares one pair scan and
-keys its bins by pattern too. The H matrix uses the same pair weights times
-the summed log-intensity gradients of the pair.
+keys its bins by pattern too. A bin is ``floor(dist * m / rmax)`` (exact on
+the even grid up to rounding) moved one place at a time toward the first
+radius at or above its distance until none moves, so it equals
+``searchsorted(side="left")`` on every grid ``RadiusGrid`` accepts, with the
+dropped bin ``m`` from one ulp above ``rmax``. The H matrix uses the same pair
+weights times the summed log-intensity gradients of the pair.
 
 Grids exclude r = 0 (the limit covariance degenerates there). Statistics are
 evaluated on the grid rather than the continuum; between grid points the
@@ -110,6 +114,17 @@ def _pair_weights(points: np.ndarray, window, model, pairs: PairList) -> np.ndar
     return 1.0 / (overlap * rho[pairs.i] * rho[pairs.j])
 
 
+def _radius_bins(grid: RadiusGrid, dist: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(grid.values, dist, side="left")`` by the rule above."""
+    edges = np.concatenate(([-np.inf], grid.values, [np.inf]))
+    bins = np.minimum(dist * (grid.m / grid.rmax), grid.m).astype(np.intp)
+    while True:
+        moves = np.subtract(edges.take(bins + 1) < dist, edges.take(bins) >= dist, dtype=np.intp)
+        if not moves.any():
+            return bins
+        bins += moves
+
+
 def _accumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid, group=0, groups=1):
     """Per group, sum symmetric pair contributions over ordered pairs with 0 < dist <= r.
 
@@ -119,7 +134,7 @@ def _accumulate(pairs: PairList, contrib: np.ndarray, grid: RadiusGrid, group=0,
     the dropped bin ``m``.
     """
     size = grid.m + 1
-    keys = group * size + np.searchsorted(grid.values, pairs.dist, side="left")
+    keys = group * size + _radius_bins(grid, pairs.dist)
     if contrib.ndim == 1:
         sums = np.bincount(keys, contrib, groups * size)
     else:
@@ -161,7 +176,7 @@ def h_matrix(pattern: PointPattern, model, grid: RadiusGrid) -> Curve:
     pairs = close_pairs(pattern, grid.rmax)
     w = _pair_weights(pattern.points, pattern.window, model, pairs)
     grad = np.asarray(model.log_gradient(pattern.points), dtype=float)
-    contrib = -w[:, None] * (grad[pairs.i] + grad[pairs.j])
+    contrib = -w[:, None] * (np.take(grad, pairs.i, axis=0) + np.take(grad, pairs.j, axis=0))
     return Curve(grid, _accumulate(pairs, contrib, grid)[0])
 
 

@@ -68,13 +68,11 @@ def simulate_poisson_inhom(model, rho_max: float, window: Window, seed) -> Point
     n = rng.poisson(rho_max * window.volume)
     half = window.side / 2.0
     pts = rng.uniform(-half, half, size=(n, window.dim))
-    if n == 0:
-        return PointPattern(window, pts)
     vals = np.asarray(model.value(pts), dtype=float)
     if np.any(vals > rho_max):
         raise ValueError("dominating bound violated")
-    keep = rng.uniform(size=n) < vals / rho_max
-    return PointPattern(window, pts[keep])
+    keep = np.flatnonzero(rng.uniform(size=n) < vals / rho_max)
+    return PointPattern(window, np.take(pts, keep, axis=0))
 
 
 def _uniform_in_ball(rng: np.random.Generator, count: int, dim: int, radius: float):
@@ -87,10 +85,9 @@ def _uniform_in_ball(rng: np.random.Generator, count: int, dim: int, radius: flo
         need = count - got
         batch = max(64, 2 * need)
         cand = rng.uniform(-radius, radius, size=(batch, dim))
-        ok = cand[np.einsum("ij,ij->i", cand, cand) <= radius * radius]
-        take = min(len(ok), need)
-        out[got : got + take] = ok[:take]
-        got += take
+        ok = np.flatnonzero(np.einsum("ij,ij->i", cand, cand) <= radius * radius)[:need]
+        out[got : got + len(ok)] = np.take(cand, ok, axis=0)
+        got += len(ok)
     return out
 
 
@@ -108,10 +105,12 @@ def simulate_matern(params: MaternParams, window: Window, seed) -> PointPattern:
     dilated_side = window.side + 2.0 * params.rdisp
     n_parents = rng.poisson(params.kappa * dilated_side**d)
     parents = rng.uniform(-dilated_side / 2.0, dilated_side / 2.0, size=(n_parents, d))
-    n_off = rng.poisson(params.mu, size=n_parents) if n_parents else np.empty(0, int)
+    n_off = rng.poisson(params.mu, size=n_parents)
     total = int(n_off.sum())
-    offsets = _uniform_in_ball(rng, total, d, params.rdisp)
-    children = np.repeat(parents, n_off, axis=0) + offsets
-    half = window.side / 2.0
-    inside = np.all(np.abs(children) <= half, axis=1)
-    return PointPattern(window, children[inside])
+    children = _uniform_in_ball(rng, total, d, params.rdisp)
+    children += np.take(parents, np.repeat(np.arange(n_parents), n_off), axis=0)
+    within = np.abs(children) <= window.side / 2.0
+    inside = within[:, 0].copy()
+    for col in within.T[1:]:
+        inside &= col
+    return PointPattern(window, np.take(children, np.flatnonzero(inside), axis=0))

@@ -90,15 +90,18 @@ class StudyConfig:
             raise ValueError("process must be 'poisson' or 'matern'")
         if self.process == "matern" and not isinstance(self.matern, MaternParams):
             raise ValueError("matern parameters required for a matern study")
+        # A JSON true or false is a Python int: refused wherever a number is expected.
         for name in ("replicates", "grid_size", "sample_size", "seed", "dim", "workers"):
-            if not isinstance(getattr(self, name), Integral):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer")
         for name in ("sides", "modes"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list")
+        matern = vars(self.matern) if self.matern is not None else {}
         for name, value in (("rho", self.rho), ("alpha", self.alpha), ("R", self.R),
-                            *(("side", side) for side in self.sides)):
-            if not isinstance(value, Real):
+                            *(("side", side) for side in self.sides), *matern.items()):
+            if not isinstance(value, Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a number")
         if not 100 <= self.replicates < _CELL_STRIDE:
             raise ValueError(f"replicates must be at least 100 and below {_CELL_STRIDE}")

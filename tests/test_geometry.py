@@ -208,6 +208,23 @@ def test_overlap_volume_vectorized():
     np.testing.assert_allclose(overlap_volume(w, h), [1.0, 0.25, 0.0])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_overlap_volume_matches_row_product(dim):
+    # Axis by axis, left to right, as prod(axis=-1): the same bits.
+    w = Window(dim, 1.5)
+    h = np.random.default_rng(dim).uniform(-2.0, 2.0, size=(400, dim))
+    h[::7, -1] = 1.5  # a component at the side: zero overlap
+    h[::5, 0] = -0.0
+    want = np.prod(np.maximum(w.side - np.abs(h), 0.0), axis=-1)
+    got = overlap_volume(w, h)
+    assert got.tobytes() == want.tobytes() and (got == 0.0).any() and (got > 0.0).any()
+    stacked = overlap_volume(w, h.reshape(4, 100, dim))
+    assert stacked.shape == (4, 100) and stacked.tobytes() == want.tobytes()
+    for row, value in zip(h[:40], want[:40]):
+        one = overlap_volume(w, row)
+        assert type(one) is float and one == value
+
+
 @given(
     side=st.floats(0.1, 10.0),
     h1=st.floats(-12.0, 12.0),

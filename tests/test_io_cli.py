@@ -63,6 +63,49 @@ def test_cli_malformed_sidecar_is_one_error_line(tmp_path, capsys, command, side
         assert read_pattern_csv(path, side=1.0).window == Window(2, 1.0)
 
 
+@pytest.mark.parametrize(
+    "dim, sidecar", [(1, '{"dim": true, "side": 1}'), (2, '{"dim": 2, "side": true}')],
+    ids=["true-dim", "true-side"],
+)
+def test_cli_boolean_sidecar_is_one_error_line(tmp_path, capsys, dim, sidecar):
+    # A JSON true is a Python int: it must not pass as a 1-D window or a unit side.
+    path = tmp_path / "p.csv"
+    write_pattern_csv(path, PointPattern(Window(dim, 1.0), [[0.1] * dim, [0.3] * dim]))
+    meta = tmp_path / "p.csv.window.json"
+    meta.write_text(sidecar)
+    out = tmp_path / "out.csv"
+    assert main(["kfunc", str(path), "--beta", "3", "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {meta}: malformed window sidecar, need a JSON object with side and dim\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dim, resolution, key, value",
+    [(1, (2,), "dim", True), (2, (2, 2), "side", True), (2, (2, 2), "p", True),
+     (2, (1, 2), "resolution", [True, 2])],
+    ids=["dim", "side", "p", "resolution"],
+)
+def test_cli_boolean_raster_header_is_one_error_line(tmp_path, capsys, dim, resolution,
+                                                     key, value):
+    # Each boolean stands where the raster holds a 1: read as a number it would pass.
+    path = tmp_path / "field.csv"
+    write_covariate_field(path, CovariateField(Window(dim, 1.0), np.ones(resolution + (1,))))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    assert header[key] == (1 if key != "resolution" else [1, 2])
+    path.write_text("\n".join([json.dumps({**header, key: value}), *lines[1:]]) + "\n")
+    with pytest.raises(ValueError, match="malformed covariate raster"):
+        read_covariate_field(path)
+    out = tmp_path / "out.csv"
+    argv = ["simulate", "--model", "poisson-inhom", "--covariates", str(path), "--beta", "5",
+            "--rho-max", "200", "--side", "1", "--dim", str(dim), "--seed", "1", "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: malformed covariate raster\n"
+    assert not out.exists()
+
+
 def test_pattern_malformed(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0.0,zap\n")

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from inhomk.geometry import PointPattern, Window
 from inhomk.intensity import ConstantIntensity, CovariateField, LogLinearIntensity
-from inhomk.kstat import RadiusGrid, h_matrix, k_hat, k_poisson, taylor_residual
+from inhomk.kstat import (
+    RadiusGrid,
+    _radius_bins,
+    h_matrix,
+    k_hat,
+    k_poisson,
+    taylor_residual,
+)
 from inhomk.seeds import stream
 from inhomk.simulate import simulate_poisson
 
@@ -35,6 +42,40 @@ def test_uniform_grid_ends_exactly_at_rmax(rmax, m):
     assert grid.m == m
     assert grid.rmax == rmax
     np.testing.assert_array_equal(grid.values[:-1], rmax * np.arange(1, m) / m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rmax=st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False),
+    m=st.integers(2, 300),
+    kind=st.sampled_from(["uniform", "uneven", "offset"]),
+    frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+)
+@example(rmax=0.05, m=50, kind="uniform", frac=0.0, seed=0)
+@example(rmax=1e-6, m=300, kind="uneven", frac=1.0, seed=1)
+def test_radius_bins_equal_searchsorted(rmax, m, kind, frac, seed):
+    rng = np.random.default_rng(seed)
+    values = RadiusGrid.uniform(rmax, m).values.copy()
+    step = rmax / m
+    if kind == "uneven":
+        # shifts small enough that every step stays within RadiusGrid's
+        # tolerance (atol 1e-8 plus rtol 1e-9), and the radii increasing
+        shift = min(frac * (1e-8 + 1e-9 * step / 2) / 4.5, step / 4)
+        values += rng.uniform(-shift, shift, m)
+    elif kind == "offset":
+        # evenly spaced, but not from the origin: the first guess is far off
+        values = rmax * (1.0 + frac * 10.0) - step * np.arange(m)[::-1]
+    grid = RadiusGrid(values)
+    at = grid.values
+    dist = np.concatenate([
+        at, np.nextafter(at, -np.inf), np.nextafter(at, np.inf),
+        [0.0, 5e-324, 1e-300 * grid.rmax, 2.0 * grid.rmax, np.inf],
+        rng.uniform(0.0, grid.rmax, 200),
+    ])
+    want = np.searchsorted(grid.values, dist, side="left")
+    np.testing.assert_array_equal(_radius_bins(grid, dist), want)
+    assert want[3 * m - 1] == m  # one ulp above rmax: the dropped bin
 
 
 def test_k_poisson_values():

@@ -6,6 +6,7 @@ from inhomk.intensity import CovariateField, LogLinearIntensity
 from inhomk.seeds import stream
 from inhomk.simulate import (
     MaternParams,
+    _uniform_in_ball,
     simulate_matern,
     simulate_poisson,
     simulate_poisson_inhom,
@@ -127,3 +128,94 @@ def test_matern_params_validation():
         MaternParams(0.0, 8.0, 0.2)
     with pytest.raises(ValueError):
         MaternParams(25.0, -1.0, 0.2)
+
+
+# Row-mask references: the generators select rows with np.take on flatnonzero
+# indices and test axes column by column; these boolean-mask forms must give
+# the same bits and leave the stream in the same state.
+def _ball_by_masks(rng, count, dim, radius):
+    out = np.empty((count, dim))
+    got = 0
+    while got < count:
+        need = count - got
+        cand = rng.uniform(-radius, radius, size=(max(64, 2 * need), dim))
+        ok = cand[np.einsum("ij,ij->i", cand, cand) <= radius * radius]
+        take = min(len(ok), need)
+        out[got : got + take] = ok[:take]
+        got += take
+    return out
+
+
+def _matern_by_masks(params, window, rng):
+    d = window.dim
+    dilated_side = window.side + 2.0 * params.rdisp
+    n_parents = rng.poisson(params.kappa * dilated_side**d)
+    parents = rng.uniform(-dilated_side / 2.0, dilated_side / 2.0, size=(n_parents, d))
+    n_off = rng.poisson(params.mu, size=n_parents) if n_parents else np.empty(0, int)
+    offsets = _ball_by_masks(rng, int(n_off.sum()), d, params.rdisp)
+    children = np.repeat(parents, n_off, axis=0) + offsets
+    return children[np.all(np.abs(children) <= window.side / 2.0, axis=1)]
+
+
+def _inhom_by_masks(model, rho_max, window, rng):
+    n = rng.poisson(rho_max * window.volume)
+    pts = rng.uniform(-window.side / 2.0, window.side / 2.0, size=(n, window.dim))
+    if n == 0:
+        return pts
+    keep = rng.uniform(size=n) < np.asarray(model.value(pts), dtype=float) / rho_max
+    return pts[keep]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_uniform_in_ball_matches_row_masks(dim):
+    # From 4-D on, fewer than half the cube's draws land in the ball, so the
+    # rejection loop runs more than once.
+    for seed in range(40):
+        count = (0, 1, 7, 63, 64, 65, 500)[seed % 7]
+        a, b = stream(seed, dim), stream(seed, dim)
+        assert _same_bits(_uniform_in_ball(a, count, dim, 0.3), _ball_by_masks(b, count, dim, 0.3))
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_matern_matches_row_masks(dim):
+    window = Window(dim, 1.0)
+    empty = 0
+    for seed in range(60):
+        # every sixth stream has a tiny parent intensity: often no parent at all
+        params = MaternParams(1e-3 if seed % 6 == 0 else 25.0 / 2**dim, 6.0, 0.2)
+        a, b = stream(seed, dim, "matern"), stream(seed, dim, "matern")
+        got = simulate_matern(params, window, a).points
+        assert _same_bits(got, _matern_by_masks(params, window, b))
+        assert a.bit_generator.state == b.bit_generator.state
+        empty += len(got) == 0
+    assert empty >= 5
+
+
+class _Ripple:
+    """A test intensity in any dimension, at most ``peak`` and zero on part of the window."""
+
+    def __init__(self, peak):
+        self.peak = peak
+
+    def value(self, points):
+        return self.peak * np.maximum(np.cos(4.0 * points).prod(axis=1), 0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_poisson_inhom_matches_row_masks(dim):
+    window = Window(dim, 1.0)
+    empty = 0
+    for seed in range(60):
+        # every sixth stream has a tiny bound: usually no point at all
+        model = _Ripple(1e-3 if seed % 6 == 0 else 150.0)
+        a, b = stream(seed, dim, "inhom"), stream(seed, dim, "inhom")
+        got = simulate_poisson_inhom(model, model.peak, window, a).points
+        assert _same_bits(got, _inhom_by_masks(model, model.peak, window, b))
+        assert a.bit_generator.state == b.bit_generator.state
+        empty += len(got) == 0
+    assert empty >= 5

@@ -218,6 +218,20 @@ def test_study_config_validation():
         {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
     )
     assert cfg.matern == MaternParams(25, 8, 0.2)
+    # JSON true and false are Python ints: refused wherever a number is expected
+    with pytest.raises(ValueError, match="must be an integer"):
+        StudyConfig.from_dict(
+            {"dim": True, "seed": True, "rho": True, "sides": [True], "replicates": 100}
+        )
+    for key in ("replicates", "grid_size", "sample_size", "seed", "dim", "workers"):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer$"):
+            StudyConfig.from_dict({"replicates": 100, key: True})
+    for key, value, name in (("rho", True, "rho"), ("alpha", True, "alpha"), ("R", True, "R"),
+                             ("sides", [1.0, True], "side"), ("kappa", True, "kappa"),
+                             ("mu", True, "mu"), ("rdisp", True, "rdisp")):
+        raw = {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
+        with pytest.raises(ValueError, match=f"^{name} must be a number$"):
+            StudyConfig.from_dict({**raw, key: value})
 
 
 def test_study_replicates_stay_below_cell_stride():
