@@ -121,7 +121,7 @@ def read_covariate_field(path) -> CovariateField:
         window = Window(int(_number(header["dim"])), float(_number(header["side"])))
         resolution = tuple(int(_number(r)) for r in header["resolution"])
         p = int(_number(header["p"]))
-    except (ValueError, KeyError, IndexError, json.JSONDecodeError) as err:
+    except (ValueError, KeyError, IndexError, TypeError, OverflowError) as err:
         raise ValueError(f"{path}: malformed covariate raster") from err
     body = _parse_rows(text[1:], f"{path}: malformed covariate raster")
     expected = int(np.prod(resolution))

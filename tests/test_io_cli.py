@@ -84,17 +84,20 @@ def test_cli_boolean_sidecar_is_one_error_line(tmp_path, capsys, dim, sidecar):
 @pytest.mark.parametrize(
     "dim, resolution, key, value",
     [(1, (2,), "dim", True), (2, (2, 2), "side", True), (2, (2, 2), "p", True),
-     (2, (1, 2), "resolution", [True, 2])],
-    ids=["dim", "side", "p", "resolution"],
+     (2, (1, 2), "resolution", [True, 2]), (2, (2, 2), "dim", None),
+     (2, (2, 2), "resolution", None), (2, (2, 2), "p", float("inf"))],
+    ids=["true-dim", "true-side", "true-p", "true-resolution", "null-dim", "null-resolution",
+         "infinite-p"],
 )
-def test_cli_boolean_raster_header_is_one_error_line(tmp_path, capsys, dim, resolution,
-                                                     key, value):
+def test_cli_malformed_raster_header_is_one_error_line(tmp_path, capsys, dim, resolution,
+                                                       key, value):
     # Each boolean stands where the raster holds a 1: read as a number it would pass.
     path = tmp_path / "field.csv"
     write_covariate_field(path, CovariateField(Window(dim, 1.0), np.ones(resolution + (1,))))
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    assert header[key] == (1 if key != "resolution" else [1, 2])
+    if isinstance(value, (bool, list)):
+        assert header[key] == (1 if key != "resolution" else [1, 2])
     path.write_text("\n".join([json.dumps({**header, key: value}), *lines[1:]]) + "\n")
     with pytest.raises(ValueError, match="malformed covariate raster"):
         read_covariate_field(path)
