@@ -66,7 +66,11 @@ __all__ = [
     "h_limit_constant",
     "h_limit_loglinear",
     "MAX_QUADRATURE_DIM",
+    "MODES",
 ]
+
+# Variance modes of every test: estimated-intensity, or known-intensity at the estimate.
+MODES = ("estimated", "known")
 
 # Disjoint stratum-id regions per integral, so no two integrals share
 # low-discrepancy points.
@@ -272,8 +276,8 @@ def poisson_cov_matrix(
     ``4 K(s) K(t) / rho``, with ``K`` the ``dim``-ball volume.
     """
     check_positive(rho, "rho")
-    if mode not in ("known", "estimated"):
-        raise ValueError("mode must be 'known' or 'estimated'")
+    if mode not in MODES:
+        raise ValueError("mode must be 'estimated' or 'known'")
     k = k_poisson(grid.values, dim)
     # rho^2 as a numpy float: an extreme rho overflows or underflows quietly
     # and is refused below instead of raising OverflowError.

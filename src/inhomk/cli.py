@@ -18,6 +18,7 @@ import numpy as np
 
 from . import __version__
 from .asymcov import (
+    MODES,
     POISSON_DENSITIES,
     QuadratureConfig,
     compose_lim_cov,
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crit", help="Monte Carlo critical value of the sup statistic")
     p.add_argument("--cov", help="covariance matrix CSV (otherwise a Poisson closed form)")
     p.add_argument("--rho", type=float, default=200.0)
-    p.add_argument("--mode", choices=("known", "estimated"), default="estimated")
+    p.add_argument("--mode", choices=MODES, default="estimated")
     p.add_argument("--R", type=float, default=0.05)
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--R", type=float, default=0.05)
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--mode", choices=("estimated", "known"), default="estimated")
+    p.add_argument("--mode", choices=MODES, default="estimated")
     p.add_argument("--rho", type=float, default=None, help="known intensity for the statistic")
     p.add_argument("--M", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)

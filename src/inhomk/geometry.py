@@ -7,7 +7,7 @@ factorizes over the axes. Pair search is a cell list over a batch of
 patterns on one window: points are keyed by pattern, then by cell (cells no
 smaller than the search radius) in a narrow unsigned dtype; a stable sort
 (radix, for 16-bit keys) and a bincount give a cell-start table whose
-ranges are each point's forward neighbor rows, (3^(d-1)+1)/2 per point, and
+ranges are each point's forward neighbor rows, ``scan_rows(d)`` per point, and
 coordinates are gathered column by column. No pair crosses two patterns,
 and each unordered pair is returned once, in no particular order.
 """
@@ -17,34 +17,51 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import isfinite
+from numbers import Integral, Real
 
 import numpy as np
 
 __all__ = [
     "check_positive",
+    "check_integer",
     "Window",
     "PointPattern",
     "PairList",
     "overlap_volume",
     "close_pairs",
     "MAX_SCAN_DIM",
+    "scan_rows",
 ]
 
 # Pair search cells per batch point, at most (before one-cell borders).
 _CELLS_PER_POINT = 4
-# Pair search dimension, at most: each point reads (3**(d-1)+1)/2 neighbor rows, and
+# Pair search dimension, at most: each point reads scan_rows(d) neighbor rows, and
 # the one-cell borders multiply the cell table by up to 3**d.
 MAX_SCAN_DIM = 12
 
 
 def check_positive(value: float, name: str) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and positive.
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite, positive number.
 
-    The one rule for intensities, window sides, radii and cluster parameters:
-    every formula that takes them assumes a positive, bounded value.
+    The one rule for intensities, window sides, radii, levels and cluster
+    parameters. A boolean (a JSON ``true`` is a Python int) or a non-number,
+    a numeric string included, raises ``"{name} must be a number"``.
     """
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValueError(f"{name} must be a number")
     if not (isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def check_integer(value: int, name: str) -> None:
+    """Integer rule: a boolean, fraction or non-number raises ``"{name} must be an integer"``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer")
+
+
+def scan_rows(dim: int) -> int:
+    """Neighbor rows :func:`close_pairs` reads per point: (3^(d-1)+1)/2 of 3^(d-1)."""
+    return (3 ** (dim - 1) + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -55,6 +72,7 @@ class Window:
     side: float
 
     def __post_init__(self):
+        check_integer(self.dim, "dim")
         if self.dim < 1:
             raise ValueError("window dimension must be >= 1")
         check_positive(self.side, "side")
@@ -159,7 +177,7 @@ def close_pairs(patterns, rmax: float) -> PairList:
     then its flat cell index, in the narrowest unsigned dtype that holds all
     keys (numpy's stable argsort is a radix sort up to 16 bits); a bincount
     of the sorted keys gives the cell-start table. Each point reads the
-    (3^(d-1)+1)/2 forward ones of its 3^(d-1) neighbor rows as table ranges,
+    :func:`scan_rows` forward ones of its 3^(d-1) neighbor rows as table ranges,
     starting after its own position so that every unordered pair is visited
     once, and coordinates are gathered per column. The set of pairs is
     independent of the cell layout (their order and orientation are not); a
@@ -198,7 +216,7 @@ def close_pairs(patterns, rmax: float) -> PairList:
     # One table range per row of three neighbor cells along the last axis,
     # with leading offsets in {-1, 0, 1} on the first d - 1 axes. Rows with a
     # lexicographically negative lead end before the point's own cell: skipped.
-    lead = np.array(list(product((-1, 0, 1), repeat=d - 1))[3 ** (d - 1) // 2 :], dtype=np.int64)
+    lead = np.array(list(product((-1, 0, 1), repeat=d - 1))[-scan_rows(d) :], dtype=np.int64)
     rows = keys[:, None] + lead @ span ** np.arange(d - 1, 0, -1, dtype=np.int64)
     lo = np.maximum(starts[rows - 1], np.arange(1, n + 1)[:, None])
     counts = np.maximum(starts[rows + 2] - lo, 0).ravel()

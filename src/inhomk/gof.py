@@ -29,8 +29,8 @@ from math import floor, isfinite, log2, sqrt
 
 import numpy as np
 
-from .asymcov import poisson_cov_matrix
-from .geometry import PointPattern, Window, check_positive
+from .asymcov import MODES, poisson_cov_matrix
+from .geometry import PointPattern, Window, check_integer, check_positive
 from .intensity import ConstantIntensity, estimate_constant
 from .kstat import RadiusGrid, k_hat, k_poisson
 from .limitlaw import MIN_SAMPLE, gaussian_paths, p_value, upper_quantile
@@ -72,10 +72,13 @@ class GofConfig:
 
     def __post_init__(self):
         check_positive(self.R, "R")
-        if not 0.0 < self.alpha < 1.0:
+        check_positive(self.alpha, "alpha")
+        if self.alpha >= 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.mode not in ("estimated", "known"):
+        if self.mode not in MODES:
             raise ValueError("mode must be 'estimated' or 'known'")
+        for name in ("grid_size", "sample_size", "seed"):
+            check_integer(getattr(self, name), name)
         if self.sample_size < MIN_SAMPLE:
             raise ValueError(f"sample size must be >= {MIN_SAMPLE}")
         if self.rho is not None:

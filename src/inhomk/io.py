@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import PointPattern, Window
+from .geometry import PointPattern, Window, check_integer
 from .intensity import CovariateField
 from .kstat import Curve
 
@@ -52,12 +52,6 @@ def _axis_header(dim: int) -> list[str]:
     return [f"x{k + 1}" for k in range(dim)]
 
 
-def _number(value):
-    if isinstance(value, bool):  # a JSON true or false, which Python takes for an int
-        raise ValueError(f"{value} is not a number")
-    return value
-
-
 def _sidecar(path: Path) -> Path:
     return path.with_name(path.name + ".window.json")
 
@@ -73,8 +67,8 @@ def write_pattern_csv(path, pattern: PointPattern) -> None:
 def read_pattern_csv(path, side: float | None = None, dim: int | None = None) -> PointPattern:
     """Read a pattern CSV; window from explicit arguments or the JSON sidecar.
 
-    An argument fills a key the sidecar lacks; a sidecar that is not a JSON
-    object with the keys still needed raises one ``ValueError`` naming it.
+    An argument fills a key the sidecar lacks. A sidecar that is not a JSON object
+    with the keys still needed, for a valid window, raises one ``ValueError`` naming it.
     """
     path = Path(path)
     if side is None or dim is None:
@@ -85,21 +79,20 @@ def read_pattern_csv(path, side: float | None = None, dim: int | None = None) ->
             )
         try:
             meta = json.loads(sidecar.read_text())
-            side = float(_number(meta["side"])) if side is None else side
-            dim = _number(meta["dim"]) if dim is None else dim
+            window = Window(meta["dim"] if dim is None else dim,
+                            meta["side"] if side is None else side)
         except (ValueError, KeyError, TypeError, OverflowError) as err:
             raise ValueError(
                 f"{sidecar}: malformed window sidecar, need a JSON object with side and dim"
             ) from err
+    else:
+        window = Window(dim, side)
     text = path.read_text().strip().splitlines()
     if not text:
         raise ValueError(f"{path}: empty pattern file")
     header = text[0].split(",")
-    if len(header) != dim:
-        raise ValueError(f"{path}: header has {len(header)} columns, expected {dim}")
-    window = Window(int(dim), float(side))
-    if len(text) == 1:
-        return PointPattern(window, np.empty((0, dim)))
+    if len(header) != window.dim:
+        raise ValueError(f"{path}: header has {len(header)} columns, expected {window.dim}")
     return PointPattern(window, _parse_rows(text[1:], f"{path}: malformed pattern CSV"))
 
 
@@ -118,9 +111,10 @@ def read_covariate_field(path) -> CovariateField:
     text = path.read_text().strip().splitlines()
     try:
         header = json.loads(text[0])
-        window = Window(int(_number(header["dim"])), float(_number(header["side"])))
-        resolution = tuple(int(_number(r)) for r in header["resolution"])
-        p = int(_number(header["p"]))
+        window = Window(header["dim"], header["side"])
+        resolution, p = tuple(header["resolution"]), header["p"]
+        for value in (*resolution, p):
+            check_integer(value, "resolution and p")
     except (ValueError, KeyError, IndexError, TypeError, OverflowError) as err:
         raise ValueError(f"{path}: malformed covariate raster") from err
     body = _parse_rows(text[1:], f"{path}: malformed covariate raster")

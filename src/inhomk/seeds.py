@@ -17,25 +17,9 @@ import numpy as np
 __all__ = ["stream"]
 
 
-def _branch_key(branch) -> tuple[int, ...]:
-    key = []
-    for part in branch:
-        if isinstance(part, str):
-            key.append(zlib.crc32(part.encode("utf-8")))
-        else:
-            key.append(int(part))
-    return tuple(key)
-
-
 def stream(seed, *branch) -> np.random.Generator:
-    """Return the generator for ``(seed, branch)``.
-
-    Passing a Generator through is supported so that functions taking a seed
-    can also accept an already-derived stream.
-    """
-    if isinstance(seed, np.random.Generator):
-        if branch:
-            raise ValueError("cannot branch an already-derived generator")
-        return seed
-    ss = np.random.SeedSequence(int(seed), spawn_key=_branch_key(branch))
+    """A fresh generator for ``(seed, branch)``. ``seed`` is an integer, never a
+    Generator: only ``simulate._rng`` passes an already-derived stream through."""
+    key = tuple(zlib.crc32(b.encode("utf-8")) if isinstance(b, str) else int(b) for b in branch)
+    ss = np.random.SeedSequence(int(seed), spawn_key=key)
     return np.random.Generator(np.random.PCG64(ss))

@@ -45,18 +45,21 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else stream(seed)
 
 
+def _poisson_points(rho: float, window: Window, rng) -> np.ndarray:
+    """The draw of :func:`simulate_poisson`: a Poisson count, then uniform rows."""
+    n = rng.poisson(rho * window.volume)
+    half = window.side / 2.0
+    return rng.uniform(-half, half, size=(n, window.dim))
+
+
 def simulate_poisson(rho: float, window: Window, seed) -> PointPattern:
     """Homogeneous Poisson pattern with intensity ``rho`` on ``window``."""
     check_positive(rho, "rho")
-    rng = _rng(seed)
-    n = rng.poisson(rho * window.volume)
-    half = window.side / 2.0
-    pts = rng.uniform(-half, half, size=(n, window.dim))
-    return PointPattern(window, pts)
+    return PointPattern(window, _poisson_points(rho, window, _rng(seed)))
 
 
 def simulate_poisson_inhom(model, rho_max: float, window: Window, seed) -> PointPattern:
-    """Inhomogeneous Poisson pattern by thinning a dominating Poisson(rho_max).
+    """Inhomogeneous Poisson pattern by thinning :func:`simulate_poisson`'s draw at ``rho_max``.
 
     ``model`` must expose ``value(points) -> (n,) array`` (an intensity model
     from :mod:`inhomk.intensity`). Retention probability at ``u`` is
@@ -65,13 +68,11 @@ def simulate_poisson_inhom(model, rho_max: float, window: Window, seed) -> Point
     """
     check_positive(rho_max, "rho_max")
     rng = _rng(seed)
-    n = rng.poisson(rho_max * window.volume)
-    half = window.side / 2.0
-    pts = rng.uniform(-half, half, size=(n, window.dim))
+    pts = _poisson_points(rho_max, window, rng)
     vals = np.asarray(model.value(pts), dtype=float)
     if np.any(vals > rho_max):
         raise ValueError("dominating bound violated")
-    keep = np.flatnonzero(rng.uniform(size=n) < vals / rho_max)
+    keep = np.flatnonzero(rng.uniform(size=len(pts)) < vals / rho_max)
     return PointPattern(window, np.take(pts, keep, axis=0))
 
 

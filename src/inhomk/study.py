@@ -8,9 +8,9 @@ One runner serves both the rejection study and the covariance oracle: per
 replicate it returns the point count and the unit-intensity K curve on the
 grid, from which every plug-in estimate is an exact rescaling. The oracle runs
 it at cell index 0. Consecutive replicates share one pair scan up to fixed
-budgets of points and neighbor rows, ``_SCAN_POINTS`` and ``_SCAN_ROWS``:
-thousands of points per set of array calls, in bounded memory, and no pair
-across patterns.
+budgets of points and neighbor rows, ``_SCAN_POINTS`` and ``_SCAN_ROWS``, with
+the pair scan's own row count :func:`~inhomk.geometry.scan_rows` per point:
+thousands of points per set of array calls, in bounded memory, no pair across patterns.
 
 The study decides through the two calls of :func:`inhomk.gof.gof_test`,
 :func:`~inhomk.gof.sup_distance` at the replicates' estimates and
@@ -32,11 +32,11 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from math import sqrt
 from multiprocessing import get_context
-from numbers import Integral, Real
 
 import numpy as np
 
-from .geometry import MAX_SCAN_DIM, Window, check_positive
+from .asymcov import MODES
+from .geometry import MAX_SCAN_DIM, Window, check_integer, check_positive, scan_rows
 from .gof import PoissonNullTables, critical_values, plug_in, sup_distance
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat
@@ -64,8 +64,9 @@ class StudyConfig:
     """One rejection-probability study: a process, windows, and test modes.
 
     ``alpha`` is in (0, 1]; ``alpha = 1`` rejects every evaluable replicate.
-    ``rho``, ``R`` and every side must be finite and positive. Windows and
-    null tables are ``dim``-dimensional, ``1 <= dim <= 12``. A cell holds at
+    ``rho``, ``R`` and every side must be finite and positive. ``matern`` is
+    given for a matern study only (``rho`` is accepted, and unread, there too).
+    Windows and null tables are ``dim``-dimensional, ``1 <= dim <= 12``. A cell holds at
     least 100 and fewer than ``_CELL_STRIDE`` (10**6) replicates, so no two
     cells share a stream. The null law takes at least ``MIN_SAMPLE`` (100)
     draws, ``sample_size``, on a grid of at least two radii, ``grid_size``.
@@ -75,7 +76,7 @@ class StudyConfig:
     rho: float = 200.0
     matern: MaternParams | None = None
     sides: tuple[float, ...] = (1.0, 2.0)
-    modes: tuple[str, ...] = ("estimated", "known")
+    modes: tuple[str, ...] = MODES
     replicates: int = 2000
     alpha: float = 0.05
     R: float = 0.05
@@ -90,38 +91,31 @@ class StudyConfig:
             raise ValueError("process must be 'poisson' or 'matern'")
         if self.process == "matern" and not isinstance(self.matern, MaternParams):
             raise ValueError("matern parameters required for a matern study")
-        # A JSON true or false is a Python int: refused wherever a number is expected.
+        if self.process == "poisson" and self.matern is not None:
+            raise ValueError("matern parameters apply to a matern study only")
         for name in ("replicates", "grid_size", "sample_size", "seed", "dim", "workers"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer")
+            check_integer(getattr(self, name), name)
         for name in ("sides", "modes"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list")
-        matern = vars(self.matern) if self.matern is not None else {}
         for name, value in (("rho", self.rho), ("alpha", self.alpha), ("R", self.R),
-                            *(("side", side) for side in self.sides), *matern.items()):
-            if not isinstance(value, Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a number")
+                            *(("side", side) for side in self.sides)):
+            check_positive(value, name)
         if not 100 <= self.replicates < _CELL_STRIDE:
             raise ValueError(f"replicates must be at least 100 and below {_CELL_STRIDE}")
         if self.sample_size < MIN_SAMPLE:
             raise ValueError(f"sample_size must be >= {MIN_SAMPLE}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
-        if not 0.0 < self.alpha <= 1.0:
+        if self.alpha > 1.0:
             raise ValueError("alpha must be in (0, 1]")
         if not 1 <= self.dim <= MAX_SCAN_DIM:
             raise ValueError(f"window dimension must be >= 1 and <= {MAX_SCAN_DIM}")
         for mode in self.modes:
-            if mode not in ("estimated", "known"):
+            if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
         object.__setattr__(self, "modes", tuple(self.modes))
-        check_positive(self.rho, "rho")
-        check_positive(self.R, "R")
-        for side in self.sides:
-            check_positive(side, "side")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "StudyConfig":
@@ -216,7 +210,7 @@ def _replicate_curves(job):
     unit = ConstantIntensity(1.0)
     counts = np.empty(hi - lo, dtype=np.int64)
     curves = np.empty((hi - lo, grid.m))
-    budget = min(_SCAN_POINTS, _SCAN_ROWS // 3 ** (config.dim - 1))
+    budget = min(_SCAN_POINTS, _SCAN_ROWS // scan_rows(config.dim))
     batch, filled = [], 0
     for k, rep in enumerate(range(lo, hi)):
         rng = stream(seed, cell_index * _CELL_STRIDE + rep)

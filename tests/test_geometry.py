@@ -99,6 +99,15 @@ POSITIVE_PARAMETERS = {
 }
 
 
+# (parameter name, call taking the value): counts, sizes, dimensions and seeds.
+INTEGER_PARAMETERS = {
+    "Window.dim": ("dim", lambda v: Window(v, 1.0)),
+    "GofConfig.grid_size": ("grid_size", lambda v: GofConfig(grid_size=v)),
+    "GofConfig.sample_size": ("sample_size", lambda v: GofConfig(sample_size=v)),
+    "GofConfig.seed": ("seed", lambda v: GofConfig(seed=v)),
+}
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("site", list(POSITIVE_PARAMETERS))
 def test_positive_parameters_must_be_finite(site, value):
@@ -107,6 +116,24 @@ def test_positive_parameters_must_be_finite(site, value):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive, got "):
             call(value)
+
+
+# A JSON true is a Python int, and a numeric string is no number. RadiusGrid
+# converts its array of radii to float, as PointPattern converts points.
+@pytest.mark.parametrize("value", [True, False, "1"])
+@pytest.mark.parametrize("site", [site for site in POSITIVE_PARAMETERS if site != "RadiusGrid"])
+def test_positive_parameters_must_be_numbers(site, value):
+    name, call = POSITIVE_PARAMETERS[site]
+    with pytest.raises(ValueError, match=f"^{name} must be a number$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 500.5, "2", None])
+@pytest.mark.parametrize("site", list(INTEGER_PARAMETERS))
+def test_integer_parameters_refuse_booleans_and_fractions(site, value):
+    name, call = INTEGER_PARAMETERS[site]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(value)
 
 
 def test_pattern_rejects_outside_points():

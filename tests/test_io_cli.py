@@ -85,19 +85,21 @@ def test_cli_boolean_sidecar_is_one_error_line(tmp_path, capsys, dim, sidecar):
     "dim, resolution, key, value",
     [(1, (2,), "dim", True), (2, (2, 2), "side", True), (2, (2, 2), "p", True),
      (2, (1, 2), "resolution", [True, 2]), (2, (2, 2), "dim", None),
-     (2, (2, 2), "resolution", None), (2, (2, 2), "p", float("inf"))],
+     (2, (2, 2), "resolution", None), (2, (2, 2), "p", float("inf")),
+     (2, (2, 2), "dim", 2.7), (2, (2, 2), "p", 1.9), (2, (4, 4), "resolution", [4.5, 4])],
     ids=["true-dim", "true-side", "true-p", "true-resolution", "null-dim", "null-resolution",
-         "infinite-p"],
+         "infinite-p", "fractional-dim", "fractional-p", "fractional-resolution"],
 )
 def test_cli_malformed_raster_header_is_one_error_line(tmp_path, capsys, dim, resolution,
                                                        key, value):
-    # Each boolean stands where the raster holds a 1: read as a number it would pass.
+    # Each boolean or fraction stands where int() reads the raster's own value:
+    # read as a number and truncated, it would pass.
     path = tmp_path / "field.csv"
     write_covariate_field(path, CovariateField(Window(dim, 1.0), np.ones(resolution + (1,))))
     lines = path.read_text().splitlines()
     header = json.loads(lines[0])
-    if isinstance(value, (bool, list)):
-        assert header[key] == (1 if key != "resolution" else [1, 2])
+    if isinstance(value, (bool, list)) or value in (2.7, 1.9):
+        assert header[key] == ([int(v) for v in value] if key == "resolution" else int(value))
     path.write_text("\n".join([json.dumps({**header, key: value}), *lines[1:]]) + "\n")
     with pytest.raises(ValueError, match="malformed covariate raster"):
         read_covariate_field(path)
@@ -352,9 +354,12 @@ def test_cli_study(tmp_path, capsys):
         ('{"modes": "known", "replicates": 150}', "modes must be a list"),
         ('{"sides": [1.0, null], "replicates": 150}', "side must be a number"),
         ('[{"replicates": 150}]', "study config must be a JSON object"),
+        ('{"kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 150}',
+         "matern parameters apply to a matern study only"),
     ],
     ids=["float-range", "unknown-key", "matern-object", "partial-matern", "fractional",
-         "string-number", "scalar-sides", "string-modes", "null-side", "list"],
+         "string-number", "scalar-sides", "string-modes", "null-side", "list",
+         "matern-in-poisson"],
 )
 def test_cli_study_rejects_integer_beyond_float_range(tmp_path, capsys, text, message):
     # A malformed config is one error line and exit 1, never a traceback; JSON

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from inhomk.geometry import Window
-from inhomk.intensity import CovariateField, LogLinearIntensity
+from inhomk.intensity import ConstantIntensity, CovariateField, LogLinearIntensity
 from inhomk.seeds import stream
 from inhomk.simulate import (
     MaternParams,
@@ -80,6 +80,14 @@ def test_inhom_constant_reduces_to_poisson_rate():
         for r in range(10_000)
     ]
     assert abs(np.mean(counts) - 200.0) < 3 * np.sqrt(200.0 / 10_000)
+
+
+def test_inhom_dominating_points_are_the_poisson_draw():
+    # Thinning draws its dominating points by simulate_poisson's own draw, from
+    # the same stream: at retention 1 the two patterns are bitwise equal.
+    for seed in range(5):
+        thinned = simulate_poisson_inhom(ConstantIntensity(200.0), 200.0, W1, seed)
+        assert thinned.points.tobytes() == simulate_poisson(200.0, W1, seed).points.tobytes()
 
 
 def test_inhom_zero_slope_is_constant():

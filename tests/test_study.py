@@ -5,7 +5,7 @@ import pytest
 
 from inhomk import study
 from inhomk.asymcov import poisson_cov_matrix
-from inhomk.geometry import Window
+from inhomk.geometry import Window, scan_rows
 from inhomk.gof import GofConfig, critical_values, gof_test, sup_distance
 from inhomk.intensity import ConstantIntensity
 from inhomk.kstat import RadiusGrid, k_hat
@@ -94,7 +94,8 @@ def test_gof_test_decides_like_the_study(monkeypatch, process):
     monkeypatch.setattr(study, "sup_distance", statistic)
     monkeypatch.setattr(study, "critical_values", critical)
     matern = MaternParams(25.0, 8.0, 0.2)
-    cfg = StudyConfig(**{**SMALL, "process": process, "matern": matern, "replicates": 100})
+    cfg = StudyConfig(**{**SMALL, "process": process, "replicates": 100,
+                         "matern": matern if process == "matern" else None})
     rejection_study(cfg)
     window = Window(2, 1.0)
     patterns = [
@@ -120,7 +121,8 @@ def test_scan_budget_does_not_change_curves(monkeypatch, process, budget):
     # its own pattern's k_hat curve.
     monkeypatch.setattr(study, "_SCAN_POINTS", budget)
     matern = MaternParams(25.0, 8.0, 0.2)
-    cfg = StudyConfig(process=process, matern=matern, replicates=_CHUNK)
+    cfg = StudyConfig(process=process, matern=matern if process == "matern" else None,
+                      replicates=_CHUNK)
     window = Window(2, 1.0)
     grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
     counts, curves = _run_cell(cfg, 1.0, grid, 7, 0, _CHUNK, None)
@@ -136,20 +138,25 @@ def test_scan_budget_does_not_change_curves(monkeypatch, process, budget):
 
 
 def test_scan_rows_close_batches_in_high_dimensions(monkeypatch):
-    # In dimension 8 a point reads 3**7 neighbor rows, so the row budget, not
-    # the point budget, closes each scan; every curve is still its own pattern's.
+    # In dimension 8 a point reads (3**7 + 1) / 2 neighbor rows, so a budget of
+    # 60 points' rows, not the point budget, closes each scan: a scan closes
+    # with the pattern that takes it to 60 points, not before. Every curve is
+    # still its own pattern's.
     scans = []
 
     def recording_k_hat(batch, *args):
-        scans.append(sum(len(p) for p in batch[:-1]))
+        scans.append([len(p) for p in batch])
         return k_hat(batch, *args)
 
     monkeypatch.setattr(study, "k_hat", recording_k_hat)
-    monkeypatch.setattr(study, "_SCAN_ROWS", 60 * 3**7)
+    assert scan_rows(8) == 1094
+    monkeypatch.setattr(study, "_SCAN_ROWS", 60 * scan_rows(8))
     cfg = StudyConfig(rho=10.0, R=0.6, dim=8, replicates=100)
     grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
     counts, curves = _run_cell(cfg, 1.0, grid, 7, 0, 100, None)
-    assert len(scans) > 1 and max(scans) < 60
+    closed = scans[:-1]  # the last scan takes the chunk's remaining patterns
+    assert len(closed) > 1
+    assert all(sum(sizes[:-1]) < 60 <= sum(sizes) for sizes in closed)
     assert curves.any()
     for rep in range(100):
         pattern = simulate_poisson(cfg.rho, Window(8, 1.0), stream(7, rep))
@@ -218,6 +225,15 @@ def test_study_config_validation():
         {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
     )
     assert cfg.matern == MaternParams(25, 8, 0.2)
+    # A Matern triple in a Poisson study would be ignored: refused. A Matern
+    # study keeps accepting rho, which its simulation does not read.
+    triple = {"kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
+    for make in (lambda: StudyConfig(process="poisson", matern=MaternParams(25, 8, 0.2)),
+                 lambda: StudyConfig.from_dict(triple),
+                 lambda: StudyConfig.from_dict({**triple, "process": "poisson"})):
+        with pytest.raises(ValueError, match="^matern parameters apply to a matern study only$"):
+            make()
+    assert StudyConfig.from_dict({**triple, "process": "matern", "rho": 150.0}).rho == 150.0
     # JSON true and false are Python ints: refused wherever a number is expected
     with pytest.raises(ValueError, match="must be an integer"):
         StudyConfig.from_dict(
