@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import check_positive, overlap_volume
+from .geometry import check_integer, check_positive, overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
 from .kstat import RadiusGrid, k_poisson
 from .limitlaw import check_covariance
@@ -164,6 +164,7 @@ class QuadratureConfig:
     r_trunc: float | None = None
 
     def __post_init__(self):
+        check_integer(self.samples, "samples")
         if self.samples < 64:
             raise ValueError("sample budget too small")
         if self.r_trunc is not None:

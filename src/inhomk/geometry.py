@@ -45,11 +45,16 @@ def check_positive(value: float, name: str) -> None:
 
     The one rule for intensities, window sides, radii, levels and cluster
     parameters. A boolean (a JSON ``true`` is a Python int) or a non-number,
-    a numeric string included, raises ``"{name} must be a number"``.
+    a numeric string included, raises ``"{name} must be a number"``, and an
+    integer beyond the float range ``"{name} is outside the float range"``.
     """
     if not isinstance(value, Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number")
-    if not (isfinite(value) and value > 0):
+    try:
+        finite = isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} is outside the float range") from None
+    if not (finite and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 

@@ -33,7 +33,7 @@ from .asymcov import MODES, poisson_cov_matrix
 from .geometry import PointPattern, Window, check_integer, check_positive
 from .intensity import ConstantIntensity, estimate_constant
 from .kstat import RadiusGrid, k_hat, k_poisson
-from .limitlaw import MIN_SAMPLE, gaussian_paths, p_value, upper_quantile
+from .limitlaw import check_sample_size, gaussian_paths, p_value, upper_quantile
 # Unused here: the benchmark tracer (perfbench/spans.py) patches these names on
 # this module, so they must resolve until its patch table drops them.
 from .limitlaw import cholesky_with_jitter, normal_reservoir  # noqa: F401
@@ -79,8 +79,7 @@ class GofConfig:
             raise ValueError("mode must be 'estimated' or 'known'")
         for name in ("grid_size", "sample_size", "seed"):
             check_integer(getattr(self, name), name)
-        if self.sample_size < MIN_SAMPLE:
-            raise ValueError(f"sample size must be >= {MIN_SAMPLE}")
+        check_sample_size(self.sample_size, "sample_size")
         if self.rho is not None:
             check_positive(self.rho, "rho")
             if self.mode == "estimated":

@@ -22,12 +22,18 @@ import numpy as np
 
 from .seeds import stream
 
-__all__ = ["normal_reservoir", "check_covariance", "cholesky_with_jitter", "gaussian_paths",
-           "simulate_sup", "upper_quantile", "critical_value", "p_value"]
+__all__ = ["check_sample_size", "normal_reservoir", "check_covariance", "cholesky_with_jitter",
+           "gaussian_paths", "simulate_sup", "upper_quantile", "critical_value", "p_value"]
 
 MIN_SAMPLE = 100
 _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
+
+
+def check_sample_size(value: int, name: str) -> None:
+    """The floor of every Monte Carlo sup law: ``"{name} must be >= 100"`` below it."""
+    if value < MIN_SAMPLE:
+        raise ValueError(f"{name} must be >= {MIN_SAMPLE}")
 
 
 def normal_reservoir(seed: int, count: int, width: int) -> np.ndarray:
@@ -79,8 +85,7 @@ def gaussian_paths(cov, count: int, seed: int) -> np.ndarray:
     LimitCovariance). Deterministic in ``(cov, count, seed)``.
     """
     mat = np.asarray(getattr(cov, "matrix", cov), dtype=float)
-    if count < MIN_SAMPLE:
-        raise ValueError(f"need at least {MIN_SAMPLE} draws")
+    check_sample_size(count, "count")
     factor = cholesky_with_jitter(mat)
     return normal_reservoir(seed, count, len(mat)) @ factor.T
 

@@ -11,8 +11,10 @@ The radical inverse sums ``digit / base**k`` from the least significant digit
 up. It reads the low digits of every index from a small table of that same
 sum, and adds the high digits once per run of indices that share them, so a
 block of consecutive indices costs one table lookup per point instead of one
-integer division per point and digit. The summation order is the digit loop's
-own, so every point is bitwise the same as the loop's.
+integer division per point and digit. In odd bases the summation order is
+the digit loop's own, so every point is bitwise the same as the loop's. In
+base 2 below 2**53 every partial sum is exact in any order, so the radical
+inverse is the index's bit reversal, computed without a digit loop.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ STRATUM_STRIDE = 2**24
 # Entries in the low-digit table of the radical inverse, per base.
 _TABLE_SIZE = 2**12
 _INT64_MAX = np.iinfo(np.int64).max
+# Within-byte bit swaps of the base-2 kernel: (shift, mask of the low halves).
+_BIT_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F))
+)
 
 
 def _digit_loop(indices: np.ndarray, base: int, out: np.ndarray) -> None:
@@ -62,10 +69,26 @@ def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
     ``r`` only adds ``+0.0``). The remaining steps add the digits of ``q`` with
     the loop's own ``denom`` sequence; they are computed once per run of equal
     consecutive ``q`` and repeated over the run, so blocks of consecutive
-    indices pay the integer divisions per run, not per point. Summing in a
-    different order (high digits first, or a second table) would move points
-    by an ulp.
+    indices pay the integer divisions per run, not per point. In an odd base,
+    summing in a different order (high digits first, or a second table) would
+    move points by an ulp.
+
+    In base 2 below 2**53 each partial sum has at most 53 significant bits,
+    so every add is exact and the sum is the index's 64-bit bit reversal
+    times 2**-64, exact in float64 too.
     """
+    if base == 2 and indices.max(initial=0) < 2**53:
+        rev = indices.astype(np.uint64)
+        low = out.view(np.uint64)  # scratch until the product overwrites it
+        for shift, mask in _BIT_SWAPS:
+            np.right_shift(rev, shift, out=low)
+            low &= mask
+            rev &= mask
+            rev <<= shift
+            rev |= low
+        rev.byteswap(inplace=True)  # then the byte order, on either endianness
+        np.multiply(rev, 2.0**-64, out=out)
+        return
     size = base
     while size * base <= _TABLE_SIZE:
         size *= base

@@ -40,7 +40,7 @@ from .geometry import MAX_SCAN_DIM, Window, check_integer, check_positive, scan_
 from .gof import PoissonNullTables, critical_values, plug_in, sup_distance
 from .intensity import ConstantIntensity
 from .kstat import RadiusGrid, k_hat
-from .limitlaw import MIN_SAMPLE
+from .limitlaw import check_sample_size
 from .seeds import stream
 from .simulate import MaternParams, simulate_matern, simulate_poisson
 
@@ -103,8 +103,7 @@ class StudyConfig:
             check_positive(value, name)
         if not 100 <= self.replicates < _CELL_STRIDE:
             raise ValueError(f"replicates must be at least 100 and below {_CELL_STRIDE}")
-        if self.sample_size < MIN_SAMPLE:
-            raise ValueError(f"sample_size must be >= {MIN_SAMPLE}")
+        check_sample_size(self.sample_size, "sample_size")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
         if self.alpha > 1.0:

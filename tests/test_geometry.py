@@ -105,6 +105,7 @@ INTEGER_PARAMETERS = {
     "GofConfig.grid_size": ("grid_size", lambda v: GofConfig(grid_size=v)),
     "GofConfig.sample_size": ("sample_size", lambda v: GofConfig(sample_size=v)),
     "GofConfig.seed": ("seed", lambda v: GofConfig(seed=v)),
+    "QuadratureConfig.samples": ("samples", lambda v: QuadratureConfig(samples=v)),
 }
 
 
@@ -125,6 +126,16 @@ def test_positive_parameters_must_be_finite(site, value):
 def test_positive_parameters_must_be_numbers(site, value):
     name, call = POSITIVE_PARAMETERS[site]
     with pytest.raises(ValueError, match=f"^{name} must be a number$"):
+        call(value)
+
+
+# Python integers are unbounded; one beyond the float range is an input error,
+# not the OverflowError of its first conversion to float.
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+@pytest.mark.parametrize("site", [site for site in POSITIVE_PARAMETERS if site != "RadiusGrid"])
+def test_positive_parameters_beyond_float_range(site, value):
+    name, call = POSITIVE_PARAMETERS[site]
+    with pytest.raises(ValueError, match=f"^{name} is outside the float range$"):
         call(value)
 
 

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from inhomk.asymcov import poisson_cov_matrix
+from inhomk.gof import GofConfig
 from inhomk.kstat import RadiusGrid
 from inhomk.limitlaw import (
+    check_sample_size,
     cholesky_with_jitter,
     critical_value,
     gaussian_paths,
     p_value,
     simulate_sup,
 )
+from inhomk.study import StudyConfig
 
 GRID = RadiusGrid.uniform(0.05, 20)
 
@@ -92,11 +95,24 @@ def test_p_value_bookkeeping():
 
 def test_sample_size_floor():
     for count in (50, 99):
-        with pytest.raises(ValueError, match="at least 100"):
+        with pytest.raises(ValueError, match="^count must be >= 100$"):
             simulate_sup(np.eye(2), count, seed=0)
-        with pytest.raises(ValueError, match="at least 100"):
+        with pytest.raises(ValueError, match="^count must be >= 100$"):
             gaussian_paths(np.eye(2), count, seed=0)
     assert gaussian_paths(np.eye(2), 100, seed=0).shape == (100, 2)
+
+
+def test_sample_size_floor_is_one_rule():
+    # the configs and the sampler refuse the same sizes with the same words
+    for count in (-1, 0, 99):
+        for config in (GofConfig, StudyConfig):
+            with pytest.raises(ValueError, match="^sample_size must be >= 100$"):
+                config(sample_size=count)
+        with pytest.raises(ValueError, match="^sample_size must be >= 100$"):
+            check_sample_size(count, "sample_size")
+    check_sample_size(100, "sample_size")
+    GofConfig(sample_size=100)
+    StudyConfig(sample_size=100)
 
 
 def test_simulate_sup_is_sorted_read_only_abs_max_of_paths():

@@ -84,11 +84,44 @@ def test_halton_bitwise_equals_digit_loop_near_2_45():
     assert_bitwise_oracle(5000, starts)
 
 
+def assert_base_2_oracle(indices):
+    indices = np.asarray(indices, dtype=np.int64)
+    got, want = np.empty(len(indices)), np.empty(len(indices))
+    qmc._radical_inverse(indices, 2, got)
+    oracle_radical_inverse(indices, 2, want)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_base_2_bit_reversal_equals_digit_loop_at_2_53():
+    # Below 2**53 base 2 is a bit reversal; one index at or above it sends the
+    # whole call to the table path.
+    big = np.iinfo(np.int64).max
+    rng = np.random.default_rng(22)
+    assert_base_2_oracle(rng.integers(0, 2**53, 20_000))
+    # from 2**54 on, a bit reversal would round once where the loop rounds twice
+    for bits in range(53, 63):
+        assert_base_2_oracle(rng.integers(2**bits, 2 ** (bits + 1) - 1, 500, endpoint=True))
+    for indices in ([], [0], [2**53 - 1], [2**53], [2**53 + 1], [big], [2**53 - 1, 0, 2**52 + 1],
+                    [2**53 - 1, 2**53], [2**53 + 1, 5]):
+        assert_base_2_oracle(indices)
+    for start in (2**53 - 9, 2**53 - 8, 2**53 - 3, 2**53, big):
+        assert_bitwise_oracle(8 if start < big else 1, [start])
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(0, 2**46), min_size=1, max_size=30), st.integers(1, 3))
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 2**46), st.integers(2**53 - 4, 2**53 + 1)), min_size=1, max_size=30
+    ),
+    st.integers(1, 3),
+)
 def test_halton_bitwise_equals_digit_loop_unsorted_repeated_starts(starts, count):
-    # unsorted and repeated starts with short blocks: most runs have length one
+    # unsorted and repeated starts with short blocks: most runs have length one.
+    # Blocks straddle 2**53; the part below it also runs alone, so base 2 takes
+    # both its bit reversal and its table path.
     assert_bitwise_oracle(count, starts + starts[::-1])
+    low = [s for s in starts if s + count <= 2**53]
+    assert_bitwise_oracle(count, low + low[::-1])
 
 
 @pytest.mark.filterwarnings("error")
