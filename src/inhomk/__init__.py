@@ -20,7 +20,6 @@ from .asymcov import (
     poisson_blocks,
     poisson_cov_matrix,
     sigma_blocks_constant,
-    synthetic_densities,
 )
 from .geometry import (
     PairList,

@@ -39,6 +39,7 @@ lags.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -53,7 +54,6 @@ from .qmc import HALTON_DIMS, ball_points_weighted, ball_shell_points, direction
 __all__ = [
     "ProductDensityModel",
     "POISSON_DENSITIES",
-    "synthetic_densities",
     "QuadratureConfig",
     "CovarianceBlocks",
     "LimitCovariance",
@@ -114,39 +114,6 @@ def _ones(*arrays) -> np.ndarray:
 
 
 POISSON_DENSITIES = ProductDensityModel(g=_ones, g3=_ones, g4=_ones)
-
-
-def synthetic_densities(
-    g_scale: float | None = None,
-    g3_scale: float | None = None,
-    g4_scale: float | None = None,
-) -> ProductDensityModel:
-    """Test kernels with exponentially decaying excess correlation.
-
-    Each non-None scale adds ``exp(-|free variable| / scale)`` to the
-    corresponding order: ``g - 1``, ``g3 - g`` and ``g4 - g g`` then have
-    separable closed-form integrals against the indicator supports.
-    """
-
-    def g(h):
-        out = np.ones(len(h))
-        if g_scale is not None:
-            out = out + np.exp(-np.linalg.norm(h, axis=1) / g_scale)
-        return out
-
-    def g3(x, y):
-        out = g(x)
-        if g3_scale is not None:
-            out = out + np.exp(-np.linalg.norm(y, axis=1) / g3_scale)
-        return out
-
-    def g4(x, y, z):
-        out = g(x) * g(y - z)
-        if g4_scale is not None:
-            out = out + np.exp(-np.linalg.norm(z, axis=1) / g4_scale)
-        return out
-
-    return ProductDensityModel(g=g, g3=g3, g4=g4)
 
 
 @dataclass(frozen=True)
@@ -462,16 +429,23 @@ def sigma_blocks_constant(
     estimator variance ``beta^2 int(g-1) + beta``, the cross covariance
     ``beta int int (g3-g) 1{|x|<=r} + 2K(r)`` and the three-term K covariance.
     ``K(r)`` itself is the integral of ``g`` over the r-ball with the same
-    scheme.
+    scheme. A ``beta`` whose square or inverse square leaves the float range
+    raises ``ValueError``.
     """
     check_positive(beta, "beta")
+    try:
+        inv_rho2 = 1.0 / float(beta) ** 2
+    except (OverflowError, ZeroDivisionError):
+        inv_rho2 = math.inf
+    if not inv_rho2 < math.inf:
+        raise ValueError(f"beta**2 and 1/beta**2 must be finite and positive, got beta = {beta!r}")
     quad = quad or QuadratureConfig()
     integrals = _model_integrals(model, grid, quad, dim)
     gm1 = _ball_integrals(
         grid, dim, quad, _REGION_S11, 0, lambda v: model.g(v) - 1.0, truncated=True
     )
     s11 = _Integral(np.array([[beta**2 * gm1.value]]), np.array([[beta**2 * gm1.err]]), gm1.points)
-    k, inv_rho2 = integrals[0], 1.0 / beta**2
+    k = integrals[0]
     # Estimator coordinates: the score-coordinate gradient averages (1, 1/beta)
     # times the inverse sensitivity beta; with 1/(rho rho) = 1/beta^2, c3 is K/beta^2.
     return _assemble_blocks(

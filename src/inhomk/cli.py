@@ -26,7 +26,6 @@ from .asymcov import (
     h_limit_constant,
     poisson_cov_matrix,
     sigma_blocks_constant,
-    synthetic_densities,
 )
 from .geometry import Window
 from .gof import GofConfig, gof_test
@@ -144,25 +143,19 @@ def _cmd_kfunc(args) -> int:
 def _cmd_cov(args) -> int:
     grid = RadiusGrid.uniform(args.R, args.grid)
     quad = QuadratureConfig(samples=args.samples, r_trunc=args.r_trunc)
-    if args.g_model == "poisson":
-        model = POISSON_DENSITIES
-    else:
-        model = synthetic_densities(
-            g_scale=args.decay, g3_scale=args.decay, g4_scale=args.decay
-        )
-    blocks = sigma_blocks_constant(model, args.beta, grid, quad, dim=args.dim)
+    blocks = sigma_blocks_constant(POISSON_DENSITIES, args.beta, grid, quad, dim=args.dim)
+    # Every matrix is computed, and checked, before the first file is written.
+    matrices = {
+        ".sigma11.csv": blocks.sigma11,
+        ".sigma2.csv": blocks.sigma2,
+        ".c.csv": blocks.c,
+        ".c_estimated.csv": cov_estimated_constant(blocks).matrix,
+        ".c_tilde.csv": compose_lim_cov(h_limit_constant(blocks), blocks).matrix,
+    }
     prefix = args.output_prefix
-
-    def out(suffix):
-        return Path(prefix + suffix)
-
-    write_matrix_csv(out(".sigma11.csv"), blocks.sigma11)
-    write_matrix_csv(out(".sigma2.csv"), blocks.sigma2)
-    write_matrix_csv(out(".c.csv"), blocks.c)
-    estimated = cov_estimated_constant(blocks)
-    write_matrix_csv(out(".c_estimated.csv"), estimated.matrix)
-    composed = compose_lim_cov(h_limit_constant(blocks), blocks)
-    write_matrix_csv(out(".c_tilde.csv"), composed.matrix)
+    files = [str(Path(prefix + suffix)) for suffix in matrices]
+    for path, matrix in zip(files, matrices.values()):
+        write_matrix_csv(path, matrix)
     meta = {
         "g_model": args.g_model,
         "beta": args.beta,
@@ -177,10 +170,9 @@ def _cmd_cov(args) -> int:
             "sigma2_max": float(blocks.sigma2_err.max()),
             "c_max": float(blocks.c_err.max()),
         },
-        "files": [str(out(s)) for s in
-                  (".sigma11.csv", ".sigma2.csv", ".c.csv", ".c_estimated.csv", ".c_tilde.csv")],
+        "files": files,
     }
-    _print_json(meta, str(out(".meta.json")))
+    _print_json(meta, prefix + ".meta.json")
     sys.stdout.write(f"covariance blocks -> {prefix}.*.csv\n")
     return 0
 
@@ -289,8 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kfunc)
 
     p = sub.add_parser("cov", help="asymptotic covariance blocks (constant intensity)")
-    p.add_argument("--g-model", choices=("poisson", "exponential"), default="poisson")
-    p.add_argument("--decay", type=float, default=0.02, help="decay scale of the exponential kernels")
+    p.add_argument("--g-model", choices=("poisson",), default="poisson", help="product densities")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--R", type=float, default=0.05)
     p.add_argument("--grid", type=int, default=10)

@@ -33,10 +33,11 @@ __all__ = [
     "scan_rows",
 ]
 
-# Pair search cells per batch point, at most (before one-cell borders).
+# Pair search cells per batch point, at most, one-cell borders included,
+# unless a single cell per axis already exceeds it.
 _CELLS_PER_POINT = 4
-# Pair search dimension, at most: each point reads scan_rows(d) neighbor rows, and
-# the one-cell borders multiply the cell table by up to 3**d.
+# Pair search dimension, at most: each point reads scan_rows(d) neighbor rows,
+# and one cell per axis with its borders takes 3**d table entries per pattern.
 MAX_SCAN_DIM = 12
 
 
@@ -169,8 +170,9 @@ def overlap_volume(window: Window, h) -> float | np.ndarray:
 
 def _cells_per_axis(side: float, rmax: float, dim: int, points: int, groups: int) -> int:
     """``floor(side / rmax)`` (cells no smaller than ``rmax``), capped so that
-    the batch's ``groups`` grids hold at most ``_CELLS_PER_POINT`` cells per point."""
-    cap = (_CELLS_PER_POINT * max(points, 1) / groups) ** (1.0 / dim)
+    the batch's ``groups`` bordered grids of ``(ncells + 2)**dim`` cells hold at
+    most ``_CELLS_PER_POINT`` cells per point; at least one cell per axis."""
+    cap = (_CELLS_PER_POINT * max(points, 1) / groups) ** (1.0 / dim) - 2.0
     return max(1, int(min(side / rmax, cap)))
 
 
@@ -188,7 +190,10 @@ def close_pairs(patterns, rmax: float) -> PairList:
     independent of the cell layout (their order and orientation are not); a
     radius larger than the window simply means fewer cells. A dimension above
     ``MAX_SCAN_DIM`` (12) raises ``ValueError`` before any table is built; up
-    to it, memory grows linearly with the batch's points and patterns.
+    to it, memory grows linearly with the batch's points and patterns: the
+    cell table holds four entries per point, or 3^d per pattern where one
+    cell per axis already needs more, and with one cell per axis a point
+    reads only its own row.
     """
     batch = [patterns] if isinstance(patterns, PointPattern) else list(patterns)
     if not rmax > 0:
@@ -221,7 +226,12 @@ def close_pairs(patterns, rmax: float) -> PairList:
     # One table range per row of three neighbor cells along the last axis,
     # with leading offsets in {-1, 0, 1} on the first d - 1 axes. Rows with a
     # lexicographically negative lead end before the point's own cell: skipped.
-    lead = np.array(list(product((-1, 0, 1), repeat=d - 1))[-scan_rows(d) :], dtype=np.int64)
+    # With one cell per axis every row but the point's own (the all-zero lead)
+    # holds only border cells, so that row alone is read.
+    if ncells > 1:
+        lead = np.array(list(product((-1, 0, 1), repeat=d - 1))[-scan_rows(d) :], dtype=np.int64)
+    else:
+        lead = np.zeros((1, d - 1), dtype=np.int64)
     rows = keys[:, None] + lead @ span ** np.arange(d - 1, 0, -1, dtype=np.int64)
     lo = np.maximum(starts[rows - 1], np.arange(1, n + 1)[:, None])
     counts = np.maximum(starts[rows + 2] - lo, 0).ravel()

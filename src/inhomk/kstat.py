@@ -48,11 +48,14 @@ class RadiusGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or len(vals) < 2:
+        # Each radius passes the number rule before the float conversion, which
+        # would take a boolean or a numeric string as a radius.
+        if np.ndim(self.values) != 1 or len(self.values) < 2:
             raise ValueError("grid needs at least two radii")
-        check_positive(vals[0], "smallest radius")
-        check_positive(vals[-1], "rmax")
+        names = ["smallest radius"] + ["grid radius"] * (len(self.values) - 2) + ["rmax"]
+        for value, name in zip(self.values, names):
+            check_positive(value, name)
+        vals = np.asarray(self.values, dtype=float)
         steps = np.diff(vals)
         if not np.all(steps > 0):
             raise ValueError("grid radii must be strictly increasing")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,11 +22,11 @@ from inhomk.asymcov import (
     poisson_blocks,
     poisson_cov_matrix,
     sigma_blocks_constant,
-    synthetic_densities,
 )
 from inhomk.geometry import Window
 from inhomk.intensity import CovariateField
 from inhomk.kstat import RadiusGrid, k_poisson
+from synthetic_kernels import synthetic_densities
 
 GRID10 = RadiusGrid.uniform(0.05, 10)
 GRID5 = RadiusGrid.uniform(0.05, 5)
@@ -129,6 +130,16 @@ def test_blocks_synthetic_kernels_within_one_percent(dim):
     np.testing.assert_allclose(blocks.k_curve, k_true, rtol=0.01)
     np.testing.assert_allclose(blocks.sigma2[:, 0], sigma2_true, rtol=0.01)
     np.testing.assert_allclose(blocks.c, c_true, rtol=0.01)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e300, 1e-160, 10**200, np.float64(1e300)])
+def test_constant_blocks_refuse_beta_whose_square_leaves_float_range(beta):
+    # beta**2 underflows to zero or overflows, or 1/beta**2 overflows: one
+    # ValueError naming beta, as poisson_blocks refuses the same values.
+    with pytest.raises(ValueError, match="not finite and positive"):
+        poisson_blocks(beta, GRID5)
+    with pytest.raises(ValueError, match=re.escape(f"got beta = {beta!r}") + "$"):
+        sigma_blocks_constant(POISSON_DENSITIES, beta, GRID5, QuadratureConfig(samples=2**10))
 
 
 def test_blocks_symmetry_and_psd():

@@ -119,10 +119,9 @@ def test_positive_parameters_must_be_finite(site, value):
             call(value)
 
 
-# A JSON true is a Python int, and a numeric string is no number. RadiusGrid
-# converts its array of radii to float, as PointPattern converts points.
+# A JSON true is a Python int, and a numeric string is no number.
 @pytest.mark.parametrize("value", [True, False, "1"])
-@pytest.mark.parametrize("site", [site for site in POSITIVE_PARAMETERS if site != "RadiusGrid"])
+@pytest.mark.parametrize("site", list(POSITIVE_PARAMETERS))
 def test_positive_parameters_must_be_numbers(site, value):
     name, call = POSITIVE_PARAMETERS[site]
     with pytest.raises(ValueError, match=f"^{name} must be a number$"):
@@ -132,7 +131,7 @@ def test_positive_parameters_must_be_numbers(site, value):
 # Python integers are unbounded; one beyond the float range is an input error,
 # not the OverflowError of its first conversion to float.
 @pytest.mark.parametrize("value", [10**400, -(10**400)])
-@pytest.mark.parametrize("site", [site for site in POSITIVE_PARAMETERS if site != "RadiusGrid"])
+@pytest.mark.parametrize("site", list(POSITIVE_PARAMETERS))
 def test_positive_parameters_beyond_float_range(site, value):
     name, call = POSITIVE_PARAMETERS[site]
     with pytest.raises(ValueError, match=f"^{name} is outside the float range$"):
@@ -378,7 +377,7 @@ def test_batch_keys_wider_than_16_bits(dim, rmax):
     rng = np.random.default_rng(17 + dim)
     window = Window(dim, 1.0)
     batch = [PointPattern(window, rng.uniform(-0.5, 0.5, (k, dim)))
-             for k in rng.integers(0, 9, 4000)]
+             for k in rng.integers(0, 9, 8000)]
     offsets = np.cumsum([0] + [len(p) for p in batch])
     span = _cells_per_axis(1.0, rmax, dim, offsets[-1], len(batch)) + 2
     assert len(batch) * span**dim > 2**16
@@ -424,6 +423,36 @@ def test_close_pairs_high_dimension_batch():
     want = set()
     for pattern, first in zip(batch, offsets):
         want |= {(i + first, j + first) for i, j in brute_force_pairs(pattern.points, 0.6)}
+    assert want and mirrored(pairs) == want
+    assert_pair_arithmetic(pairs, np.concatenate([p.points for p in batch]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("points, groups", [(1, 1), (50, 1), (2000, 1), (8192, 41), (3000, 3000)])
+def test_cell_table_bounded_with_borders(dim, points, groups):
+    # The table holds groups * (ncells + 2)**d entries, borders included: at
+    # most four per point, unless one cell per axis (3**d per pattern) is more.
+    ncells = _cells_per_axis(1.0, 0.05, dim, points, groups)
+    assert groups * (ncells + 2) ** dim <= max(4 * points, groups * 3**dim)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 10, 11, 12])
+def test_one_cell_scans_match_brute_force(dim):
+    # Few points for the dimension: one cell per axis, so each point reads
+    # only its own row. Half the points sit near another, so pairs exist.
+    rng = np.random.default_rng(100 + dim)
+    window, rmax = Window(dim, 1.0), 0.25
+    batch = []
+    for k in (0, 1, 40, 120, 7):
+        pts = rng.uniform(-0.5, 0.5, (k, dim))
+        pts[1::2] = np.clip(pts[: k // 2 * 2 : 2] + rng.normal(0.0, 0.05, (k // 2, dim)), -0.5, 0.5)
+        batch.append(PointPattern(window, pts))
+    offsets = np.cumsum([0] + [len(p) for p in batch])
+    assert _cells_per_axis(1.0, rmax, dim, offsets[-1], len(batch)) == 1
+    pairs = close_pairs(batch, rmax)
+    want = set()
+    for pattern, first in zip(batch, offsets):
+        want |= {(i + first, j + first) for i, j in brute_force_pairs(pattern.points, rmax)}
     assert want and mirrored(pairs) == want
     assert_pair_arithmetic(pairs, np.concatenate([p.points for p in batch]))
 

@@ -1,10 +1,12 @@
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from inhomk.cli import main
+from inhomk.cli import _check_model_options, build_parser, main
 from inhomk.geometry import PointPattern, Window
 from inhomk.intensity import CovariateField, FitResult
 from inhomk.io import (
@@ -208,6 +210,37 @@ def test_cli_cov_refuses_dimension_outside_quadrature_limit(tmp_path, capsys, di
     assert main(["cov", "--beta", "200", "--grid", "5", "--dim", dim, "-o", str(prefix)]) == 1
     assert f"dimensions 1 to 6, got {dim}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("beta", ["1e-300", "1e300", "1e-160"])
+def test_cli_cov_refuses_beta_outside_float_range_of_blocks(tmp_path, capsys, beta):
+    # beta**2 underflows to zero, overflows, or leaves 1/beta**2 infinite:
+    # one error line, and no file written before the error.
+    prefix = tmp_path / "blocks"
+    assert main(["cov", "--beta", beta, "--grid", "5", "-o", str(prefix)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and f"beta = {float(beta)!r}" in err[0]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "extra", [["--decay", "0.02"], ["--g-model", "exponential"]], ids=["decay", "exponential"]
+)
+def test_cli_cov_has_no_exponential_kernels(tmp_path, capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["cov", "--beta", "200", "--grid", "5", "-o", str(tmp_path / "b"), *extra])
+    assert exc.value.code == 2
+    assert extra[0] in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_cov_g_model_poisson_is_the_default(tmp_path, capsys):
+    names = ("sigma11", "sigma2", "c", "c_estimated", "c_tilde")
+    texts = []
+    for prefix, extra in ((tmp_path / "a", []), (tmp_path / "b", ["--g-model", "poisson"])):
+        assert main(["cov", "--beta", "200", "--grid", "5", "-o", str(prefix), *extra]) == 0
+        texts.append([(tmp_path / f"{prefix.name}.{n}.csv").read_text() for n in names])
+    assert texts[0] == texts[1]
 
 
 def test_cli_crit(tmp_path, capsys):
@@ -431,3 +464,15 @@ def test_cli_cov_reports_points_drawn(tmp_path, capsys):
     meta = json.loads((tmp_path / "blocks.meta.json").read_text())
     assert meta["samples"] == 64
     assert meta["points"] == 349_504
+
+
+def test_readme_command_lines_parse():
+    # Every "inhomk ..." line of README's "Command line" block parses and
+    # passes the model-option check, so a removed option cannot linger there.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("inhomk ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        _check_model_options(parser, parser.parse_args(shlex.split(line)[1:]))

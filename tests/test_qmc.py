@@ -12,7 +12,6 @@ from inhomk.asymcov import (
     QuadratureConfig,
     loglinear_sigma_blocks,
     sigma_blocks_constant,
-    synthetic_densities,
 )
 from inhomk.geometry import Window
 from inhomk.intensity import CovariateField
@@ -24,6 +23,7 @@ from inhomk.qmc import (
     direction_dims,
     halton,
 )
+from synthetic_kernels import synthetic_densities
 
 PRIMES = qmc._PRIMES
 
