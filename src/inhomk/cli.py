@@ -74,9 +74,8 @@ def _cmd_simulate(args) -> int:
         params = MaternParams(args.kappa, args.mu, args.rdisp)
         pattern = simulate_matern(params, window, args.seed)
     else:
-        field = read_covariate_field(args.covariates)
-        model = LogLinearIntensity(_vector(args.beta), field)
-        pattern = simulate_poisson_inhom(model, args.rho_max, window, args.seed)
+        model = LogLinearIntensity(_vector(args.beta), read_covariate_field(args.covariates))
+        pattern = simulate_poisson_inhom(model, model.cell_values().max(), window, args.seed)
     write_pattern_csv(args.output, pattern)
     sys.stdout.write(f"{len(pattern)} points -> {args.output}\n")
     return 0
@@ -89,24 +88,13 @@ def _load_pattern(args):
 def _cmd_fit(args) -> int:
     pattern = _load_pattern(args)
     if args.model == "constant":
-        beta = estimate_constant(pattern)
-        _print_json(
-            {"model": "constant", "beta_hat": beta, "converged": True}, args.output
-        )
-        return 0
-    field = read_covariate_field(args.covariates)
-    beta0 = _vector(args.beta0) if args.beta0 else None
-    result = fit_loglinear(pattern, field, beta0)
-    _print_json(
-        {
-            "model": "loglinear",
-            "beta_hat": result.beta_hat.tolist(),
-            "score_norm": result.score_norm,
-            "iterations": result.iterations,
-            "converged": result.converged,
-        },
-        args.output,
-    )
+        payload = {"model": "constant", "beta_hat": estimate_constant(pattern), "converged": True}
+    else:
+        field = read_covariate_field(args.covariates)
+        result = fit_loglinear(pattern, field, _vector(args.beta0) if args.beta0 else None)
+        # Every FitResult field, in its order, with beta_hat as a list.
+        payload = {"model": "loglinear", **vars(result), "beta_hat": result.beta_hat.tolist()}
+    _print_json(payload, args.output)
     return 0
 
 
@@ -253,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rdisp", type=float, default=0.2)
     p.add_argument("--covariates", help="covariate raster file (poisson-inhom)")
     p.add_argument("--beta", help="comma-separated parameter vector (poisson-inhom)")
-    p.add_argument("--rho-max", type=float, help="dominating intensity (poisson-inhom)")
     p.add_argument("--side", type=float, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, required=True)
@@ -327,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Options a model needs that argparse cannot require on its own, keyed by
 # (subcommand, model); the model is --model, or --intensity for kfunc.
 _MODEL_OPTIONS = {
-    ("simulate", "poisson-inhom"): ("covariates", "beta", "rho_max"),
+    ("simulate", "poisson-inhom"): ("covariates", "beta"),
     ("fit", "loglinear"): ("covariates",),
     ("kfunc", "loglinear"): ("covariates",),
 }
@@ -338,7 +325,7 @@ def _check_model_options(parser, args) -> None:
     model = getattr(args, "intensity", getattr(args, "model", None))
     for dest in _MODEL_OPTIONS.get((args.command, model), ()):
         if getattr(args, dest) is None:
-            parser.error(f"{args.command} with {model} needs --{dest.replace('_', '-')}")
+            parser.error(f"{args.command} with {model} needs --{dest}")
     if args.command == "kfunc" and args.beta is None and not args.fit:
         parser.error("kfunc needs --beta or --fit")
     if args.command == "kfunc" and args.beta is not None and args.fit:

@@ -41,6 +41,14 @@ _CELLS_PER_POINT = 4
 MAX_SCAN_DIM = 12
 
 
+def _float(value, name: str) -> float:
+    """``float(value)``, or ``"{name} is outside the float range"`` for a huge integer."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is outside the float range") from None
+
+
 def check_positive(value: float, name: str) -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is a finite, positive number.
 
@@ -51,18 +59,16 @@ def check_positive(value: float, name: str) -> None:
     """
     if not isinstance(value, Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a number")
-    try:
-        finite = isfinite(value)
-    except OverflowError:
-        raise ValueError(f"{name} is outside the float range") from None
-    if not (finite and value > 0):
+    if not (isfinite(_float(value, name)) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def check_integer(value: int, name: str) -> None:
-    """Integer rule: a boolean, fraction or non-number raises ``"{name} must be an integer"``."""
+    """Integer rule: a boolean, fraction or non-number raises ``"{name} must be an integer"``,
+    and an integer beyond the float range ``"{name} is outside the float range"``."""
     if not isinstance(value, Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer")
+    _float(value, name)
 
 
 def scan_rows(dim: int) -> int:

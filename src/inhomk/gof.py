@@ -77,7 +77,7 @@ class GofConfig:
             raise ValueError("alpha must be in (0, 1)")
         if self.mode not in MODES:
             raise ValueError("mode must be 'estimated' or 'known'")
-        for name in ("grid_size", "sample_size", "seed"):
+        for name in ("grid_size", "seed"):
             check_integer(getattr(self, name), name)
         check_sample_size(self.sample_size, "sample_size")
         if self.rho is not None:

@@ -21,6 +21,7 @@ __all__ = [
     "ConstantIntensity",
     "LogLinearIntensity",
     "FitResult",
+    "check_window",
     "estimate_constant",
     "cl_score",
     "cl_sensitivity",
@@ -108,10 +109,6 @@ class ConstantIntensity:
     def __post_init__(self):
         check_positive(self.beta, "beta")
 
-    @property
-    def p(self) -> int:
-        return 1
-
     def value(self, points) -> np.ndarray:
         n = len(np.atleast_2d(points))
         return np.full(n, self.beta)
@@ -139,10 +136,6 @@ class LogLinearIntensity:
         object.__setattr__(self, "beta", b)
 
     @property
-    def p(self) -> int:
-        return len(self.beta)
-
-    @property
     def window(self) -> Window:
         return self.covariates.window
 
@@ -164,6 +157,7 @@ class FitResult:
     score_norm: float
     iterations: int
     converged: bool
+    halvings: int = 0
 
 
 def estimate_constant(pattern: PointPattern) -> float:
@@ -173,9 +167,10 @@ def estimate_constant(pattern: PointPattern) -> float:
     return len(pattern) / pattern.window.volume
 
 
-def _check_same_window(pattern: PointPattern, field: CovariateField):
-    if pattern.window != field.window:
-        raise ValueError("pattern window does not match covariate field window")
+def check_window(model, window: Window) -> None:
+    """``ValueError`` unless a log-linear model's raster is on ``window``; constants fit any."""
+    if isinstance(model, LogLinearIntensity) and model.window != window:
+        raise ValueError(f"covariate raster window {model.window} does not match {window}")
 
 
 def cl_score(pattern: PointPattern, model: LogLinearIntensity) -> np.ndarray:
@@ -184,11 +179,9 @@ def cl_score(pattern: PointPattern, model: LogLinearIntensity) -> np.ndarray:
     The integral is an exact sum over raster cells (the integrand is constant
     per cell).
     """
-    _check_same_window(pattern, model.covariates)
+    check_window(model, pattern.window)
     z_cells = model.covariates.flat()
     integral = model.covariates.cell_volume * (z_cells.T @ model.cell_values())
-    if len(pattern) == 0:
-        return -integral
     return model.covariates.at(pattern.points).sum(axis=0) - integral
 
 
@@ -209,11 +202,10 @@ def fit_loglinear(
     """Fit the log-linear model by Newton iteration on the composite score.
 
     Steps are ``(|W| S(beta))^-1 e(beta)`` with step halving whenever the
-    score max-norm increases; converged when ``max|e| / |W| <= 1e-8``.
+    score max-norm increases (``halvings`` counts them); converged when ``max|e| / |W| <= 1e-8``.
     """
     if len(pattern) == 0:
         raise ValueError("cannot fit intensity to an empty pattern")
-    _check_same_window(pattern, covariates)
     vol = pattern.window.volume
     if beta0 is None:
         beta = np.zeros(covariates.p)
@@ -223,7 +215,7 @@ def fit_loglinear(
 
     score = cl_score(pattern, LogLinearIntensity(beta, covariates))
     norm = np.abs(score).max()
-    iterations = 0
+    iterations = halvings = 0
     while norm / vol > SCORE_TOL and iterations < MAX_ITER:
         sens = cl_sensitivity(LogLinearIntensity(beta, covariates))
         try:
@@ -237,6 +229,7 @@ def fit_loglinear(
             if np.isfinite(cand_norm) and cand_norm <= norm:
                 break
             step = step / 2.0
+            halvings += 1
         beta, score, norm = cand, cand_score, cand_norm
         iterations += 1
 
@@ -245,4 +238,5 @@ def fit_loglinear(
         score_norm=float(norm),
         iterations=iterations,
         converged=bool(norm / vol <= SCORE_TOL),
+        halvings=halvings,
     )

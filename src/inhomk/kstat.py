@@ -27,7 +27,9 @@ from math import gamma, pi
 
 import numpy as np
 
-from .geometry import PairList, PointPattern, check_positive, close_pairs, overlap_volume
+from .geometry import (PairList, PointPattern, check_integer, check_positive, close_pairs,
+                       overlap_volume)
+from .intensity import check_window
 
 __all__ = [
     "RadiusGrid",
@@ -68,6 +70,7 @@ class RadiusGrid:
     def uniform(cls, rmax: float, m: int = DEFAULT_GRID_SIZE) -> "RadiusGrid":
         """m points on (0, rmax], evenly spaced, last exactly rmax."""
         check_positive(rmax, "rmax")
+        check_integer(m, "grid_size")
         return cls(np.append(rmax * np.arange(1, m) / m, rmax))
 
     @property
@@ -108,6 +111,7 @@ def k_poisson(r, dim: int):
 
 def _pair_weights(points: np.ndarray, window, model, pairs: PairList) -> np.ndarray:
     """Edge correction over intensity product, per listed pair."""
+    check_window(model, window)
     rho = np.asarray(model.value(points), dtype=float)
     if np.any(rho <= 0):
         raise ValueError("invalid intensity: nonpositive value at a data point")

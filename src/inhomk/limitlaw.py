@@ -20,6 +20,7 @@ from math import ceil
 
 import numpy as np
 
+from .geometry import check_integer
 from .seeds import stream
 
 __all__ = ["check_sample_size", "normal_reservoir", "check_covariance", "cholesky_with_jitter",
@@ -31,7 +32,8 @@ _JITTER_MAX = 1e-6
 
 
 def check_sample_size(value: int, name: str) -> None:
-    """The floor of every Monte Carlo sup law: ``"{name} must be >= 100"`` below it."""
+    """The integer rule and the floor of every Monte Carlo sup law: ``"{name} must be >= 100"``."""
+    check_integer(value, name)
     if value < MIN_SAMPLE:
         raise ValueError(f"{name} must be >= {MIN_SAMPLE}")
 

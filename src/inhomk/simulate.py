@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointPattern, Window, check_positive
+from .intensity import check_window
 from .seeds import stream
 
 __all__ = [
@@ -61,12 +62,13 @@ def simulate_poisson(rho: float, window: Window, seed) -> PointPattern:
 def simulate_poisson_inhom(model, rho_max: float, window: Window, seed) -> PointPattern:
     """Inhomogeneous Poisson pattern by thinning :func:`simulate_poisson`'s draw at ``rho_max``.
 
-    ``model`` must expose ``value(points) -> (n,) array`` (an intensity model
-    from :mod:`inhomk.intensity`). Retention probability at ``u`` is
-    ``model.value(u) / rho_max``; if the model exceeds the bound at any
-    evaluated location this is an error.
+    ``model`` is an intensity model from :mod:`inhomk.intensity`, a log-linear one
+    on ``window``. Retention probability at ``u`` is ``model.value(u) / rho_max``
+    (a log-linear model's supremum is ``cell_values().max()``); if the model
+    exceeds the bound at any evaluated location this is an error.
     """
     check_positive(rho_max, "rho_max")
+    check_window(model, window)
     rng = _rng(seed)
     pts = _poisson_points(rho_max, window, rng)
     vals = np.asarray(model.value(pts), dtype=float)

@@ -23,6 +23,7 @@ from inhomk.geometry import (
 from inhomk.gof import GofConfig, PoissonNullTables
 from inhomk.intensity import ConstantIntensity
 from inhomk.kstat import RadiusGrid, k_hat
+from inhomk.limitlaw import simulate_sup
 from inhomk.simulate import MaternParams, simulate_poisson, simulate_poisson_inhom
 from inhomk.study import StudyConfig
 
@@ -106,6 +107,10 @@ INTEGER_PARAMETERS = {
     "GofConfig.sample_size": ("sample_size", lambda v: GofConfig(sample_size=v)),
     "GofConfig.seed": ("seed", lambda v: GofConfig(seed=v)),
     "QuadratureConfig.samples": ("samples", lambda v: QuadratureConfig(samples=v)),
+    "StudyConfig.grid_size": ("grid_size", lambda v: StudyConfig(grid_size=v)),
+    "StudyConfig.sample_size": ("sample_size", lambda v: StudyConfig(sample_size=v)),
+    "RadiusGrid.uniform": ("grid_size", lambda v: RadiusGrid.uniform(0.05, v)),
+    "simulate_sup": ("count", lambda v: simulate_sup(np.eye(2), v, 0)),
 }
 
 
@@ -143,6 +148,16 @@ def test_positive_parameters_beyond_float_range(site, value):
 def test_integer_parameters_refuse_booleans_and_fractions(site, value):
     name, call = INTEGER_PARAMETERS[site]
     with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+        call(value)
+
+
+# The float-range rule of check_positive holds for counts too: a huge count
+# would otherwise reach an OverflowError or numpy's unnamed size error.
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+@pytest.mark.parametrize("site", list(INTEGER_PARAMETERS))
+def test_integer_parameters_beyond_float_range(site, value):
+    name, call = INTEGER_PARAMETERS[site]
+    with pytest.raises(ValueError, match=f"^{name} is outside the float range$"):
         call(value)
 
 

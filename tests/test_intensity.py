@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from inhomk.geometry import PointPattern, Window
 from inhomk.intensity import (
     ConstantIntensity,
     CovariateField,
+    FitResult,
     LogLinearIntensity,
     cl_score,
     cl_sensitivity,
     estimate_constant,
     fit_loglinear,
 )
+from inhomk.kstat import RadiusGrid, h_matrix, k_hat, taylor_residual
 from inhomk.seeds import stream
 from inhomk.simulate import simulate_poisson, simulate_poisson_inhom
 
@@ -172,3 +176,67 @@ def test_covariate_field_lookup():
     # cell centers along x: -0.375, -0.125, 0.125, 0.375
     z = field.at([[-0.4, 0.0], [0.4, 0.0]])
     np.testing.assert_allclose(z, [[1.0, -0.375], [1.0, 0.375]])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cl_score_empty_pattern_is_minus_integral(dim):
+    window = Window(dim, 1.5)
+    field = CovariateField(window, np.random.default_rng(dim).normal(size=(3,) * dim + (2,)))
+    model = LogLinearIntensity([1.0, -0.5], field)
+    integral = field.cell_volume * (field.flat().T @ model.cell_values())
+    empty = PointPattern(window, np.empty((0, dim)))
+    np.testing.assert_array_equal(cl_score(empty, model), -integral, strict=True)
+
+
+PLANE2 = Window(2, 2.0)
+
+
+@pytest.mark.parametrize(
+    "window", [Window(2, 3.0), Window(3, 2.0), Window(1, 2.0)], ids=["side-3", "3-D", "1-D"]
+)
+@pytest.mark.parametrize(
+    "call", ["k_hat", "h_matrix", "taylor_residual", "simulate_poisson_inhom", "cl_score",
+             "fit_loglinear"]
+)
+def test_loglinear_model_lives_on_its_raster_window(call, window):
+    # A planar side-2 raster defines the model on that window only: a pattern or
+    # a simulation anywhere else is one ValueError, never a silent evaluation
+    # (3-D) or an IndexError (1-D).
+    field = linear_field(PLANE2, 4)
+    model = LogLinearIntensity([np.log(50.0), 0.5], field)
+    grid = RadiusGrid.uniform(0.2, 5)
+    calls = {
+        "k_hat": lambda pat: k_hat(pat, model, grid),
+        "h_matrix": lambda pat: h_matrix(pat, model, grid),
+        "taylor_residual": lambda pat: taylor_residual(
+            pat, lambda b: LogLinearIntensity(b, field), model.beta, model.beta, grid
+        ),
+        "simulate_poisson_inhom": lambda pat: simulate_poisson_inhom(
+            model, model.cell_values().max(), pat.window, 1
+        ),
+        "cl_score": lambda pat: cl_score(pat, model),
+        "fit_loglinear": lambda pat: fit_loglinear(pat, field),
+    }
+    calls[call](_uniform_pattern(PLANE2, 40, 2))
+    message = f"covariate raster window {PLANE2} does not match {window}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        calls[call](_uniform_pattern(window, 40, 2))
+
+
+def test_fit_counts_step_halvings():
+    # inhom-analysis's field and pattern: from beta0 = 0 the first Newton steps
+    # overshoot and are halved 8 times in all; the default start needs none,
+    # and both land on the same estimate.
+    window = Window(2, 2.0)
+    field = CovariateField.from_function(
+        window, lambda p: np.column_stack([np.ones(len(p)), p[:, 0], np.sin(3.0 * p[:, 1])]), 32
+    )
+    truth = LogLinearIntensity([np.log(200.0), 0.5, 0.3], field)
+    pat = simulate_poisson_inhom(truth, truth.cell_values().max(), window, 7)
+    default = fit_loglinear(pat, field)
+    cold = fit_loglinear(pat, field, beta0=[0.0, 0.0, 0.0])
+    assert (default.iterations, default.halvings, default.converged) == (4, 0, True)
+    assert (cold.iterations, cold.halvings, cold.converged) == (6, 8, True)
+    assert np.abs(cold.beta_hat - default.beta_hat).max() < 1e-11
+    # positional construction keeps working: halvings comes last, default 0
+    assert FitResult(default.beta_hat, 0.0, 1, True).halvings == 0

@@ -8,7 +8,7 @@ import pytest
 
 from inhomk.cli import _check_model_options, build_parser, main
 from inhomk.geometry import PointPattern, Window
-from inhomk.intensity import CovariateField, FitResult
+from inhomk.intensity import CovariateField, FitResult, LogLinearIntensity, fit_loglinear
 from inhomk.io import (
     read_covariate_field,
     read_matrix_csv,
@@ -17,7 +17,9 @@ from inhomk.io import (
     write_matrix_csv,
     write_pattern_csv,
 )
-from inhomk.simulate import simulate_poisson
+from inhomk.kstat import RadiusGrid, h_matrix, k_hat
+from inhomk.simulate import simulate_poisson, simulate_poisson_inhom
+from inhomk.study import StudyConfig, rejection_study
 
 
 def test_pattern_round_trip_exact(tmp_path):
@@ -107,7 +109,7 @@ def test_cli_malformed_raster_header_is_one_error_line(tmp_path, capsys, dim, re
         read_covariate_field(path)
     out = tmp_path / "out.csv"
     argv = ["simulate", "--model", "poisson-inhom", "--covariates", str(path), "--beta", "5",
-            "--rho-max", "200", "--side", "1", "--dim", str(dim), "--seed", "1", "-o", str(out)]
+            "--side", "1", "--dim", str(dim), "--seed", "1", "-o", str(out)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {path}: malformed covariate raster\n"
     assert not out.exists()
@@ -432,12 +434,10 @@ def test_cli_usage_error_exit_code():
         (["kfunc", "{pat}", "--intensity", "loglinear", "--fit", "-o", "{out}"],
          "--covariates"),
         (["fit", "{pat}", "--model", "loglinear"], "--covariates"),
-        (["simulate", "--model", "poisson-inhom", "--beta", "5", "--rho-max", "200",
+        (["simulate", "--model", "poisson-inhom", "--beta", "5",
           "--side", "1", "--seed", "1", "-o", "{out}"], "--covariates"),
         (["simulate", "--model", "poisson-inhom", "--covariates", "{field}",
-          "--rho-max", "200", "--side", "1", "--seed", "1", "-o", "{out}"], "--beta"),
-        (["simulate", "--model", "poisson-inhom", "--covariates", "{field}",
-          "--beta", "5", "--side", "1", "--seed", "1", "-o", "{out}"], "--rho-max"),
+          "--side", "1", "--seed", "1", "-o", "{out}"], "--beta"),
         (["kfunc", "{pat}", "--beta", "5", "--fit", "-o", "{out}"], "not both"),
     ],
 )
@@ -466,13 +466,161 @@ def test_cli_cov_reports_points_drawn(tmp_path, capsys):
     assert meta["points"] == 349_504
 
 
-def test_readme_command_lines_parse():
+def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
     # Every "inhomk ..." line of README's "Command line" block parses and
     # passes the model-option check, so a removed option cannot linger there.
+    # Run in order in a scratch directory, each line exits 0; the study line
+    # (2,000 replicates on four worker processes) only parses.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("inhomk ")]
     assert lines
     parser = build_parser()
+    monkeypatch.chdir(tmp_path)
     for line in lines:
-        _check_model_options(parser, parser.parse_args(shlex.split(line)[1:]))
+        argv = shlex.split(line)[1:]
+        _check_model_options(parser, parser.parse_args(argv))
+        if argv[0] != "study":
+            assert main(argv) == 0, line
+
+
+# The raster and parameters of the benchmark's log-linear analysis.
+INHOM_BETA = (np.log(200.0), 0.5, 0.3)
+
+
+def _inhom_field():
+    return CovariateField.from_function(
+        Window(2, 2.0),
+        lambda p: np.column_stack([np.ones(len(p)), p[:, 0], np.sin(3.0 * p[:, 1])]),
+        32,
+    )
+
+
+def _curve_columns(path, names):
+    text = Path(path).read_text()
+    assert text.splitlines()[0] == ",".join(names)
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def test_cli_loglinear_round_trip(tmp_path, capsys):
+    # simulate -> fit -> kfunc through the CLI equals the library calls bitwise:
+    # every file holds 17 significant digits, and simulate thins at the
+    # raster's exact maximum intensity.
+    field = _inhom_field()
+    path = {name: str(tmp_path / name) for name in
+            ("field.csv", "pat.csv", "fit.json", "cold.json", "fitted.csv", "given.csv")}
+    write_covariate_field(path["field.csv"], field)
+    beta_text = ",".join(repr(float(b)) for b in INHOM_BETA)
+    assert main(["simulate", "--model", "poisson-inhom", "--covariates", path["field.csv"],
+                 "--beta", beta_text, "--side", "2", "--seed", "7", "-o", path["pat.csv"]]) == 0
+    truth = LogLinearIntensity(np.array(INHOM_BETA), field)
+    pattern = simulate_poisson_inhom(truth, truth.cell_values().max(), field.window, 7)
+    assert capsys.readouterr().out == f"{len(pattern)} points -> {path['pat.csv']}\n"
+    np.testing.assert_array_equal(read_pattern_csv(path["pat.csv"]).points, pattern.points,
+                                  strict=True)
+
+    fit_argv = ["fit", path["pat.csv"], "--model", "loglinear", "--covariates", path["field.csv"]]
+    assert main([*fit_argv, "-o", path["fit.json"]]) == 0
+    assert main([*fit_argv, "--beta0", "0,0,0", "-o", path["cold.json"]]) == 0
+    for name, beta0 in (("fit.json", None), ("cold.json", [0.0, 0.0, 0.0])):
+        fit = fit_loglinear(pattern, field, beta0)
+        assert json.loads(Path(path[name]).read_text()) == {
+            "model": "loglinear", "beta_hat": fit.beta_hat.tolist(),
+            "score_norm": fit.score_norm, "iterations": fit.iterations,
+            "converged": True, "halvings": fit.halvings,
+        }
+    assert json.loads(Path(path["cold.json"]).read_text())["halvings"] == 8
+
+    grid = RadiusGrid.uniform(0.1, 10)
+    kfunc = ["kfunc", path["pat.csv"], "--intensity", "loglinear", "--covariates",
+             path["field.csv"], "--R", "0.1", "--grid", "10"]
+    assert main([*kfunc, "--fit", "--with-h", "-o", path["fitted.csv"]]) == 0
+    model = LogLinearIntensity(fit_loglinear(pattern, field).beta_hat, field)
+    table = _curve_columns(path["fitted.csv"], ["r", "khat", "h_1", "h_2", "h_3"])
+    np.testing.assert_array_equal(table[:, 0], grid.values, strict=True)
+    np.testing.assert_array_equal(table[:, 1], k_hat(pattern, model, grid).values, strict=True)
+    np.testing.assert_array_equal(table[:, 2:], h_matrix(pattern, model, grid).values,
+                                  strict=True)
+    assert main([*kfunc, "--beta", beta_text, "-o", path["given.csv"]]) == 0
+    table = _curve_columns(path["given.csv"], ["r", "khat"])
+    np.testing.assert_array_equal(table[:, 1], k_hat(pattern, truth, grid).values, strict=True)
+
+
+@pytest.mark.parametrize("side, dim", [("3", "2"), ("2", "3"), ("2", "1")],
+                         ids=["side-3", "3-D", "1-D"])
+@pytest.mark.parametrize("command", ["simulate", "kfunc"])
+def test_cli_loglinear_window_mismatch_is_one_error_line(tmp_path, capsys, command, side, dim):
+    # A planar side-2 raster: simulating on, or estimating K of a pattern on,
+    # any other window exits 1 with one error line and writes nothing.
+    field_path = tmp_path / "field.csv"
+    raster = Window(2, 2.0)
+    write_covariate_field(field_path, CovariateField.from_function(
+        raster, lambda p: np.column_stack([np.ones(len(p)), p[:, 0]]), 4))
+    window = Window(int(dim), float(side))
+    out = tmp_path / "out.csv"
+    if command == "simulate":
+        argv = ["simulate", "--model", "poisson-inhom", "--covariates", str(field_path),
+                "--beta", "4,0.5", "--side", side, "--dim", dim, "--seed", "1", "-o", str(out)]
+    else:
+        pat = tmp_path / "pat.csv"
+        write_pattern_csv(pat, simulate_poisson(50.0, window, seed=1))
+        argv = ["kfunc", str(pat), "--intensity", "loglinear", "--beta", "4,0.5",
+                "--covariates", str(field_path), "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: covariate raster window {raster} does not match {window}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gof", "{pat}", "--seed", "1"], ["kfunc", "{pat}", "--fit", "-o", "{out}"],
+     ["crit", "--seed", "1"], ["cov", "--beta", "200", "-o", "{out}"]],
+    ids=["gof", "kfunc", "crit", "cov"],
+)
+def test_cli_grid_beyond_float_range_is_named(tmp_path, capsys, argv):
+    paths = {"pat": tmp_path / "pat.csv", "out": tmp_path / "out"}
+    write_pattern_csv(paths["pat"], simulate_poisson(100.0, Window(2, 1.0), seed=2))
+    huge = ["--grid", "1" + "0" * 400]
+    assert main([arg.format(**paths) for arg in argv] + huge) == 1
+    assert capsys.readouterr().err == "error: grid_size is outside the float range\n"
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_cli_study_failed_cell_is_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"process": "poisson", "rho": 2.0, "sides": [1.0],
+                                    "replicates": 100, "sample_size": 100, "grid_size": 5}))
+    out = tmp_path / "table.md"
+    assert main(["study", "--config", str(cfg_path), "-o", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: side 1: 12 of 100 replicates failed (empty patterns), above the 1% cap\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_study_threads_to_stdout(tmp_path, capsys, monkeypatch):
+    # --threads overrides the config's workers, and without -o the markdown
+    # table goes to stdout; every column but the seconds is the library's.
+    import inhomk.cli
+
+    raw = {"rho": 200.0, "sides": [1.0], "replicates": 100, "sample_size": 200,
+           "grid_size": 10, "seed": 3, "workers": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    seen = []
+
+    def recording_study(config):
+        seen.append(config.workers)
+        return rejection_study(config)
+
+    monkeypatch.setattr(inhomk.cli, "rejection_study", recording_study)
+    assert main(["study", "--config", str(cfg_path), "--threads", "1"]) == 0
+    assert seen == [1]
+    want = rejection_study(StudyConfig.from_dict({**raw, "workers": 1})).to_markdown()
+
+    def without_seconds(text):
+        return [line.rsplit("|", 2)[0] for line in text.splitlines()]
+
+    assert without_seconds(capsys.readouterr().out) == without_seconds(want)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inhomk.geometry import Window
 from inhomk.intensity import ConstantIntensity, CovariateField, LogLinearIntensity
@@ -136,6 +138,25 @@ def test_matern_params_validation():
         MaternParams(0.0, 8.0, 0.2)
     with pytest.raises(ValueError):
         MaternParams(25.0, -1.0, 0.2)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**31))
+def test_inhom_exact_maximum_never_violates_the_bound(seed):
+    # A log-linear intensity is constant on raster cells, so cell_values().max()
+    # is its exact supremum: no simulated location may exceed it, rounding
+    # included. The intercept puts about 300 candidates in the window.
+    rng = np.random.default_rng(seed)
+    dim, res, p = int(rng.integers(1, 4)), int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    window = Window(dim, float(rng.uniform(0.5, 2.0)))
+    values = rng.normal(scale=rng.uniform(0.1, 3.0), size=(res,) * dim + (p,))
+    values[..., 0] = 1.0
+    beta = rng.normal(size=p)
+    beta[0] = 0.0
+    beta[0] = np.log(300.0 / window.volume) - (values.reshape(-1, p) @ beta).max()
+    model = LogLinearIntensity(beta, CovariateField(window, values))
+    # raises "dominating bound violated" if any location exceeds the bound
+    simulate_poisson_inhom(model, model.cell_values().max(), window, stream(seed))
 
 
 # Row-mask references: the generators select rows with np.take on flatnonzero

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -196,6 +197,14 @@ def test_study_output_formats():
         assert int(row.split(",")[header.index("failures")]) == cell.failures
         md_cells = [v.strip() for v in md_row.strip("|").split("|")]
         assert int(md_cells[md_header.index("failures")]) == cell.failures
+
+
+def test_study_failed_cell_is_value_error_naming_side_and_counts():
+    # rho |W| = 2: about e^-2 of the replicates are empty, far above the 1% cap
+    config = StudyConfig(rho=2.0, sides=(1.0,), replicates=100, sample_size=100, grid_size=5)
+    message = "side 1: 12 of 100 replicates failed (empty patterns), above the 1% cap"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rejection_study(config)
 
 
 def test_study_config_validation():
