@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from .io import (
     write_pattern_csv,
 )
 from .kstat import Curve, RadiusGrid, h_matrix, k_hat
-from .limitlaw import critical_value, simulate_sup
+from .limitlaw import check_sample_size, critical_value, simulate_sup
 from .simulate import (
     MaternParams,
     simulate_matern,
@@ -81,12 +80,8 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _load_pattern(args):
-    return read_pattern_csv(args.pattern, side=args.side, dim=args.dim)
-
-
 def _cmd_fit(args) -> int:
-    pattern = _load_pattern(args)
+    pattern = read_pattern_csv(args.pattern, side=args.side, dim=args.dim)
     if args.model == "constant":
         payload = {"model": "constant", "beta_hat": estimate_constant(pattern), "converged": True}
     else:
@@ -99,7 +94,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_kfunc(args) -> int:
-    pattern = _load_pattern(args)
+    pattern = read_pattern_csv(args.pattern, side=args.side, dim=args.dim)
     grid = RadiusGrid.uniform(args.R, args.grid)
     if args.intensity == "constant":
         beta = estimate_constant(pattern) if args.fit else float(args.beta)
@@ -130,7 +125,7 @@ def _cmd_kfunc(args) -> int:
 
 def _cmd_cov(args) -> int:
     grid = RadiusGrid.uniform(args.R, args.grid)
-    quad = QuadratureConfig(samples=args.samples, r_trunc=args.r_trunc)
+    quad = QuadratureConfig()
     blocks = sigma_blocks_constant(POISSON_DENSITIES, args.beta, grid, quad, dim=args.dim)
     # Every matrix is computed, and checked, before the first file is written.
     matrices = {
@@ -145,12 +140,12 @@ def _cmd_cov(args) -> int:
     for path, matrix in zip(files, matrices.values()):
         write_matrix_csv(path, matrix)
     meta = {
-        "g_model": args.g_model,
+        "g_model": "poisson",
         "beta": args.beta,
         "R": args.R,
         "grid_size": args.grid,
         "dim": args.dim,
-        "samples": args.samples,
+        "samples": quad.samples,
         "r_trunc": quad.resolve_trunc(grid),
         "points": blocks.points,
         "error_estimates": {
@@ -166,16 +161,15 @@ def _cmd_cov(args) -> int:
 
 
 def _cmd_crit(args) -> int:
+    check_sample_size(args.M, "sample_size")  # gof's name and rule for --M
     grid = RadiusGrid.uniform(args.R, args.grid)
     if args.cov:
         matrix = read_matrix_csv(args.cov)
-        if matrix.shape != (grid.m, grid.m):
-            raise ValueError(
-                f"covariance is {matrix.shape[0]}x{matrix.shape[1]}, "
-                f"but --grid is {grid.m}"
-            )
     else:
         matrix = poisson_cov_matrix(grid, args.rho, args.mode).matrix
+    if matrix.shape != (grid.m, grid.m):
+        rows, cols = matrix.shape
+        raise ValueError(f"covariance is {rows}x{cols}, but --grid is {grid.m}")
     draws = simulate_sup(matrix, args.M, args.seed)
     payload = {
         "alpha": args.alpha,
@@ -190,7 +184,7 @@ def _cmd_crit(args) -> int:
 
 
 def _cmd_gof(args) -> int:
-    pattern = _load_pattern(args)
+    pattern = read_pattern_csv(args.pattern, side=args.side, dim=args.dim)
     config = GofConfig(
         R=args.R,
         grid_size=args.grid,
@@ -207,8 +201,6 @@ def _cmd_gof(args) -> int:
 
 def _cmd_study(args) -> int:
     config = StudyConfig.from_dict(json.loads(Path(args.config).read_text()))
-    if args.threads is not None:
-        config = replace(config, workers=args.threads)
     result = rejection_study(config)
     if args.output:
         path = Path(args.output)
@@ -235,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a point pattern")
     p.add_argument("--model", choices=("poisson", "matern", "poisson-inhom"), required=True)
-    p.add_argument("--rho", type=float, default=200.0, help="poisson intensity")
-    p.add_argument("--kappa", type=float, default=25.0)
-    p.add_argument("--mu", type=float, default=8.0)
-    p.add_argument("--rdisp", type=float, default=0.2)
+    p.add_argument("--rho", type=float, help="poisson intensity")
+    p.add_argument("--kappa", type=float)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--rdisp", type=float)
     p.add_argument("--covariates", help="covariate raster file (poisson-inhom)")
     p.add_argument("--beta", help="comma-separated parameter vector (poisson-inhom)")
     p.add_argument("--side", type=float, required=True)
@@ -268,20 +260,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_kfunc)
 
     p = sub.add_parser("cov", help="asymptotic covariance blocks (constant intensity)")
-    p.add_argument("--g-model", choices=("poisson",), default="poisson", help="product densities")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--R", type=float, default=0.05)
     p.add_argument("--grid", type=int, default=10)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--samples", type=int, default=2**16)
-    p.add_argument("--r-trunc", type=float, default=None)
     p.add_argument("-o", "--output-prefix", required=True)
     p.set_defaults(func=_cmd_cov)
 
     p = sub.add_parser("crit", help="Monte Carlo critical value of the sup statistic")
     p.add_argument("--cov", help="covariance matrix CSV (otherwise a Poisson closed form)")
-    p.add_argument("--rho", type=float, default=200.0)
-    p.add_argument("--mode", choices=MODES, default="estimated")
+    p.add_argument("--rho", type=float)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--R", type=float, default=0.05)
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.05)
@@ -304,32 +293,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="rejection-probability study from a JSON config")
     p.add_argument("--config", required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_study)
 
     return parser
 
 
-# Options a model needs that argparse cannot require on its own, keyed by
-# (subcommand, model); the model is --model, or --intensity for kfunc.
+# The options each (subcommand, model) reads, with the value an absent one takes
+# (``...``: it must be given). The model is --model, --intensity for kfunc, and
+# for crit "--cov" or "poisson" (the closed form). These options have no parser
+# default, so one given to a model that does not read it is seen and refused.
 _MODEL_OPTIONS = {
-    ("simulate", "poisson-inhom"): ("covariates", "beta"),
-    ("fit", "loglinear"): ("covariates",),
-    ("kfunc", "loglinear"): ("covariates",),
+    ("simulate", "poisson"): {"rho": 200.0},
+    ("simulate", "matern"): {"kappa": 25.0, "mu": 8.0, "rdisp": 0.2},
+    ("simulate", "poisson-inhom"): {"covariates": ..., "beta": ...},
+    ("fit", "loglinear"): {"covariates": ..., "beta0": None},
+    ("kfunc", "loglinear"): {"covariates": ...},
+    ("crit", "poisson"): {"rho": 200.0, "mode": "estimated"},
 }
 
 
 def _check_model_options(parser, args) -> None:
-    """Exit with a usage error on a missing or conflicting model option."""
-    model = getattr(args, "intensity", getattr(args, "model", None))
-    for dest in _MODEL_OPTIONS.get((args.command, model), ()):
+    """Usage error on a missing, unread or conflicting model option; fill in absent ones."""
+    model = getattr(args, "intensity", getattr(args, "model", "poisson"))
+    model = "--cov" if getattr(args, "cov", None) else model
+    reads = _MODEL_OPTIONS.get((args.command, model), {})
+    options = [d for (cmd, _), ds in _MODEL_OPTIONS.items() if cmd == args.command for d in ds]
+    unread = [f"--{d}" for d in options if d not in reads and getattr(args, d) is not None]
+    if unread:
+        parser.error(f"{args.command} with {model} does not read {', '.join(unread)}")
+    for dest, default in reads.items():
         if getattr(args, dest) is None:
-            parser.error(f"{args.command} with {model} needs --{dest}")
-    if args.command == "kfunc" and args.beta is None and not args.fit:
-        parser.error("kfunc needs --beta or --fit")
-    if args.command == "kfunc" and args.beta is not None and args.fit:
-        parser.error("kfunc takes --beta or --fit, not both")
+            if default is ...:
+                parser.error(f"{args.command} with {model} needs --{dest}")
+            setattr(args, dest, default)
+    if args.command == "kfunc" and (args.beta is not None) == args.fit:
+        parser.error("kfunc needs --beta or --fit, not both")
 
 
 def main(argv=None) -> int:

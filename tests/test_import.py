@@ -39,7 +39,7 @@ from inhomk.kstat import RadiusGrid
 grid, quad = RadiusGrid.uniform(0.05, 5), QuadratureConfig(samples=2**10)
 for dim in (1, 2, 3):
     sigma_blocks_constant(POISSON_DENSITIES, 200.0, grid, quad, dim=dim)
-argv = ["cov", "--dim", "3", "--beta", "200", "--grid", "5", "--samples", "1024"]
+argv = ["cov", "--dim", "3", "--beta", "200", "--grid", "5"]
 assert cli.main(argv + ["-o", {prefix!r}]) == 0
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 try:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import warnings
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from inhomk.cli import _check_model_options, build_parser, main
+from inhomk.cli import _MODEL_OPTIONS, _check_model_options, build_parser, main
 from inhomk.geometry import PointPattern, Window
 from inhomk.intensity import CovariateField, FitResult, LogLinearIntensity, fit_loglinear
 from inhomk.io import (
@@ -196,8 +197,7 @@ def test_cli_matern_and_fit(tmp_path, capsys):
 
 def test_cli_cov_blocks(tmp_path, capsys):
     prefix = tmp_path / "blocks"
-    assert main(["cov", "--g-model", "poisson", "--beta", "200", "--grid", "5",
-                 "-o", str(prefix)]) == 0
+    assert main(["cov", "--beta", "200", "--grid", "5", "-o", str(prefix)]) == 0
     c = read_matrix_csv(str(prefix) + ".c.csv")
     ctilde = read_matrix_csv(str(prefix) + ".c_tilde.csv")
     assert c.shape == (5, 5) and ctilde.shape == (5, 5)
@@ -234,15 +234,6 @@ def test_cli_cov_has_no_exponential_kernels(tmp_path, capsys, extra):
     assert exc.value.code == 2
     assert extra[0] in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
-
-
-def test_cli_cov_g_model_poisson_is_the_default(tmp_path, capsys):
-    names = ("sigma11", "sigma2", "c", "c_estimated", "c_tilde")
-    texts = []
-    for prefix, extra in ((tmp_path / "a", []), (tmp_path / "b", ["--g-model", "poisson"])):
-        assert main(["cov", "--beta", "200", "--grid", "5", "-o", str(prefix), *extra]) == 0
-        texts.append([(tmp_path / f"{prefix.name}.{n}.csv").read_text() for n in names])
-    assert texts[0] == texts[1]
 
 
 def test_cli_crit(tmp_path, capsys):
@@ -455,22 +446,112 @@ def test_cli_missing_model_option_is_usage_error(tmp_path, capsys, argv, option)
     assert not paths["out"].exists()
 
 
+SIMULATE = ["simulate", "--side", "1", "--seed", "1", "-o", "{out}", "--model"]
+CRIT_COV = ["crit", "--cov", "{cov}", "--grid", "10", "--M", "1000", "--seed", "3", "-o", "{out}"]
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        ([*SIMULATE, "poisson", "--kappa", "30"], "--kappa"),
+        ([*SIMULATE, "poisson", "--mu", "5"], "--mu"),
+        ([*SIMULATE, "poisson", "--rdisp", "0.1"], "--rdisp"),
+        ([*SIMULATE, "poisson", "--covariates", "nofile.csv"], "--covariates"),
+        ([*SIMULATE, "poisson", "--beta", "5"], "--beta"),
+        ([*SIMULATE, "matern", "--rho", "5", "--covariates", "nofile.csv", "--beta", "3"],
+         "does not read --rho, --covariates, --beta"),
+        ([*SIMULATE, "poisson-inhom", "--covariates", "{field}", "--beta", "5", "--rho", "200"],
+         "--rho"),
+        ([*SIMULATE, "poisson-inhom", "--covariates", "{field}", "--beta", "5", "--mu", "8"],
+         "--mu"),
+        (["fit", "{pat}", "--model", "constant", "--covariates", "nofile.csv", "--beta0", "1,2",
+          "-o", "{out}"], "does not read --covariates, --beta0"),
+        (["fit", "{pat}", "--beta0", "1", "-o", "{out}"], "--beta0"),
+        (["kfunc", "{pat}", "--fit", "--covariates", "nofile.csv", "-o", "{out}"], "--covariates"),
+        ([*CRIT_COV, "--rho", "5"], "--rho"),
+        ([*CRIT_COV, "--mode", "known"], "--mode"),
+        (["cov", "--beta", "200", "--grid", "5", "-o", "{out}", "--g-model", "poisson"],
+         "--g-model"),
+        (["cov", "--beta", "200", "--grid", "5", "-o", "{out}", "--samples", "1024"],
+         "--samples"),
+        (["cov", "--beta", "200", "--grid", "5", "-o", "{out}", "--r-trunc", "1.0"],
+         "--r-trunc"),
+        (["study", "--config", "{cfg}", "--threads", "1", "-o", "{out}"], "--threads"),
+    ],
+)
+def test_cli_unread_option_is_usage_error(tmp_path, capsys, argv, option):
+    # An option the command or its model does not read exits 2 and names it,
+    # before any file is read or written.
+    paths = {"pat": tmp_path / "pat.csv", "field": tmp_path / "field.csv",
+             "cov": tmp_path / "cov.csv", "cfg": tmp_path / "cfg.json",
+             "out": tmp_path / "out"}
+    write_pattern_csv(paths["pat"], simulate_poisson(100.0, Window(2, 1.0), seed=2))
+    write_covariate_field(
+        paths["field"], CovariateField(Window(2, 1.0), np.ones((2, 2, 1)))
+    )
+    write_matrix_csv(paths["cov"], np.eye(10))
+    paths["cfg"].write_text(json.dumps({"rho": 200.0, "sides": [1.0], "replicates": 100,
+                                        "sample_size": 100, "grid_size": 5, "seed": 1}))
+    inputs = sorted(tmp_path.iterdir())
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert option in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
+def test_model_options_are_options_of_their_command():
+    # Each option the model table names is an option of its subcommand, with
+    # no parser default that would hide it from the check, so a renamed
+    # option cannot silently fall out of the table.
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for (command, model), options in _MODEL_OPTIONS.items():
+        actions = {
+            flag: action
+            for action in subparsers.choices[command]._actions
+            for flag in action.option_strings
+        }
+        for dest in options:
+            action = actions.get(f"--{dest}")
+            assert action is not None, (command, model, dest)
+            assert action.dest == dest and action.default is None, (command, model, dest)
+
+
+@pytest.mark.parametrize(
+    "M, message",
+    [("50", "sample_size must be >= 100"),
+     ("1" + "0" * 400, "sample_size is outside the float range")],
+    ids=["small", "400-digits"],
+)
+def test_cli_crit_M_is_named_as_gof_names_it(tmp_path, capsys, M, message):
+    pat = tmp_path / "pat.csv"
+    write_pattern_csv(pat, simulate_poisson(100.0, Window(2, 1.0), seed=2))
+    out = tmp_path / "crit.json"
+    assert main(["crit", "--M", M, "--seed", "3", "-o", str(out)]) == 1
+    crit_err = capsys.readouterr().err
+    assert main(["gof", str(pat), "--M", M, "--seed", "3"]) == 1
+    assert crit_err == capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_cov_reports_points_drawn(tmp_path, capsys):
-    # 64 samples over 2,145 annulus pairs: every stratum is floored at 32 points,
-    # so far more points are drawn than the budget asks for, and meta says so.
+    # The 2^16 default over 2,145 annulus pairs is 30 points a stratum, below
+    # the floor of 32, so more points are drawn than the budget names, and
+    # meta says so.
     prefix = tmp_path / "blocks"
-    assert main(["cov", "--beta", "200", "--grid", "65", "--samples", "64",
-                 "-o", str(prefix)]) == 0
+    assert main(["cov", "--beta", "200", "--grid", "65", "-o", str(prefix)]) == 0
     meta = json.loads((tmp_path / "blocks.meta.json").read_text())
-    assert meta["samples"] == 64
-    assert meta["points"] == 349_504
+    assert meta["samples"] == 2**16
+    assert meta["points"] == 605_296
 
 
 def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
     # Every "inhomk ..." line of README's "Command line" block parses and
     # passes the model-option check, so a removed option cannot linger there.
     # Run in order in a scratch directory, each line exits 0; the study line
-    # (2,000 replicates on four worker processes) only parses.
+    # (2,000 replicates) only parses.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("inhomk ")]
@@ -600,25 +681,15 @@ def test_cli_study_failed_cell_is_one_error_line(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_study_threads_to_stdout(tmp_path, capsys, monkeypatch):
-    # --threads overrides the config's workers, and without -o the markdown
-    # table goes to stdout; every column but the seconds is the library's.
-    import inhomk.cli
-
+def test_cli_study_to_stdout(tmp_path, capsys):
+    # Without -o the markdown table goes to stdout; every column but the
+    # seconds is the library's.
     raw = {"rho": 200.0, "sides": [1.0], "replicates": 100, "sample_size": 200,
-           "grid_size": 10, "seed": 3, "workers": 2}
+           "grid_size": 10, "seed": 3, "workers": 1}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    seen = []
-
-    def recording_study(config):
-        seen.append(config.workers)
-        return rejection_study(config)
-
-    monkeypatch.setattr(inhomk.cli, "rejection_study", recording_study)
-    assert main(["study", "--config", str(cfg_path), "--threads", "1"]) == 0
-    assert seen == [1]
-    want = rejection_study(StudyConfig.from_dict({**raw, "workers": 1})).to_markdown()
+    assert main(["study", "--config", str(cfg_path)]) == 0
+    want = rejection_study(StudyConfig.from_dict(raw)).to_markdown()
 
     def without_seconds(text):
         return [line.rsplit("|", 2)[0] for line in text.splitlines()]
