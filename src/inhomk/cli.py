@@ -190,7 +190,6 @@ def _cmd_gof(args) -> int:
         grid_size=args.grid,
         alpha=args.alpha,
         mode=args.mode,
-        rho=args.rho,
         sample_size=args.M,
         seed=args.seed,
     )
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, parser=p)
 
     p = sub.add_parser("fit", help="fit an intensity model")
     _add_pattern_args(p)
@@ -245,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--covariates", help="covariate raster file (loglinear)")
     p.add_argument("--beta0", help="starting values, comma separated")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_fit)
+    p.set_defaults(func=_cmd_fit, parser=p)
 
     p = sub.add_parser("kfunc", help="estimate the K-function")
     _add_pattern_args(p)
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--covariates", help="covariate raster file (loglinear)")
     p.add_argument("--with-h", action="store_true", help="append gradient columns")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(func=_cmd_kfunc)
+    p.set_defaults(func=_cmd_kfunc, parser=p)
 
     p = sub.add_parser("cov", help="asymptotic covariance blocks (constant intensity)")
     p.add_argument("--beta", type=float, required=True)
@@ -265,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=10)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("-o", "--output-prefix", required=True)
-    p.set_defaults(func=_cmd_cov)
+    p.set_defaults(func=_cmd_cov, parser=p)
 
     p = sub.add_parser("crit", help="Monte Carlo critical value of the sup statistic")
     p.add_argument("--cov", help="covariance matrix CSV (otherwise a Poisson closed form)")
@@ -277,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, default=100_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_crit)
+    p.set_defaults(func=_cmd_crit, parser=p)
 
     p = sub.add_parser("gof", help="Kolmogorov-Smirnov test of the Poisson null")
     _add_pattern_args(p)
@@ -285,16 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--mode", choices=MODES, default="estimated")
-    p.add_argument("--rho", type=float, default=None, help="known intensity for the statistic")
     p.add_argument("--M", type=int, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gof)
+    p.set_defaults(func=_cmd_gof, parser=p)
 
     p = sub.add_parser("study", help="rejection-probability study from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_study)
+    p.set_defaults(func=_cmd_study, parser=p)
 
     return parser
 
@@ -313,8 +311,12 @@ _MODEL_OPTIONS = {
 }
 
 
-def _check_model_options(parser, args) -> None:
-    """Usage error on a missing, unread or conflicting model option; fill in absent ones."""
+def _check_model_options(args) -> None:
+    """Usage error on a missing, unread or conflicting model option; fill in absent ones.
+
+    The error prints the usage of ``args.parser``, the subcommand's parser.
+    """
+    parser = args.parser
     model = getattr(args, "intensity", getattr(args, "model", "poisson"))
     model = "--cov" if getattr(args, "cov", None) else model
     reads = _MODEL_OPTIONS.get((args.command, model), {})
@@ -332,9 +334,8 @@ def _check_model_options(parser, args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _check_model_options(parser, args)
+    args = build_parser().parse_args(argv)
+    _check_model_options(args)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as err:

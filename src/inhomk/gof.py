@@ -57,16 +57,13 @@ class GofConfig:
     ``mode='estimated'`` uses the estimated-intensity variance formula;
     ``mode='known'`` uses the known-intensity formula with the estimate
     plugged in, quantifying what mistaking the estimate for the truth does to
-    the test. An explicit ``rho`` is allowed in known mode only: it is the
-    intensity plugged into the statistic, and the fallback when the pattern is
-    empty. Estimated mode always uses the estimate.
+    the test. Both modes plug the estimate into the statistic as well.
     """
 
     R: float = 0.05
     grid_size: int = 50
     alpha: float = 0.05
     mode: str = "estimated"
-    rho: float | None = None
     sample_size: int = 10_000
     seed: int = 0
 
@@ -80,12 +77,6 @@ class GofConfig:
         for name in ("grid_size", "seed"):
             check_integer(getattr(self, name), name)
         check_sample_size(self.sample_size, "sample_size")
-        if self.rho is not None:
-            check_positive(self.rho, "rho")
-            if self.mode == "estimated":
-                raise ValueError(
-                    "rho applies to known mode only; estimated mode uses the estimate"
-                )
 
     def grid(self) -> RadiusGrid:
         return RadiusGrid.uniform(self.R, self.grid_size)
@@ -329,16 +320,9 @@ def gof_test(pattern: PointPattern, config: GofConfig) -> GofResult:
     config's grid, sample size and seed.
     """
     grid = config.grid()
-    if len(pattern) > 0:
-        beta_hat = estimate_constant(pattern)
-    elif config.rho is not None:
-        beta_hat = config.rho
-    else:
-        raise ValueError("zero estimated intensity: empty pattern")
-    stat_intensity = beta_hat if config.rho is None else config.rho
-
+    beta_hat = estimate_constant(pattern)
     unit = k_hat(pattern, ConstantIntensity(1.0), grid).values
-    statistic = float(sup_distance(unit, stat_intensity, grid, pattern.window))
+    statistic = float(sup_distance(unit, beta_hat, grid, pattern.window))
     tables = PoissonNullTables(grid, config.sample_size, config.seed, pattern.window.dim)
     crit = float(critical_values(tables, config.mode, config.alpha, beta_hat))
     pval = p_value(getattr(tables, f"{config.mode}_draws")(beta_hat), statistic)
@@ -348,7 +332,7 @@ def gof_test(pattern: PointPattern, config: GofConfig) -> GofResult:
         critical_value=crit,
         p_value=pval,
         reject=statistic > crit,
-        beta_hat=float(beta_hat),
+        beta_hat=beta_hat,
         mode=config.mode,
         alpha=config.alpha,
         grid=grid,

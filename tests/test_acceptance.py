@@ -15,6 +15,8 @@ from inhomk.asymcov import (
     compose_lim_cov,
     cov_estimated_constant,
     h_limit_constant,
+    h_limit_loglinear,
+    loglinear_sigma_blocks,
     poisson_blocks,
     poisson_cov_matrix,
     sigma_blocks_constant,
@@ -289,3 +291,52 @@ def test_criterion_11_pair_search_oracle():
         want = {(int(i), int(j)) for i, j in zip(*np.nonzero(mask))}
         assert got == want, f"trial {trial}: cell grid disagrees with the scan"
     _report("criterion 11", True, "100 random instances, exact set equality")
+
+
+def test_criterion_12_loglinear_oracle():
+    # The paper's headline check: |W| Var of the plug-in K-hat at a fitted
+    # log-linear intensity against c-tilde, and of K-hat at the true intensity
+    # against c, at grid entry [-1, -1] over 4,000 replicates (seeds 90000+).
+    # Bounds fixed in advance: 20% on both ratios, as in criterion 7; the
+    # plug-in variance below the true-intensity one; c over twice the plug-in.
+    window = Window(2, 2.0)
+    field = CovariateField.from_function(
+        window,
+        lambda p: np.column_stack([np.ones(len(p)), p[:, 0], np.sin(3.0 * p[:, 1])]),
+        32,
+    )
+    beta_star = np.array([np.log(200.0), 0.5, 0.3])
+    truth = LogLinearIntensity(beta_star, field)
+    grid = RadiusGrid.uniform(R, 2)
+    b = loglinear_sigma_blocks(
+        field, beta_star, POISSON_DENSITIES, grid, QuadratureConfig(samples=2**16)
+    )
+    c_tilde = compose_lim_cov(h_limit_loglinear(b), b).matrix[-1, -1]
+    c = b.c[-1, -1]
+    rho_max = truth.cell_values().max()
+    plug_in, true_k = np.empty(4000), np.empty(4000)
+    for i in range(4000):
+        pat = simulate_poisson_inhom(truth, rho_max, window, 90000 + i)
+        fit = fit_loglinear(pat, field)
+        assert fit.converged, f"replicate {i}: the fit did not converge"
+        plug_in[i] = k_hat(pat, LogLinearIntensity(fit.beta_hat, field), grid).values[-1]
+        true_k[i] = k_hat(pat, truth, grid).values[-1]
+    var_plug = window.volume * plug_in.var(ddof=1)
+    var_true = window.volume * true_k.var(ddof=1)
+    ratio_plug, ratio_true = var_plug / c_tilde, var_true / c
+    ok = (
+        abs(ratio_plug - 1) <= 0.20
+        and abs(ratio_true - 1) <= 0.20
+        and var_plug < var_true
+        and c / var_plug > 2
+    )
+    _report(
+        "criterion 12", ok,
+        f"|W| Var plug-in {var_plug:.3e} vs c~ {c_tilde:.3e} (ratio {ratio_plug:.3f}), "
+        f"true intensity {var_true:.3e} vs c {c:.3e} (ratio {ratio_true:.3f}), "
+        f"c / plug-in {c / var_plug:.2f} > 2",
+    )
+    assert abs(ratio_plug - 1) <= 0.20
+    assert abs(ratio_true - 1) <= 0.20
+    assert var_plug < var_true
+    assert c / var_plug > 2

@@ -93,7 +93,6 @@ POSITIVE_PARAMETERS = {
         "beta", lambda v: sigma_blocks_constant(POISSON_DENSITIES, v, GRID5)
     ),
     "GofConfig.R": ("R", lambda v: GofConfig(R=v)),
-    "GofConfig.rho": ("rho", lambda v: GofConfig(rho=v)),
     "StudyConfig.rho": ("rho", lambda v: StudyConfig(rho=v)),
     "StudyConfig.R": ("R", lambda v: StudyConfig(R=v)),
     "StudyConfig.sides": ("side", lambda v: StudyConfig(sides=(1.0, v))),

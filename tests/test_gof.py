@@ -138,31 +138,6 @@ def test_gof_empty_pattern_estimated_errors():
         gof_test(empty, GofConfig(seed=1, sample_size=500))
 
 
-def test_gof_estimated_mode_refuses_rho():
-    # estimated mode plugs in the estimate; a given rho would be silently ignored
-    with pytest.raises(ValueError, match="known mode only"):
-        GofConfig(mode="estimated", rho=5.0)
-
-
-def test_gof_empty_pattern_known_with_rho():
-    empty = PointPattern(W1, np.empty((0, 2)))
-    res = gof_test(empty, GofConfig(mode="known", rho=200.0, sample_size=500, seed=1))
-    assert res.statistic == pytest.approx(np.pi * 0.0025)
-    assert res.beta_hat == 200.0
-
-
-def test_gof_known_mode_with_configured_rho_in_statistic():
-    pat = simulate_poisson(200.0, W1, seed=54)
-    cfg = GofConfig(mode="known", rho=123.0, sample_size=500, seed=2)
-    res = gof_test(pat, cfg)
-    grid = cfg.grid()
-    assert res.statistic == pytest.approx(
-        ks_statistic(pat, 123.0, grid), rel=1e-12
-    )
-    # the variance plug-in stays the estimate
-    assert res.beta_hat == len(pat) / 1.0
-
-
 def test_gof_three_dimensions():
     # the test runs on the dim-3 null: ball-volume statistic and tables
     window = Window(3, 1.0)

@@ -272,11 +272,9 @@ def test_cli_crit_rejects_invalid_intensity(tmp_path, capsys, rho):
     "argv",
     [
         ["kfunc", "{pat}", "--beta", "inf", "-o", "{out}"],
-        ["gof", "{pat}", "--mode", "known", "--rho", "inf", "--M", "200", "--seed", "1",
-         "-o", "{out}"],
         ["cov", "--beta", "inf", "--grid", "5", "-o", "{out}"],
     ],
-    ids=["kfunc", "gof", "cov"],
+    ids=["kfunc", "cov"],
 )
 def test_cli_rejects_infinite_intensity(tmp_path, capsys, argv):
     # an infinite intensity makes every K estimate zero; it is refused up
@@ -396,16 +394,6 @@ def test_cli_study_rejects_integer_beyond_float_range(tmp_path, capsys, text, me
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_cli_gof_estimated_mode_refuses_rho(tmp_path, capsys):
-    pat_path = tmp_path / "pat.csv"
-    write_pattern_csv(pat_path, simulate_poisson(200.0, Window(2, 1.0), seed=2))
-    out = tmp_path / "gof.json"
-    assert main(["gof", str(pat_path), "--mode", "estimated", "--rho", "5",
-                 "--M", "200", "--seed", "1", "-o", str(out)]) == 1
-    assert "error: rho applies to known mode only" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_cli_domain_error_exit_code(capsys):
     assert main(["gof", "does-not-exist.csv", "--seed", "1"]) == 1
     err = capsys.readouterr().err
@@ -477,6 +465,12 @@ CRIT_COV = ["crit", "--cov", "{cov}", "--grid", "10", "--M", "1000", "--seed", "
         (["cov", "--beta", "200", "--grid", "5", "-o", "{out}", "--r-trunc", "1.0"],
          "--r-trunc"),
         (["study", "--config", "{cfg}", "--threads", "1", "-o", "{out}"], "--threads"),
+        # gof plugs the estimate into the statistic and the null law alike, in
+        # both modes; it takes no second intensity.
+        (["gof", "{pat}", "--mode", "estimated", "--rho", "5", "--seed", "1", "-o", "{out}"],
+         "unrecognized arguments: --rho 5"),
+        (["gof", "{pat}", "--mode", "known", "--rho", "5", "--seed", "1", "-o", "{out}"],
+         "unrecognized arguments: --rho 5"),
     ],
 )
 def test_cli_unread_option_is_usage_error(tmp_path, capsys, argv, option):
@@ -498,6 +492,26 @@ def test_cli_unread_option_is_usage_error(tmp_path, capsys, argv, option):
     assert exc.value.code == 2
     assert option in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == inputs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*SIMULATE, "matern", "--rho", "5"],
+        ["fit", "{pat}", "--model", "loglinear"],
+        ["kfunc", "{pat}", "--beta", "5", "--fit", "-o", "{out}"],
+        [*CRIT_COV, "--rho", "5"],
+    ],
+    ids=["simulate-unread", "fit-missing", "kfunc-both", "crit-unread"],
+)
+def test_cli_model_option_error_prints_subcommand_usage(tmp_path, capsys, argv):
+    # The usage line of a model-option error is the subcommand's, as it is
+    # for argparse's own error on a missing required option.
+    paths = {"pat": tmp_path / "pat.csv", "cov": tmp_path / "cov.csv", "out": tmp_path / "out"}
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(**paths) for arg in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: inhomk {argv[0]} ")
 
 
 def test_model_options_are_options_of_their_command():
@@ -560,7 +574,7 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         argv = shlex.split(line)[1:]
-        _check_model_options(parser, parser.parse_args(argv))
+        _check_model_options(parser.parse_args(argv))
         if argv[0] != "study":
             assert main(argv) == 0, line
 
