@@ -334,7 +334,9 @@ def _check_model_options(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     _check_model_options(args)
     try:
         return args.func(args)

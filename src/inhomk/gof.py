@@ -89,11 +89,7 @@ class GofResult:
     p_value: float
     reject: bool
     beta_hat: float
-    mode: str
-    alpha: float
-    grid: RadiusGrid
-    sample_size: int
-    seed: int
+    config: GofConfig
 
     def to_dict(self) -> dict:
         return {
@@ -102,12 +98,12 @@ class GofResult:
             "p_value": self.p_value,
             "reject": self.reject,
             "beta_hat": self.beta_hat,
-            "mode": self.mode,
-            "alpha": self.alpha,
-            "R": self.grid.rmax,
-            "grid_size": self.grid.m,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
+            "mode": self.config.mode,
+            "alpha": self.config.alpha,
+            "R": float(self.config.R),
+            "grid_size": int(self.config.grid_size),
+            "sample_size": self.config.sample_size,
+            "seed": self.config.seed,
         }
 
 
@@ -333,9 +329,5 @@ def gof_test(pattern: PointPattern, config: GofConfig) -> GofResult:
         p_value=pval,
         reject=statistic > crit,
         beta_hat=beta_hat,
-        mode=config.mode,
-        alpha=config.alpha,
-        grid=grid,
-        sample_size=config.sample_size,
-        seed=config.seed,
+        config=config,
     )

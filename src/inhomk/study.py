@@ -7,7 +7,7 @@ disjoint replicate ranges and the merged output preserves replicate order.
 One runner serves both the rejection study and the covariance oracle: per
 replicate it returns the point count and the unit-intensity K curve on the
 grid, from which every plug-in estimate is an exact rescaling. The oracle runs
-it at cell index 0. Consecutive replicates share one pair scan up to fixed
+the study's own cells. Consecutive replicates share one pair scan up to fixed
 budgets of points and neighbor rows, ``_SCAN_POINTS`` and ``_SCAN_ROWS``, with
 the pair scan's own row count :func:`~inhomk.geometry.scan_rows` per point:
 thousands of points per set of array calls, in bounded memory, no pair across patterns.
@@ -112,6 +112,8 @@ class StudyConfig:
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(f"unknown mode {mode!r}")
+        if len(set(self.sides)) < len(self.sides):
+            raise ValueError("sides must be distinct")
         object.__setattr__(self, "sides", tuple(float(s) for s in self.sides))
         object.__setattr__(self, "modes", tuple(self.modes))
 
@@ -136,7 +138,6 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyCell:
-    process: str
     side: float
     mode: str
     replicates: int
@@ -173,7 +174,7 @@ class StudyResult:
         ]
         for c in self.cells:
             lines.append(
-                f"| {c.process} | {c.side:g} | {c.mode} | {c.rejection_rate:.4f} "
+                f"| {self.config.process} | {c.side:g} | {c.mode} | {c.rejection_rate:.4f} "
                 f"| {c.std_error:.4f} | {c.replicates} | {c.failures} | {c.wall_time:.1f} |"
             )
         return "\n".join(lines) + "\n"
@@ -182,7 +183,7 @@ class StudyResult:
         lines = ["process,side,mode,rejection_rate,std_error,replicates,failures,seconds"]
         for c in self.cells:
             lines.append(
-                f"{c.process},{c.side:.17g},{c.mode},{c.rejection_rate:.17g},"
+                f"{self.config.process},{c.side:.17g},{c.mode},{c.rejection_rate:.17g},"
                 f"{c.std_error:.17g},{c.replicates},{c.failures},{c.wall_time:.17g}"
             )
         return "\n".join(lines) + "\n"
@@ -197,7 +198,7 @@ def _replicate_curves(job):
     ``_SCAN_POINTS`` points or ``_SCAN_ROWS`` neighbor rows, which bounds the
     memory a scan takes.
     """
-    config, side, grid, seed, cell_index, lo, hi = job
+    config, side, grid, cell_index, lo, hi = job
     window = Window(config.dim, side)
     unit = ConstantIntensity(1.0)
     counts = np.empty(hi - lo, dtype=np.int64)
@@ -205,7 +206,7 @@ def _replicate_curves(job):
     budget = min(_SCAN_POINTS, _SCAN_ROWS // scan_rows(config.dim))
     batch, filled = [], 0
     for k, rep in enumerate(range(lo, hi)):
-        rng = stream(seed, cell_index * _CELL_STRIDE + rep)
+        rng = stream(config.seed, cell_index * _CELL_STRIDE + rep)
         if config.process == "poisson":
             pattern = simulate_poisson(config.rho, window, rng)
         else:
@@ -219,11 +220,11 @@ def _replicate_curves(job):
     return counts, curves
 
 
-def _run_cell(config, side, grid, seed, cell_index, replicates, executor):
+def _run_cell(config, side, grid, cell_index, executor):
     """Counts and unit-intensity curves of all replicates of one cell, in order."""
     jobs = [
-        (config, side, grid, seed, cell_index, lo, min(lo + _CHUNK, replicates))
-        for lo in range(0, replicates, _CHUNK)
+        (config, side, grid, cell_index, lo, min(lo + _CHUNK, config.replicates))
+        for lo in range(0, config.replicates, _CHUNK)
     ]
     parts = list((map if executor is None else executor.map)(_replicate_curves, jobs))
     counts = np.concatenate([p[0] for p in parts])
@@ -256,9 +257,7 @@ def rejection_study(config: StudyConfig) -> StudyResult:
         for cell_index, side in enumerate(config.sides):
             start = time.perf_counter()
             window = Window(config.dim, side)
-            counts, curves = _run_cell(
-                config, side, grid, config.seed, cell_index, config.replicates, executor
-            )
+            counts, curves = _run_cell(config, side, grid, cell_index, executor)
             ok = counts > 0
             failures = int((~ok).sum())
             if failures > _FAILURE_CAP * config.replicates:
@@ -275,7 +274,6 @@ def rejection_study(config: StudyConfig) -> StudyResult:
                 rejections = int((stats > crits).sum())
                 cells.append(
                     StudyCell(
-                        process=config.process,
                         side=side,
                         mode=mode,
                         replicates=config.replicates,
@@ -287,33 +285,26 @@ def rejection_study(config: StudyConfig) -> StudyResult:
     return StudyResult(config=config, cells=tuple(cells))
 
 
-def empirical_cov_oracle(
-    config: StudyConfig,
-    side: float,
-    grid: RadiusGrid,
-    replicates: int,
-    seed: int,
-) -> dict[str, np.ndarray]:
-    """Brute-force ``n Cov(Khat(s), Khat(t))`` over the grid, across replicates.
+def empirical_cov_oracle(config: StudyConfig) -> dict[float, dict[str, np.ndarray]]:
+    """Brute-force ``n Cov(Khat(s), Khat(t))`` on the config's grid: ``{side: {mode: matrix}}``.
 
-    Returns ``{mode: matrix}``: ``'estimated'`` plugs each replicate's count
-    estimate into the estimator (empty patterns are left out), ``'known'`` the
-    true intensity, and is present only for the Poisson process. Both come
-    from one pass over the same replicates: replicate ``r`` draws from
-    ``stream(seed, r)``, the study's stream at cell index 0. The process, its
-    parameters and ``workers`` are taken from ``config``; the study's grid
-    settings are not used.
+    Cell ``i`` reads the study's cell-``i`` replicates ``stream(seed, i * 10**6 + r)``,
+    at least 1000 of them. ``'estimated'`` plugs each replicate's count estimate into
+    the estimator (empty patterns are left out), ``'known'`` the true intensity, for
+    the Poisson process only; both come from one pass over the same replicates.
+    ``modes``, ``alpha`` and ``sample_size`` are the test's settings, not read here.
     """
-    if replicates < 1000:
+    if config.replicates < 1000:
         raise ValueError("need at least 1000 replicates for the oracle")
-    volume = Window(config.dim, side).volume
+    grid = RadiusGrid.uniform(config.R, config.grid_size)
+    oracle = {}
     with _executor(config.workers) as executor:
-        counts, curves = _run_cell(config, side, grid, seed, 0, replicates, executor)
-    ok = counts > 0
-    estimates = {"estimated": plug_in(curves[ok], counts[ok] / volume)}
-    if config.process == "poisson":
-        estimates["known"] = plug_in(curves, config.rho)
-    return {
-        mode: volume * np.cov(k, rowvar=False, ddof=1)
-        for mode, k in estimates.items()
-    }
+        for cell_index, side in enumerate(config.sides):
+            volume = Window(config.dim, side).volume
+            counts, curves = _run_cell(config, side, grid, cell_index, executor)
+            ok = counts > 0
+            estimates = {"estimated": plug_in(curves[ok], counts[ok] / volume)}
+            if config.process == "poisson":
+                estimates["known"] = plug_in(curves, config.rho)
+            oracle[side] = {m: volume * np.cov(k, rowvar=False) for m, k in estimates.items()}
+    return oracle

@@ -174,8 +174,9 @@ def test_criterion_6_unbiasedness():
 
 
 def test_criterion_7_covariance_oracle():
-    config = StudyConfig(process="poisson", rho=RHO, replicates=100)
-    cov = empirical_cov_oracle(config, 4.0, RadiusGrid.uniform(R, 2), 10_000, seed=2024)
+    config = StudyConfig(process="poisson", rho=RHO, sides=(4.0,), R=R, grid_size=2,
+                         replicates=10_000, seed=2024)
+    cov = empirical_cov_oracle(config)[4.0]
     known, est = cov["known"][-1, -1], cov["estimated"][-1, -1]
     ok = (
         abs(known / 1.62640e-6 - 1) <= 0.20

@@ -91,6 +91,45 @@ def test_gof_estimated_table_matches_simulate_sup():
         np.testing.assert_array_equal(tables.estimated_draws(1.0), sup)
 
 
+def brownian_sup_quantile(alpha, T):
+    """The ``x`` with ``P(sup_{t <= T} |B_t| < x) = 1 - alpha``, by bisection.
+
+    The two-sided exit law of Brownian motion is the series
+    ``(4 / pi) sum_k (-1)^k / (2k+1) exp(-(2k+1)^2 pi^2 T / (8 x^2))``.
+    """
+    odd = 2.0 * np.arange(200) + 1.0
+    sign = (-1.0) ** np.arange(200)
+
+    def cdf(x):
+        return 4.0 / pi * np.sum(sign / odd * np.exp(-(odd * pi) ** 2 * T / (8.0 * x * x)))
+
+    lo, hi = 1e-3 * sqrt(T), 10.0 * sqrt(T)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cdf(mid) < 1.0 - alpha else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_estimated_critical_approaches_brownian_sup_law():
+    # Under the Poisson null the estimated-mode limit at rho = 1 is
+    # sqrt(2) B(K(r)), so the grid sup is at most sqrt(2) sup_{t <= K(R)} |B_t|,
+    # whose upper quantile the exit series gives independently of the sampler.
+    # A finer grid comes closer to it. Bounds fixed in advance, seed not searched.
+    alpha, R, sample_size, seed = 0.05, 0.05, 20_000, 4
+    ratios = {}
+    for m in (50, 200):
+        for dim in (1, 2, 3):
+            T = pi ** (dim / 2) / gamma(dim / 2 + 1) * R**dim
+            tables = PoissonNullTables(RadiusGrid.uniform(R, m), sample_size, seed, dim)
+            exact = sqrt(2.0) * brownian_sup_quantile(alpha, T)
+            ratios[m, dim] = tables.estimated_critical(alpha, 1.0) / exact
+    assert all(ratio <= 1.01 for ratio in ratios.values()), ratios
+    assert all(ratios[200, dim] >= 0.94 for dim in (1, 2, 3)), ratios
+    assert all(ratios[50, dim] >= 0.92 for dim in (1, 2, 3)), ratios
+    mean = {m: np.mean([ratios[m, dim] for dim in (1, 2, 3)]) for m in (50, 200)}
+    assert mean[200] > mean[50], ratios
+
+
 def test_gof_known_table_agrees_with_general_path():
     grid = RadiusGrid.uniform(0.05, 50)
     tables = PoissonNullTables(grid, 50_000, 17)

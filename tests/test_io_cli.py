@@ -380,10 +380,11 @@ def test_cli_study(tmp_path, capsys):
         ('[{"replicates": 150}]', "study config must be a JSON object"),
         ('{"kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 150}',
          "matern parameters apply to a matern study only"),
+        ('{"sides": [1, 1], "replicates": 150}', "sides must be distinct"),
     ],
     ids=["float-range", "unknown-key", "matern-object", "partial-matern", "fractional",
          "string-number", "scalar-sides", "string-modes", "null-side", "list",
-         "matern-in-poisson"],
+         "matern-in-poisson", "repeated-sides"],
 )
 def test_cli_study_rejects_integer_beyond_float_range(tmp_path, capsys, text, message):
     # A malformed config is one error line and exit 1, never a traceback; JSON
@@ -501,12 +502,16 @@ def test_cli_unread_option_is_usage_error(tmp_path, capsys, argv, option):
         ["fit", "{pat}", "--model", "loglinear"],
         ["kfunc", "{pat}", "--beta", "5", "--fit", "-o", "{out}"],
         [*CRIT_COV, "--rho", "5"],
+        ["gof", "{pat}", "--rho", "5", "--seed", "1"],
+        ["cov", "--beta", "200", "--samples", "64", "-o", "{out}"],
     ],
-    ids=["simulate-unread", "fit-missing", "kfunc-both", "crit-unread"],
+    ids=["simulate-unread", "fit-missing", "kfunc-both", "crit-unread", "gof-unrecognized",
+         "cov-unrecognized"],
 )
 def test_cli_model_option_error_prints_subcommand_usage(tmp_path, capsys, argv):
-    # The usage line of a model-option error is the subcommand's, as it is
-    # for argparse's own error on a missing required option.
+    # The usage line of a model-option error or an unrecognized argument is
+    # the subcommand's, as it is for argparse's own error on a missing
+    # required option.
     paths = {"pat": tmp_path / "pat.csv", "cov": tmp_path / "cov.csv", "out": tmp_path / "out"}
     with pytest.raises(SystemExit) as exc:
         main([arg.format(**paths) for arg in argv])
@@ -577,6 +582,15 @@ def test_readme_command_lines_parse(tmp_path, monkeypatch, capsys):
         _check_model_options(parser.parse_args(argv))
         if argv[0] != "study":
             assert main(argv) == 0, line
+
+
+def test_readme_library_quick_start_runs(capsys):
+    # README's "Library quick start" block runs as written, so the example
+    # cannot drift from the library's signatures.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1]
+    exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
 
 
 # The raster and parameters of the benchmark's log-linear analysis.

@@ -123,10 +123,10 @@ def test_scan_budget_does_not_change_curves(monkeypatch, process, budget):
     monkeypatch.setattr(study, "_SCAN_POINTS", budget)
     matern = MaternParams(25.0, 8.0, 0.2)
     cfg = StudyConfig(process=process, matern=matern if process == "matern" else None,
-                      replicates=_CHUNK)
+                      replicates=_CHUNK, seed=7)
     window = Window(2, 1.0)
     grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
-    counts, curves = _run_cell(cfg, 1.0, grid, 7, 0, _CHUNK, None)
+    counts, curves = _run_cell(cfg, 1.0, grid, 0, None)
     for rep in range(_CHUNK):
         if process == "poisson":
             pattern = simulate_poisson(cfg.rho, window, stream(7, rep))
@@ -152,9 +152,9 @@ def test_scan_rows_close_batches_in_high_dimensions(monkeypatch):
     monkeypatch.setattr(study, "k_hat", recording_k_hat)
     assert scan_rows(8) == 1094
     monkeypatch.setattr(study, "_SCAN_ROWS", 60 * scan_rows(8))
-    cfg = StudyConfig(rho=10.0, R=0.6, dim=8, replicates=100)
+    cfg = StudyConfig(rho=10.0, R=0.6, dim=8, replicates=100, seed=7)
     grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
-    counts, curves = _run_cell(cfg, 1.0, grid, 7, 0, 100, None)
+    counts, curves = _run_cell(cfg, 1.0, grid, 0, None)
     closed = scans[:-1]  # the last scan takes the chunk's remaining patterns
     assert len(closed) > 1
     assert all(sum(sizes[:-1]) < 60 <= sum(sizes) for sizes in closed)
@@ -230,6 +230,10 @@ def test_study_config_validation():
     for dim in (13, 10**9):
         with pytest.raises(ValueError, match="dimension must be >= 1 and <= 12"):
             StudyConfig(dim=dim)
+    # a repeated side would make two cells that cell() and the oracle cannot tell apart
+    for sides in ((1.0, 1.0), (2.0, 1.0, 2)):
+        with pytest.raises(ValueError, match="^sides must be distinct$"):
+            StudyConfig(sides=sides)
     cfg = StudyConfig.from_dict(
         {"process": "matern", "kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 100}
     )
@@ -269,10 +273,11 @@ def test_study_replicates_stay_below_cell_stride():
 
 
 def test_oracle_modes_share_replicates_and_order():
-    cfg = StudyConfig(process="poisson", rho=200.0, replicates=100)
+    cfg = StudyConfig(process="poisson", rho=200.0, sides=(1.0,), R=0.05, grid_size=5,
+                      replicates=1500, seed=71)
     grid = RadiusGrid.uniform(0.05, 5)  # radii 0.01, ..., 0.05
     closed = poisson_cov_matrix(grid, 200.0, "known").matrix
-    cov = empirical_cov_oracle(cfg, 1.0, grid, 1500, seed=71)
+    cov = empirical_cov_oracle(cfg)[1.0]
     known, est = cov["known"][3, 3], cov["estimated"][3, 3]
     assert est < known
     assert known == pytest.approx(closed[3, 3], rel=0.35)
@@ -281,21 +286,49 @@ def test_oracle_modes_share_replicates_and_order():
     assert cross == pytest.approx(closed[2, 4], rel=0.35)
 
 
+def test_oracle_cells_are_the_study_cells():
+    # Cell i of the oracle reads the study's cell-i streams stream(seed, i * 10**6 + r):
+    # the second side's matrices are, bitwise, those of its patterns built by hand.
+    # At the Table-1 intensity a batched scan and a pattern's own scan share one
+    # cell layout, so each study curve is bitwise its pattern's k_hat.
+    cfg = StudyConfig(process="poisson", rho=200.0, sides=(1.0, 2.0), R=0.05, grid_size=3,
+                      replicates=1000, seed=23)
+    oracle = empirical_cov_oracle(cfg)
+    assert list(oracle) == [1.0, 2.0]
+    window = Window(2, 2.0)
+    grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
+    counts, curves = [], []
+    for rep in range(cfg.replicates):
+        pattern = simulate_poisson(cfg.rho, window, stream(cfg.seed, _CELL_STRIDE + rep))
+        counts.append(len(pattern))
+        curves.append(k_hat(pattern, ConstantIntensity(1.0), grid).values)
+    counts, curves = np.array(counts), np.array(curves)
+    ok = counts > 0
+    beta_hats = counts[ok] / window.volume
+    by_hand = {
+        "estimated": curves[ok] / np.square(beta_hats)[:, None],
+        "known": curves / cfg.rho**2,
+    }
+    assert oracle[2.0].keys() == by_hand.keys()
+    for mode, k in by_hand.items():
+        np.testing.assert_array_equal(oracle[2.0][mode], window.volume * np.cov(k, rowvar=False))
+
+
 def test_oracle_validation():
-    cfg = StudyConfig(process="poisson", replicates=100)
-    grid = RadiusGrid.uniform(0.05, 2)
+    cfg = StudyConfig(process="poisson", sides=(1.0,), R=0.05, grid_size=2, replicates=500,
+                      seed=1)
     with pytest.raises(ValueError, match="1000"):
-        empirical_cov_oracle(cfg, 1.0, grid, 500, seed=1)
+        empirical_cov_oracle(cfg)
     # the known-intensity mode needs the true intensity: Poisson only
-    matern = StudyConfig(process="matern", matern=MaternParams(25, 8, 0.2), replicates=100)
-    assert set(empirical_cov_oracle(matern, 1.0, grid, 1000, seed=1)) == {"estimated"}
+    matern = replace(cfg, process="matern", matern=MaternParams(25, 8, 0.2), replicates=1000)
+    assert set(empirical_cov_oracle(matern)[1.0]) == {"estimated"}
 
 
 def test_oracle_workers_do_not_change_result():
-    cfg = StudyConfig(process="poisson", rho=100.0, replicates=100)
-    grid = RadiusGrid.uniform(0.05, 3)
-    a = empirical_cov_oracle(cfg, 1.0, grid, 1000, seed=17)
-    b = empirical_cov_oracle(replace(cfg, workers=2), 1.0, grid, 1000, seed=17)
+    cfg = StudyConfig(process="poisson", rho=100.0, sides=(1.0,), R=0.05, grid_size=3,
+                      replicates=1000, seed=17)
+    a = empirical_cov_oracle(cfg)[1.0]
+    b = empirical_cov_oracle(replace(cfg, workers=2))[1.0]
     assert a.keys() == b.keys() == {"estimated", "known"}
     for mode in a:
         assert a[mode].shape == (3, 3)
@@ -325,14 +358,13 @@ def test_cross_block_empirical_anchor():
 def test_oracle_error_shrinks_with_replicates():
     # quadrupling replicates roughly halves the oracle's Monte Carlo error;
     # the standard deviations are estimated over independent seed batches
-    cfg = StudyConfig(process="poisson", rho=100.0, replicates=100)
-    grid = RadiusGrid.uniform(0.04, 2)
+    cfg = StudyConfig(process="poisson", rho=100.0, sides=(1.0,), R=0.04, grid_size=2)
     small = [
-        empirical_cov_oracle(cfg, 1.0, grid, 1000, seed=200 + k)["known"][-1, -1]
+        empirical_cov_oracle(replace(cfg, replicates=1000, seed=200 + k))[1.0]["known"][-1, -1]
         for k in range(12)
     ]
     big = [
-        empirical_cov_oracle(cfg, 1.0, grid, 4000, seed=300 + k)["known"][-1, -1]
+        empirical_cov_oracle(replace(cfg, replicates=4000, seed=300 + k))[1.0]["known"][-1, -1]
         for k in range(12)
     ]
     ratio = np.std(big, ddof=1) / np.std(small, ddof=1)
