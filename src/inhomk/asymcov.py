@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import check_integer, check_positive, overlap_volume
 from .intensity import CovariateField, LogLinearIntensity, cl_sensitivity
@@ -92,6 +93,9 @@ MAX_QUADRATURE_DIM = max(
 # differences times this factor; the margin is what makes "doubling the budget
 # moves every entry by less than the reported error" hold in practice.
 _ERROR_SAFETY = 3.0
+
+# Floats of raster windows that _lag_averages copies per matrix product.
+_LAG_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -517,7 +521,10 @@ def _lag_averages(q_u: np.ndarray, q_s: np.ndarray, field: CovariateField, lags)
     cell-constant rasters the overlap integral is the cell volume times the
     multilinear interpolation, at the lag in cell units, of the discrete
     cross-correlation ``C[k] = sum_j q_u[j + k] q_s[j]'`` at integer cell
-    lags ``k``; ``C`` is built only over the lags the samples reach.
+    lags ``k``; ``C`` is built only over the lags the samples reach. Zero
+    padding gives every lag a full raster-sized window of ``q_u``, and each
+    block of at most ``_LAG_BLOCK`` window floats takes one product with
+    ``q_s``: exact zeros added, so ``C`` is exact up to summation order.
     """
     res = np.array(field.resolution)
     lags = np.asarray(lags, float)
@@ -526,25 +533,26 @@ def _lag_averages(q_u: np.ndarray, q_s: np.ndarray, field: CovariateField, lags)
     base = np.floor(t).astype(int)
     frac = t - base
     lo, hi = base.min(axis=0), base.max(axis=0) + 1
-    qu = q_u.reshape(field.resolution + (-1,))
-    qs = q_s.reshape(field.resolution + (-1,))
-    axes = list(range(len(res)))
-    table = np.zeros(tuple(hi - lo + 1) + (qu.shape[-1], qs.shape[-1]))
-    for pos in np.ndindex(*(hi - lo + 1)):
-        k = lo + pos
-        if np.any(np.abs(k) >= res):
-            continue
-        src = tuple(slice(j, None) if j >= 0 else slice(None, j) for j in k)
-        dst = tuple(slice(None, r - j) if j >= 0 else slice(-j, None) for j, r in zip(k, res))
-        table[pos] = np.tensordot(qu[src], qs[dst], axes=(axes, axes))
+    box, a, b = tuple(hi - lo + 1), q_u.shape[-1], q_s.shape[-1]
+    pad = [(max(-j, 0), max(k, 0)) for j, k in zip(lo, hi)]  # window k starts at cell k
+    padded = np.pad(q_u.reshape(field.resolution + (a,)), pad + [(0, 0)])
+    windows = sliding_window_view(padded, field.resolution, axis=tuple(range(len(res))))
+    windows = windows[tuple(slice(j + p, j + p + n) for j, (p, _), n in zip(lo, pad, box))]
+    table = np.empty((math.prod(box), a, b))
+    step = max(1, _LAG_BLOCK // q_u.size)
+    for start in range(0, len(table), step):
+        pos = np.unravel_index(np.arange(start, min(start + step, len(table))), box)
+        table[start : start + step] = (windows[pos].reshape(-1, len(q_s)) @ q_s).reshape(-1, a, b)
+    rows = table.reshape(len(table), a * b).T
+    cell = np.ravel_multi_index(tuple((base - lo).T), box)
+    sides = np.stack([1.0 - frac.T, frac.T], axis=1)
     interp = 0.0
     for corner in np.ndindex(*(2,) * len(res)):
-        weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
-        interp = interp + weight[:, None, None] * table[tuple((base + corner - lo).T)]
-    overlap = overlap_volume(field.window, lags)[:, None, None]
-    return np.divide(
-        interp * field.cell_volume, overlap, out=np.zeros_like(interp), where=overlap > 0
-    )
+        weight = math.prod(side[c] for side, c in zip(sides, corner))
+        interp = interp + weight * np.take(rows, cell + np.ravel_multi_index(corner, box), axis=1)
+    overlap = overlap_volume(field.window, lags)
+    out = np.divide(interp * field.cell_volume, overlap, out=np.zeros_like(interp), where=overlap > 0)
+    return out.T.reshape(len(lags), a, b)
 
 
 def loglinear_sigma_blocks(

@@ -9,12 +9,14 @@ larger sample extends a smaller one instead of replacing it.
 
 The radical inverse sums ``digit / base**k`` from the least significant digit
 up. It reads the low digits of every index from a small table of that same
-sum, and adds the high digits once per run of indices that share them, so a
-block of consecutive indices costs one table lookup per point instead of one
-integer division per point and digit. In odd bases the summation order is
-the digit loop's own, so every point is bitwise the same as the loop's. In
-base 2 below 2**53 every partial sum is exact in any order, so the radical
-inverse is the index's bit reversal, computed without a digit loop.
+sum, built one digit level at a time by an outer sum, and adds the high
+digits once per run of indices that share them, taking every run's digits in
+one broadcast, so a block of consecutive indices costs one table lookup per
+point instead of one integer division per point and digit. In odd bases the
+summation order is the digit loop's own, so every point is bitwise the same
+as the loop's. In base 2 below 2**53 every partial sum is exact in any order,
+so the radical inverse is the index's bit reversal, computed without a digit
+loop.
 """
 
 from __future__ import annotations
@@ -49,29 +51,22 @@ _BIT_SWAPS = tuple(
 )
 
 
-def _digit_loop(indices: np.ndarray, base: int, out: np.ndarray) -> None:
-    # The definition: add digit / base**k from the least significant digit up.
-    out[:] = 0.0
-    denom = 1.0
-    work, digit = indices.copy(), np.empty_like(indices)
-    while work.any():
-        denom *= base
-        np.divmod(work, base, out=(work, digit))
-        out += digit / denom
-
-
 def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
-    """``_digit_loop`` for non-negative indices, bitwise, at one lookup per point.
+    """Radical inverses of non-negative indices into ``out``, at one lookup per point.
 
-    Each index splits as ``q * B + r`` with ``B = base**L`` the largest power
-    of ``base`` within ``_TABLE_SIZE``. The loop's first ``L`` steps on it add
-    exactly the terms that ``table[r]`` holds, in the same order (a shorter
-    ``r`` only adds ``+0.0``). The remaining steps add the digits of ``q`` with
-    the loop's own ``denom`` sequence; they are computed once per run of equal
-    consecutive ``q`` and repeated over the run, so blocks of consecutive
-    indices pay the integer divisions per run, not per point. In an odd base,
-    summing in a different order (high digits first, or a second table) would
-    move points by an ulp.
+    The definition is the digit loop: add ``digit / base**k`` from the least
+    significant digit up. Each index splits as ``q * B + r`` with
+    ``B = base**L`` the largest power of ``base`` within ``_TABLE_SIZE``.
+    ``table[r]`` holds the loop's first ``L`` steps on ``r``: step ``k = 1..L``
+    of the recursion ``table = add.outer(arange(base) / base**k, table)`` adds
+    the ``k``-th digit to the sums of the lower ones, the loop's adds in the
+    loop's order (a shorter ``r`` only adds ``+0.0``). The digits of ``q``
+    come next, over the loop's own ``denom`` sequence. One broadcast
+    ``work // powers % base`` takes them for every run of equal consecutive
+    ``q``, and each digit is repeated over the runs and added in the loop's
+    order, so blocks of consecutive indices pay the integer divisions per run,
+    not per point. In an odd base, summing in a different order (high digits
+    first, or a second table) would move points by an ulp.
 
     In base 2 below 2**53 each partial sum has at most 53 significant bits,
     so every add is exact and the sum is the index's 64-bit bit reversal
@@ -89,11 +84,10 @@ def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
         rev.byteswap(inplace=True)  # then the byte order, on either endianness
         np.multiply(rev, 2.0**-64, out=out)
         return
-    size = base
+    size, table = 1, np.zeros(1)
     while size * base <= _TABLE_SIZE:
         size *= base
-    table = np.empty(size)
-    _digit_loop(np.arange(size, dtype=np.int64), base, table)
+        table = np.add.outer(np.arange(base) / size, table).ravel()
     high = indices // size
     # The low parts are in range; "clip" lets take write to out unbuffered.
     np.take(table, indices - high * size, out=out, mode="clip")
@@ -103,12 +97,13 @@ def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
     starts = np.flatnonzero(first)
     lengths = np.diff(starts, append=len(high))
     work = high[starts]
-    digit = np.empty_like(work)
-    denom = float(size)  # the loop's denom after L steps, exact
-    while work.any():
-        denom *= base
-        np.divmod(work, base, out=(work, digit))
-        out += np.repeat(digit / denom, lengths)
+    top, powers, denoms = int(work.max(initial=0)), [], [float(size)]
+    while base ** len(powers) <= top:
+        powers.append(base ** len(powers))
+        denoms.append(denoms[-1] * base)
+    terms = work // np.array(powers, dtype=np.int64)[:, None] % base / np.array(denoms[1:])[:, None]
+    for term in terms:
+        out += np.repeat(term, lengths)
 
 
 def _indices(values) -> np.ndarray:

@@ -14,12 +14,16 @@ thousands of points per set of array calls, in bounded memory, no pair across pa
 
 The study decides through the two calls of :func:`inhomk.gof.gof_test`,
 :func:`~inhomk.gof.sup_distance` at the replicates' estimates and
-:func:`~inhomk.gof.critical_values`, so each replicate's statistic and
-critical value are bitwise those of ``gof_test`` on its pattern. Within a cell
-the same simulated patterns are evaluated under every requested variance mode
-(that is what makes the known-vs-estimated comparison a paired one), sharing
-one null table, so each distinct estimate costs one critical-value call per
-mode. Windows and null tables take the config's dimension, up to the pair
+:func:`~inhomk.gof.critical_values`, so each replicate's critical value is
+bitwise ``gof_test``'s on its pattern. So is its statistic when the pair scan
+gives the batch and the pattern alone the same cells per axis, as it does when
+neither holds fewer than ``(floor(side / R) + 2)**d / 4`` points per pattern
+(121 and 441 for Table 1's sides 1 and 2 at R 0.05; rho 200 gives 200 and
+800). Otherwise the statistic agrees to rounding. Within a cell the same
+simulated patterns are evaluated under every requested variance mode (that is
+what makes the known-vs-estimated comparison a paired one), sharing one null
+table, so each distinct estimate costs one critical-value call per mode.
+Windows and null tables take the config's dimension, up to the pair
 scan's ``MAX_SCAN_DIM`` (12): the Poisson null is exact in each.
 """
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from inhomk.asymcov import (
     poisson_cov_matrix,
     sigma_blocks_constant,
 )
-from inhomk.geometry import Window
+from inhomk.geometry import Window, overlap_volume
 from inhomk.intensity import CovariateField
 from inhomk.kstat import RadiusGrid, k_poisson
 from synthetic_kernels import synthetic_densities
@@ -240,6 +241,78 @@ def test_lag_averages_match_subcell_sum(res):
         cs = np.ravel_multi_index(tuple((src[ok] // sub).T), res)
         np.testing.assert_allclose(avg, q_u[cu].T @ q_s[cs] / ok.sum(), rtol=1e-12, atol=1e-14)
     assert not np.any(got[1]) and not np.any(got[2])
+
+
+def per_lag_lag_averages(q_u, q_s, field, lags):
+    # Reference: one tensordot over each integer lag's overlap of the raster
+    # with its shift, then the same interpolation and overlap division.
+    res = np.array(field.resolution)
+    t = np.clip(lags * (res / field.window.side), -res, res)
+    base = np.floor(t).astype(int)
+    frac = t - base
+    lo, hi = base.min(axis=0), base.max(axis=0) + 1
+    qu = q_u.reshape(field.resolution + (-1,))
+    qs = q_s.reshape(field.resolution + (-1,))
+    axes = list(range(len(res)))
+    table = np.zeros(tuple(hi - lo + 1) + (qu.shape[-1], qs.shape[-1]))
+    for pos in np.ndindex(*(hi - lo + 1)):
+        k = lo + pos
+        if np.any(np.abs(k) >= res):
+            continue
+        src = tuple(slice(j, None) if j >= 0 else slice(None, j) for j in k)
+        dst = tuple(slice(None, r - j) if j >= 0 else slice(-j, None) for j, r in zip(k, res))
+        table[pos] = np.tensordot(qu[src], qs[dst], axes=(axes, axes))
+    interp = 0.0
+    for corner in np.ndindex(*(2,) * len(res)):
+        weight = np.prod(np.where(corner, frac, 1.0 - frac), axis=1)
+        interp = interp + weight[:, None, None] * table[tuple((base + corner - lo).T)]
+    overlap = overlap_volume(field.window, lags)[:, None, None]
+    return np.divide(
+        interp * field.cell_volume, overlap, out=np.zeros_like(interp), where=overlap > 0
+    )
+
+
+@pytest.mark.parametrize("block", [1, 5000, asymcov._LAG_BLOCK])
+@pytest.mark.parametrize("channels", [(1, 1), (2, 3), (3, 3)])
+@pytest.mark.parametrize("res", [(7,), (5, 6), (4, 3, 5)])
+def test_lag_averages_match_per_lag_tensordot(monkeypatch, res, channels, block):
+    # Blocked products over zero-padded windows: the per-lag sums up to their
+    # order, for lag boxes that cross +-res cells, one lag per block and more.
+    monkeypatch.setattr(asymcov, "_LAG_BLOCK", block)
+    dim, side = len(res), 2.0
+    rng = np.random.default_rng(len(res) + 10 * channels[1])
+    field = CovariateField(Window(dim, side), np.zeros(res + (1,)))
+    q_u = rng.normal(size=(math.prod(res), channels[0]))
+    q_s = rng.normal(size=(math.prod(res), channels[1]))
+    lags = rng.uniform(-1.3 * side, 1.3 * side, size=(300, dim))
+    lags[:2] = [-side] * dim, [side * (1 - 1 / max(res))] * dim
+    for case in (lags, lags[:1], lags[2:3] / 10):
+        got = _lag_averages(q_u, q_s, field, case)
+        want = per_lag_lag_averages(q_u, q_s, field, case)
+        assert got.shape == want.shape == (len(case),) + channels
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+
+
+def test_lag_averages_scratch_stays_within_the_block_budget():
+    # A 16^3 raster with a 9^3 lag box: all its windows at once would take
+    # 729 * 3 * 16**3 floats (72 MB). Blocked, the scratch is the padded raster
+    # (24^3 cells), the table, one block of _LAG_BLOCK floats and a few
+    # per-lag arrays of the output's size.
+    rng = np.random.default_rng(16)
+    field = CovariateField(Window(3, 2.0), np.zeros((16, 16, 16, 1)))
+    q = rng.normal(size=(16**3, 3))
+    lags = rng.uniform(-0.5, 0.49, size=(2000, 3))
+    lags[0] = -0.5
+    tracemalloc.start()
+    try:
+        out = _lag_averages(q, q, field, lags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded, table = 24**3 * 3 * 8, 9**3 * 9 * 8
+    assert peak <= padded + table + 8 * asymcov._LAG_BLOCK + 6 * out.nbytes
+    assert peak < 2 * 2**20
 
 
 def test_cov_estimated_poisson_reduction():

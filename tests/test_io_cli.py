@@ -11,14 +11,16 @@ from inhomk.cli import _MODEL_OPTIONS, _check_model_options, build_parser, main
 from inhomk.geometry import PointPattern, Window
 from inhomk.intensity import CovariateField, FitResult, LogLinearIntensity, fit_loglinear
 from inhomk.io import (
+    _write_csv,
     read_covariate_field,
     read_matrix_csv,
     read_pattern_csv,
     write_covariate_field,
+    write_curve_csv,
     write_matrix_csv,
     write_pattern_csv,
 )
-from inhomk.kstat import RadiusGrid, h_matrix, k_hat
+from inhomk.kstat import Curve, RadiusGrid, h_matrix, k_hat
 from inhomk.simulate import simulate_poisson, simulate_poisson_inhom
 from inhomk.study import StudyConfig, rejection_study
 
@@ -151,6 +153,49 @@ def test_matrix_round_trip(tmp_path):
     write_matrix_csv(path, special)
     assert path.read_text() == "inf,nan,-0\n4.9406564584124654e-324,1.797e+308,-inf\n"
     np.testing.assert_array_equal(read_matrix_csv(path), special)
+
+
+def _savetxt_bytes(tmp_path, rows, header=""):
+    path = tmp_path / "savetxt.csv"
+    with open(path, "w") as fh:
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    return path.read_bytes()
+
+
+EDGE_VALUES = [-0.0, 5e-324, 2.0e-310, 1e300, -1e300, 0.1, -1.0 / 3.0, 123456789.0]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (1, 1), (1, 7), (7, 1), (4, 5)])
+@pytest.mark.parametrize("header", ["", "a,b"])
+def test_csv_text_is_savetxt_text(tmp_path, shape, header):
+    # One format of all the values writes np.savetxt's bytes, header or not.
+    rows = np.resize(EDGE_VALUES, shape)
+    path = tmp_path / "rows.csv"
+    _write_csv(path, rows, header)
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, rows, header)
+    if header == "":
+        write_matrix_csv(path, rows)
+        assert path.read_bytes() == _savetxt_bytes(tmp_path, rows)
+
+
+def test_every_writer_writes_savetxt_text(tmp_path):
+    window = Window(2, 1.0)
+    path = tmp_path / "out.csv"
+    for points in (np.empty((0, 2)), [[-0.0, 5e-324], [0.25, -2.0e-310]]):
+        pattern = PointPattern(window, points)
+        write_pattern_csv(path, pattern)
+        assert path.read_bytes() == _savetxt_bytes(tmp_path, pattern.points, "x,y")
+    field = CovariateField(window, np.reshape(EDGE_VALUES, (2, 2, 2)))
+    write_covariate_field(path, field)
+    header = path.read_text().splitlines()[0]
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, field.flat(), header)
+    grid = RadiusGrid.uniform(0.1, 4)
+    curve = Curve(grid, np.reshape(EDGE_VALUES, (4, 2)))
+    write_curve_csv(path, curve, ("a", "b"))
+    rows = np.column_stack([grid.values, curve.values])
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, rows, "r,a,b")
+    write_matrix_csv(path, np.array(EDGE_VALUES))
+    assert path.read_bytes() == _savetxt_bytes(tmp_path, np.array([EDGE_VALUES]))
 
 
 def test_cli_simulate_gof_reproducible(tmp_path, capsys):

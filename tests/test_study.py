@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from inhomk import study
+from inhomk import geometry, study
 from inhomk.asymcov import poisson_cov_matrix
 from inhomk.geometry import Window, scan_rows
 from inhomk.gof import GofConfig, critical_values, gof_test, sup_distance
@@ -112,6 +112,32 @@ def test_gof_test_decides_like_the_study(monkeypatch, process):
         results = [gof_test(p, gof_cfg) for p in patterns if len(p) > 0]
         np.testing.assert_array_equal([r.statistic for r in results], seen["statistic"][0])
         np.testing.assert_array_equal([r.critical_value for r in results], seen[mode][0])
+
+
+@pytest.mark.parametrize("rho, exact", [(200.0, True), (50.0, False)])
+def test_study_statistic_is_bitwise_where_the_scan_layout_is_not_capped(rho, exact):
+    # Table 1's rho 200 leaves floor(side / R) cells per axis to the batch and
+    # to every pattern alone: bitwise gof_test's statistic. At rho 50 the
+    # points cap the layout, pairs are summed in another order: rounding only.
+    cfg = StudyConfig(rho=rho, sides=(1.0, 2.0), R=0.05, grid_size=3, replicates=1000, seed=23)
+    grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
+    window = Window(2, 2.0)
+    counts, curves = _run_cell(cfg, 2.0, grid, 1, None)
+    patterns = [simulate_poisson(rho, window, stream(23, _CELL_STRIDE + r)) for r in range(1000)]
+    alone = np.array([k_hat(p, ConstantIntensity(1.0), grid).values for p in patterns])
+    uncapped = geometry._cells_per_axis(2.0, cfg.R, 2, 10**9, 1)
+    layouts = {geometry._cells_per_axis(2.0, cfg.R, 2, len(p), 1) for p in patterns}
+    assert (layouts == {uncapped}) is exact
+    estimates = counts / window.volume
+    stats = sup_distance(curves, estimates, grid, window)
+    stats_alone = sup_distance(alone, estimates, grid, window)
+    if exact:
+        np.testing.assert_array_equal(curves, alone)
+        np.testing.assert_array_equal(stats, stats_alone)
+    else:
+        assert not np.array_equal(curves, alone)
+        np.testing.assert_allclose(curves, alone, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(stats, stats_alone, rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("budget", [1, _SCAN_POINTS, 10**9])
