@@ -39,7 +39,7 @@ from .intensity import (
     estimate_constant,
     fit_loglinear,
 )
-from .kstat import Curve, RadiusGrid, h_matrix, k_hat, k_poisson, taylor_residual
+from .kstat import Curve, RadiusGrid, h_matrix, k_hat, k_poisson
 from .limitlaw import critical_value, p_value, simulate_sup
 from .seeds import stream
 from .simulate import (

@@ -34,7 +34,9 @@ any grid size fits.
 Raster lag averages of the log-linear blocks are exact: on rasters constant
 on cells, ``int q_u(u) q_s(u - v)' du`` is the cell volume times the
 multilinear interpolation of the discrete cross-correlation at integer cell
-lags.
+lags. They are built only at the lags where the density factor they multiply
+(``g - 1`` or ``g``) is nonzero, so a factor that vanishes everywhere, as
+``g - 1`` does for Poisson densities, costs no table.
 """
 
 from __future__ import annotations
@@ -555,6 +557,22 @@ def _lag_averages(q_u: np.ndarray, q_s: np.ndarray, field: CovariateField, lags)
     return out.T.reshape(len(lags), a, b)
 
 
+def _times_lag_averages(factor, q, field: CovariateField, lags) -> np.ndarray:
+    """``factor[i] * _lag_averages(q, q, field, lags)[i]``, built only where ``factor`` is nonzero.
+
+    Zero rows stay 0, with no table when every factor is 0; NaN counts as
+    nonzero, so it propagates. With no zero factor this is the plain product.
+    """
+    factor = np.asarray(factor, dtype=float)[:, None, None]
+    live = factor[:, 0, 0] != 0.0
+    if live.all():
+        return factor * _lag_averages(q, q, field, lags)
+    out = np.zeros((len(factor),) + (q.shape[-1],) * 2)
+    if live.any():
+        out[live] = factor[live] * _lag_averages(q, q, field, np.asarray(lags)[live])
+    return out
+
+
 def loglinear_sigma_blocks(
     field: CovariateField,
     beta,
@@ -570,7 +588,8 @@ def loglinear_sigma_blocks(
     variance) and ``1/(rho rho)`` (K block) at each quadrature lag ``v`` are
     exact too: the cell volume times the multilinear interpolation of the
     raster's discrete cross-correlation at integer cell lags, divided by
-    ``|W and (W + v)|`` (zero where the windows do not overlap). The decay
+    ``|W and (W + v)|`` (zero where the windows do not overlap), built only
+    where their density factor ``g - 1`` or ``g`` is nonzero. The decay
     integrals over the normalized joint intensities are the constant model's,
     on the same points. The returned blocks carry the sensitivity matrix; use
     :meth:`CovarianceBlocks.beta_coords` for estimator coordinates and
@@ -593,13 +612,13 @@ def loglinear_sigma_blocks(
     # spatial average of z z' rho rho.
     s11 = _ball_integrals(
         grid, dim, quad, _REGION_LL_S11, 0,
-        lambda v: (model.g(v) - 1.0)[:, None, None] * _lag_averages(q_zrho, q_zrho, field, v),
+        lambda v: _times_lag_averages(model.g(v) - 1.0, q_zrho, field, v),
         truncated=True,
     )
     # K covariance pair term: the lag average of g(w)/(rho(u) rho(u-w)).
     c3 = _ball_integrals(
         grid, dim, quad, _REGION_LL_C2, 1,
-        lambda x: model.g(x) * _lag_averages(q_invrho, q_invrho, field, x)[:, 0, 0],
+        lambda x: _times_lag_averages(model.g(x), q_invrho, field, x)[:, 0, 0],
     )
     return _assemble_blocks(
         grid, integrals, s11, c3, sens, z_rho_bar, zbar, inv_rho_bar, zbar, sens

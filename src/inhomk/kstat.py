@@ -37,7 +37,6 @@ __all__ = [
     "k_hat",
     "k_poisson",
     "h_matrix",
-    "taylor_residual",
 ]
 
 DEFAULT_GRID_SIZE = 50
@@ -185,27 +184,3 @@ def h_matrix(pattern: PointPattern, model, grid: RadiusGrid) -> Curve:
     grad = np.asarray(model.log_gradient(pattern.points), dtype=float)
     contrib = -w[:, None] * (np.take(grad, pairs.i, axis=0) + np.take(grad, pairs.j, axis=0))
     return Curve(grid, _accumulate(pairs, contrib, grid)[0])
-
-
-def taylor_residual(
-    pattern: PointPattern,
-    model_at,
-    beta_star,
-    beta_hat,
-    grid: RadiusGrid,
-) -> Curve:
-    """First-order remainder of the plug-in expansion around ``beta_star``.
-
-    ``model_at(beta)`` must build the intensity model of the family at a given
-    parameter. Returns ``Khat(beta_hat) - Khat(beta_star) - H(beta_star) dbeta``
-    per grid point; identically zero when the parameters coincide (each call
-    scans the same pattern, so all three see the same pairs) and second order
-    in their difference otherwise.
-    """
-    k_star = k_hat(pattern, model_at(beta_star), grid)
-    k_plug = k_hat(pattern, model_at(beta_hat), grid)
-    h_star = h_matrix(pattern, model_at(beta_star), grid)
-    dbeta = np.atleast_1d(np.asarray(beta_hat, dtype=float)) - np.atleast_1d(
-        np.asarray(beta_star, dtype=float)
-    )
-    return Curve(grid, k_plug.values - k_star.values - h_star.values @ dbeta)

@@ -145,12 +145,16 @@ def direction_dims(dim: int) -> int:
 def _directions(u: np.ndarray, dim: int) -> np.ndarray:
     """Uniform directions from Halton rows ``u`` in (0, 1) (sequence indices
     are at least 1): a sign, an angle, or the first ``dim`` of the exact iid
-    Gaussians that Box-Muller makes of the coordinate pairs, normalized."""
+    Gaussians that Box-Muller makes of the coordinate pairs, normalized. The
+    ``(n, dim)`` array is fresh, so the callers scale it in place by the radii."""
     if dim == 1:
         return np.where(u[:, 0] < 0.5, -1.0, 1.0)[:, None]
     if dim == 2:
         theta = 2.0 * np.pi * u[:, 0]
-        return np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        out = np.empty((len(u), 2))
+        np.cos(theta, out=out[:, 0])
+        np.sin(theta, out=out[:, 1])
+        return out
     radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
     angle = 2.0 * np.pi * u[:, 1::2]
     g = np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :dim]
@@ -191,7 +195,7 @@ def ball_shell_points(
     lo = _shell_power(r_inner, dim)[:, None]
     hi = _shell_power(r_outer, dim)[:, None]
     radii = (lo + t.reshape(len(lo), count) * (hi - lo)) ** (1.0 / dim)
-    return radii.reshape(-1, 1) * directions
+    return np.multiply(radii.reshape(-1, 1), directions, out=directions)
 
 
 def ball_points_weighted(
@@ -209,4 +213,4 @@ def ball_points_weighted(
     t, directions = _stratum_draws(count, dim, strata, dim_offset)
     radii = radius * t
     surface = dim * np.pi ** (dim / 2.0) / gamma(dim / 2.0 + 1.0) * radii ** (dim - 1)
-    return radii[:, None] * directions, radius * surface
+    return np.multiply(radii[:, None], directions, out=directions), radius * surface

@@ -30,11 +30,9 @@ scan's ``MAX_SCAN_DIM`` (12): the Poisson null is exact in each.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from math import sqrt
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -239,6 +237,9 @@ def _run_cell(config, side, grid, cell_index, executor):
 def _executor(workers: int):
     if workers <= 1:
         return nullcontext()
+    # Imported only to start a pool: at module level they add dozens of modules to every import.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
     spawn = get_context("spawn")  # not fork: the parent may already run BLAS threads
     return ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
 

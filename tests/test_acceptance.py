@@ -29,10 +29,11 @@ from inhomk.intensity import (
     cl_score,
     fit_loglinear,
 )
-from inhomk.kstat import RadiusGrid, h_matrix, k_hat, taylor_residual
+from inhomk.kstat import RadiusGrid, h_matrix, k_hat
 from inhomk.seeds import stream
 from inhomk.simulate import MaternParams, simulate_poisson, simulate_poisson_inhom
 from inhomk.study import StudyConfig, empirical_cov_oracle, rejection_study
+from taylor_expansion import taylor_residual
 
 RHO = 200.0
 R = 0.05

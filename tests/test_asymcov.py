@@ -15,6 +15,7 @@ from inhomk.asymcov import (
     ProductDensityModel,
     QuadratureConfig,
     _lag_averages,
+    _times_lag_averages,
     compose_lim_cov,
     cov_estimated_constant,
     h_limit_constant,
@@ -313,6 +314,72 @@ def test_lag_averages_scratch_stays_within_the_block_budget():
     padded, table = 24**3 * 3 * 8, 9**3 * 9 * 8
     assert peak <= padded + table + 8 * asymcov._LAG_BLOCK + 6 * out.nbytes
     assert peak < 2 * 2**20
+
+
+def counted_lag_averages(monkeypatch):
+    # Records the lags of every _lag_averages call the blocks make.
+    seen, inner = [], asymcov._lag_averages
+
+    def counted(q_u, q_s, field, lags):
+        seen.append(np.array(lags, dtype=float))
+        return inner(q_u, q_s, field, lags)
+
+    monkeypatch.setattr(asymcov, "_lag_averages", counted)
+    return seen
+
+
+@pytest.mark.parametrize("channels", [1, 3])
+@pytest.mark.parametrize("res", [(7,), (5, 6), (4, 3, 5)])
+def test_times_lag_averages_builds_tables_only_for_nonzero_factors(monkeypatch, res, channels):
+    # Reference: the full table at every lag times the factor. A compact
+    # factor, g - 1 for g = 1 + max(0, 1 - |h|/a), reaches only lags within a.
+    dim, side, a = len(res), 2.0, 0.4
+    rng = np.random.default_rng(40 + dim + channels)
+    field = CovariateField(Window(dim, side), np.zeros(res + (1,)))
+    q = rng.normal(size=(math.prod(res), channels))
+    lags = rng.uniform(-1.2 * side, 1.2 * side, size=(500, dim))
+    lags[:50] *= a / (2.0 * side)
+
+    def reference(factor):
+        return factor[:, None, None] * _lag_averages(q, q, field, lags)
+
+    seen = counted_lag_averages(monkeypatch)
+    factor = 1.0 + rng.random(len(lags))
+    assert _times_lag_averages(factor, q, field, lags).tobytes() == reference(factor).tobytes()
+    seen.clear()
+    got = _times_lag_averages(np.zeros(len(lags)), q, field, lags)
+    assert not seen
+    assert got.shape == (len(lags), channels, channels) and not got.any()
+
+    factor = np.maximum(0.0, 1.0 - np.linalg.norm(lags, axis=1) / a)
+    assert 0 < np.count_nonzero(factor) < len(lags)
+    got, want = _times_lag_averages(factor, q, field, lags), reference(factor)
+    assert len(seen) == 1 and np.all(np.linalg.norm(seen[0], axis=1) < a)
+    np.testing.assert_array_equal(got[factor == 0.0], 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    factor[[60, 70]] = np.nan
+    got = _times_lag_averages(factor, q, field, lags)
+    assert np.isnan(got[[60, 70]]).all() and not np.isnan(np.delete(got, [60, 70], axis=0)).any()
+    assert np.isnan(_times_lag_averages(np.full(3, np.nan), q, field, lags[:3])).all()
+
+
+def test_loglinear_poisson_sigma11_is_the_sensitivity_without_a_score_table(monkeypatch):
+    # g - 1 vanishes for Poisson densities: the score-variance integral adds
+    # exact zeros, so only the 1-channel K-block table is built.
+    field = CovariateField.from_function(
+        Window(2, 2.0),
+        lambda p: np.column_stack([np.ones(len(p)), p[:, 0], np.sin(3.0 * p[:, 1])]),
+        8,
+    )
+    seen = counted_lag_averages(monkeypatch)
+    ll = loglinear_sigma_blocks(
+        field, [np.log(200.0), 0.5, 0.3], POISSON_DENSITIES, GRID5,
+        QuadratureConfig(samples=2**10),
+    )
+    assert ll.sigma11.tobytes() == ll.sensitivity.tobytes()
+    assert not ll.sigma11_err.any()
+    assert len(seen) == 1
 
 
 def test_cov_estimated_poisson_reduction():

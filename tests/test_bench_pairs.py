@@ -74,3 +74,47 @@ def test_failed_call_sets_exit_status(monkeypatch, tmp_path, capsys):
     assert "failed=1" in capsys.readouterr().out
     monkeypatch.setattr(tool, "run_benchmark", lambda *args: canned(0.1, 0.2))
     assert tool.main([str(tmp_path), "--workload", "cov-grid50", "--pairs", "1"]) == 0
+
+
+def test_setup_pairs_alternate_probes_and_summarize_setup_s():
+    tool = _load_tool()
+    other = Path("/elsewhere")
+    probes = {"this": [0.11, 0.10, 0.16, 0.12], "other": [0.15, 0.14, 0.13, 0.19]}
+    calls, printed = [], []
+
+    def fake_probe(root, workload, seed, seconds):
+        side = "this" if root == tool.ROOT else "other"
+        calls.append((side, seed))
+        return f"{probes[side][seed - 7]!r}\n"
+
+    rows = tool.run_pairs(other, "cov-grid50", 4, 7, 20.0, run=fake_probe, out=printed.append,
+                          parse=tool.parse_setup)
+    assert [c[0] for c in calls] == ["this", "other", "other", "this"] * 2
+    assert [c[1] for c in calls] == [7, 7, 8, 8, 9, 9, 10, 10]
+    assert printed[0] == "pair 1 seed 7 this: setup_s=0.11 failed=0"
+    assert tool.summarize(rows) == [
+        "setup_s this: median 0.115 quartiles [0.1075, 0.13] lower in 3/4 pairs",
+        "setup_s other: median 0.145 quartiles [0.1375, 0.16] lower in 1/4 pairs",
+    ]
+
+
+@pytest.mark.parametrize("stdout", ["", "Traceback\n", "0.1\nnot seconds\n"])
+def test_malformed_probe_output_is_an_error(stdout):
+    with pytest.raises(ValueError, match="no seconds"):
+        _load_tool().parse_setup(stdout)
+
+
+def test_setup_option_runs_probes_not_benchmarks(monkeypatch, tmp_path, capsys):
+    tool = _load_tool()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    seeds = []
+    monkeypatch.setattr(tool, "run_benchmark", lambda *args: pytest.fail("benchmark run"))
+    monkeypatch.setattr(tool, "run_setup_probe",
+                        lambda root, workload, seed: seeds.append(seed) or "0.125\n")
+    argv = [str(tmp_path), "--workload", "poisson-study", "--setup", "3", "--seed", "5"]
+    assert tool.main(argv) == 0
+    assert seeds == [5, 5, 6, 6, 7, 7]
+    assert "setup_s this: median 0.125" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        tool.main([str(tmp_path), "--workload", "poisson-study", "--setup", "0"])

@@ -5,7 +5,8 @@ Every CLI call and worker process pays for what ``import inhomk`` loads:
 ``scipy.signal`` and ``scipy.spatial`` each add tens of MiB and up to a second.
 The test runs a fresh interpreter with scipy blocked, so neither an import at
 load time nor a lazy one deep in a call can pass, and nothing this test
-session imported counts.
+session imported counts. For the same reason a plain import loads no
+process-pool modules: only a study with several workers needs them.
 """
 
 import os
@@ -55,3 +56,21 @@ except ImportError:
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "blocked"
     assert (tmp_path / "blocks.c.csv").exists()
+
+
+def test_import_starts_no_process_pool_machinery():
+    # Only a study with workers > 1 starts a pool; every other import, CLI
+    # call and benchmark set-up would pay for these modules and the dozens
+    # they pull in (subprocess, socket, logging).
+    code = """
+import sys
+import inhomk
+print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"

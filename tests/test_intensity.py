@@ -14,9 +14,10 @@ from inhomk.intensity import (
     estimate_constant,
     fit_loglinear,
 )
-from inhomk.kstat import RadiusGrid, h_matrix, k_hat, taylor_residual
+from inhomk.kstat import RadiusGrid, h_matrix, k_hat
 from inhomk.seeds import stream
 from inhomk.simulate import simulate_poisson, simulate_poisson_inhom
+from taylor_expansion import taylor_residual
 
 W1 = Window(2, 1.0)
 

@@ -11,10 +11,10 @@ from inhomk.kstat import (
     h_matrix,
     k_hat,
     k_poisson,
-    taylor_residual,
 )
 from inhomk.seeds import stream
 from inhomk.simulate import simulate_poisson
+from taylor_expansion import taylor_residual
 
 W1 = Window(2, 1.0)
 TWO_POINTS = PointPattern(W1, [[0.0, 0.0], [0.03, 0.0]])

@@ -240,3 +240,32 @@ def test_directions_are_uniform_in_every_supported_dimension():
             assert np.abs(pts.mean(axis=0)).max() < 1e-2
             moments = pts.T @ pts / len(pts)
             assert np.abs(moments - np.eye(dim) / dim).max() < 1e-2
+
+
+def stacked_ball_points(count, dim, strata, dim_offset, radii_of):
+    # The stack-and-multiply formulation: a new array of stacked cos and sin
+    # in the plane, then a new product with the radii.
+    u = halton(count, 1 + direction_dims(dim), start=np.asarray(strata) * STRATUM_STRIDE + 1,
+               dim_offset=dim_offset)
+    if dim == 2:
+        theta = 2.0 * np.pi * u[:, 1]
+        directions = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    else:
+        directions = qmc._directions(u[:, 1:], dim)
+    return radii_of(u[:, 0].copy()).reshape(-1, 1) * directions
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_in_place_directions_equal_stack_and_multiply_bitwise(dim):
+    strata, count, offset = np.array([5, 4096 + 9, 3 * 4096 + 1]), 257, 1 + direction_dims(dim)
+    r_in, r_out = np.array([0.0, 0.3, 0.7]), np.array([0.3, 0.7, 1.1])
+    lo, hi = qmc._shell_power(r_in, dim)[:, None], qmc._shell_power(r_out, dim)[:, None]
+    want = stacked_ball_points(
+        count, dim, strata, offset,
+        lambda t: (lo + t.reshape(len(lo), count) * (hi - lo)) ** (1.0 / dim),
+    )
+    got = ball_shell_points(count, dim, r_in, r_out, strata, dim_offset=offset)
+    assert got.tobytes() == want.tobytes()
+    want = stacked_ball_points(count, dim, strata, 0, lambda t: 1.7 * t)
+    got, _ = ball_points_weighted(count, dim, 1.7, strata)
+    assert got.tobytes() == want.tobytes()

@@ -4,6 +4,7 @@ Usage (from the repository root):
 
     python3 tools/bench_pairs.py OTHER --workload inhom-analysis [--pairs 8]
         [--seed 500] [--seconds 20]
+    python3 tools/bench_pairs.py OTHER --workload inhom-analysis --setup 12
 
 OTHER is the root of a second checkout, for example the parent commit
 unpacked with ``git archive``. Pair ``i`` runs
@@ -13,7 +14,13 @@ second in odd ones, so drift in the host's speed does not favour one side.
 The tool prints each run's end-to-end metrics as it finishes, then, per
 metric and side, the median, the quartiles and in how many pairs this side
 read lower than the other. A failed call in any run makes the exit status 1.
-Standard library only.
+
+``--setup N`` times set-up only: pair ``i`` runs
+``python3 perfbench/setup_probe.py W S+i DIR`` (a fresh interpreter importing
+inhomk and building the workload's inputs, in a new temporary DIR) once in each
+checkout, in the same alternating order, and summarizes ``setup_s`` the same
+way. That is the import-bound metric, whose single-run spread is wide, so it
+gets its own, cheaper pairs. Standard library only.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,24 +49,47 @@ def parse_result(stdout: str) -> dict:
     return result
 
 
-def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> str:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+def parse_setup(stdout: str) -> dict:
+    """One set-up probe's seconds (its last line) as a result with metric ``setup_s``."""
+    lines = stdout.strip().splitlines()
+    try:
+        seconds = float(lines[-1]) if lines else None
+    except ValueError:
+        seconds = None
+    if seconds is None:
+        raise ValueError(f"no seconds on the last line: {lines[-1:]!r}")
+    return {"failed": 0, "metrics": {"setup_s": {"value": seconds, "unit": "s"}}}
+
+
+def _python_output(root: Path, args: list[str]) -> str:
+    proc = subprocess.run([sys.executable, *args], cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{root}: exited with {proc.returncode}: {proc.stderr.strip()}")
     return proc.stdout
 
 
+def run_setup_probe(root: Path, workload: str, seed: int) -> str:
+    with tempfile.TemporaryDirectory() as workdir:
+        return _python_output(root, ["perfbench/setup_probe.py", workload, str(seed), workdir])
+
+
+def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> str:
+    return _python_output(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                                 "--seconds", str(seconds), "--trace", "0"])
+
+
 def run_pairs(other: Path, workload: str, pairs: int, seed: int, seconds: float,
-              run, out=print) -> list[dict]:
-    """Per pair: its seed and each side's result, the order flipping each pair."""
+              run, out=print, parse=parse_result) -> list[dict]:
+    """Per pair: its seed and each side's result, the order flipping each pair.
+
+    ``run`` returns one run's output and ``parse`` turns it into a result.
+    """
     roots = {"this": ROOT, "other": other}
     rows = []
     for i in range(pairs):
         row = {"seed": seed + i}
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
-            row[side] = parse_result(run(roots[side], workload, seed + i, seconds))
+            row[side] = parse(run(roots[side], workload, seed + i, seconds))
             metrics = " ".join(f"{name}={m['value']:.6g}"
                                for name, m in row[side]["metrics"].items())
             failed = row[side]["failed"]
@@ -89,12 +120,19 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=8)
     parser.add_argument("--seed", type=int, default=500)
     parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--setup", type=int, metavar="N",
+                        help="run N pairs of set-up probes instead of benchmark runs")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or not (args.other / "perfbench" / "run.py").is_file():
+    pairs = args.pairs if args.setup is None else args.setup
+    if pairs < 1 or not (args.other / "perfbench" / "run.py").is_file():
         parser.error("need at least one pair and a checkout with perfbench/run.py")
+    if args.setup is None:
+        run, parse = run_benchmark, parse_result
+    else:  # a probe times one set-up, so the run length does not apply
+        run, parse = (lambda root, w, s, _: run_setup_probe(root, w, s)), parse_setup
     try:
-        rows = run_pairs(args.other.resolve(), args.workload, args.pairs, args.seed,
-                         args.seconds, run_benchmark)
+        rows = run_pairs(args.other.resolve(), args.workload, pairs, args.seed,
+                         args.seconds, run, parse=parse)
     except (RuntimeError, ValueError) as err:
         print(f"bench_pairs: {err}", file=sys.stderr)
         return 1
