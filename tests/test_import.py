@@ -29,6 +29,15 @@ sys.meta_path.insert(0, NoScipy())
 """
 
 
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    # A fresh interpreter with the package's sources first on its path.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_import_quadrature_and_cli_cov_run_without_scipy(tmp_path):
     prefix = str(tmp_path / "blocks")
     code = BLOCK_SCIPY + f"""
@@ -48,11 +57,7 @@ try:
 except ImportError:
     print("blocked")
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-    )
+    out = run_fresh(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "blocked"
     assert (tmp_path / "blocks.c.csv").exists()
@@ -67,10 +72,6 @@ import sys
 import inhomk
 print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
 """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
-    )
+    out = run_fresh(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "[]"
