@@ -34,8 +34,8 @@ any grid size fits.
 Raster lag averages of the log-linear blocks are exact: on rasters constant
 on cells, ``int q_u(u) q_s(u - v)' du`` is the cell volume times the
 multilinear interpolation of the discrete cross-correlation at integer cell
-lags. They are built only at the lags where the density factor they multiply
-(``g - 1`` or ``g``) is nonzero, so a factor that vanishes everywhere, as
+lags. They are built only when the density factor they multiply (``g - 1``
+or ``g``) is nonzero at some lag, so a factor that vanishes everywhere, as
 ``g - 1`` does for Poisson densities, costs no table.
 """
 
@@ -558,19 +558,15 @@ def _lag_averages(q_u: np.ndarray, q_s: np.ndarray, field: CovariateField, lags)
 
 
 def _times_lag_averages(factor, q, field: CovariateField, lags) -> np.ndarray:
-    """``factor[i] * _lag_averages(q, q, field, lags)[i]``, built only where ``factor`` is nonzero.
+    """``factor[:, None, None] * _lag_averages(q, q, field, lags)``; no table if all factors are 0.
 
-    Zero rows stay 0, with no table when every factor is 0; NaN counts as
-    nonzero, so it propagates. With no zero factor this is the plain product.
+    A factor that is 0 at every lag gives exact zeros without building the
+    lag averages; any nonzero entry, NaN included, gives the plain product.
     """
     factor = np.asarray(factor, dtype=float)[:, None, None]
-    live = factor[:, 0, 0] != 0.0
-    if live.all():
-        return factor * _lag_averages(q, q, field, lags)
-    out = np.zeros((len(factor),) + (q.shape[-1],) * 2)
-    if live.any():
-        out[live] = factor[live] * _lag_averages(q, q, field, np.asarray(lags)[live])
-    return out
+    if not factor.any():
+        return np.zeros((len(factor),) + (q.shape[-1],) * 2)
+    return factor * _lag_averages(q, q, field, lags)
 
 
 def loglinear_sigma_blocks(
@@ -589,9 +585,9 @@ def loglinear_sigma_blocks(
     exact too: the cell volume times the multilinear interpolation of the
     raster's discrete cross-correlation at integer cell lags, divided by
     ``|W and (W + v)|`` (zero where the windows do not overlap), built only
-    where their density factor ``g - 1`` or ``g`` is nonzero. The decay
-    integrals over the normalized joint intensities are the constant model's,
-    on the same points. The returned blocks carry the sensitivity matrix; use
+    when their density factor ``g - 1`` or ``g`` is nonzero at some lag. The
+    decay integrals over the normalized joint intensities are the constant
+    model's, on the same points. The returned blocks carry the sensitivity matrix; use
     :meth:`CovarianceBlocks.beta_coords` for estimator coordinates and
     :func:`h_limit_loglinear` for the matching H.
     """

@@ -111,10 +111,10 @@ def test_setup_option_runs_probes_not_benchmarks(monkeypatch, tmp_path, capsys):
     seeds = []
     monkeypatch.setattr(tool, "run_benchmark", lambda *args: pytest.fail("benchmark run"))
     monkeypatch.setattr(tool, "run_setup_probe",
-                        lambda root, workload, seed: seeds.append(seed) or "0.125\n")
-    argv = [str(tmp_path), "--workload", "poisson-study", "--setup", "3", "--seed", "5"]
+                        lambda root, workload, seed, _: seeds.append(seed) or "0.125\n")
+    argv = [str(tmp_path), "--workload", "poisson-study", "--setup", "--pairs", "3", "--seed", "5"]
     assert tool.main(argv) == 0
     assert seeds == [5, 5, 6, 6, 7, 7]
     assert "setup_s this: median 0.125" in capsys.readouterr().out
     with pytest.raises(SystemExit):
-        tool.main([str(tmp_path), "--workload", "poisson-study", "--setup", "0"])
+        tool.main([str(tmp_path), "--workload", "poisson-study", "--setup", "--pairs", "0"])

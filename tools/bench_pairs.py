@@ -4,7 +4,7 @@ Usage (from the repository root):
 
     python3 tools/bench_pairs.py OTHER --workload inhom-analysis [--pairs 8]
         [--seed 500] [--seconds 20]
-    python3 tools/bench_pairs.py OTHER --workload inhom-analysis --setup 12
+    python3 tools/bench_pairs.py OTHER --workload inhom-analysis --setup [--pairs 12]
 
 OTHER is the root of a second checkout, for example the parent commit
 unpacked with ``git archive``. Pair ``i`` runs
@@ -15,7 +15,7 @@ The tool prints each run's end-to-end metrics as it finishes, then, per
 metric and side, the median, the quartiles and in how many pairs this side
 read lower than the other. A failed call in any run makes the exit status 1.
 
-``--setup N`` times set-up only: pair ``i`` runs
+``--setup`` times set-up only: pair ``i`` runs
 ``python3 perfbench/setup_probe.py W S+i DIR`` (a fresh interpreter importing
 inhomk and building the workload's inputs, in a new temporary DIR) once in each
 checkout, in the same alternating order, and summarizes ``setup_s`` the same
@@ -68,7 +68,8 @@ def _python_output(root: Path, args: list[str]) -> str:
     return proc.stdout
 
 
-def run_setup_probe(root: Path, workload: str, seed: int) -> str:
+def run_setup_probe(root: Path, workload: str, seed: int, _seconds: float) -> str:
+    # A probe times one set-up, so the run length does not apply.
     with tempfile.TemporaryDirectory() as workdir:
         return _python_output(root, ["perfbench/setup_probe.py", workload, str(seed), workdir])
 
@@ -120,18 +121,14 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=8)
     parser.add_argument("--seed", type=int, default=500)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--setup", type=int, metavar="N",
-                        help="run N pairs of set-up probes instead of benchmark runs")
+    parser.add_argument("--setup", action="store_true",
+                        help="run set-up probes instead of benchmark runs")
     args = parser.parse_args(argv)
-    pairs = args.pairs if args.setup is None else args.setup
-    if pairs < 1 or not (args.other / "perfbench" / "run.py").is_file():
+    if args.pairs < 1 or not (args.other / "perfbench" / "run.py").is_file():
         parser.error("need at least one pair and a checkout with perfbench/run.py")
-    if args.setup is None:
-        run, parse = run_benchmark, parse_result
-    else:  # a probe times one set-up, so the run length does not apply
-        run, parse = (lambda root, w, s, _: run_setup_probe(root, w, s)), parse_setup
+    run, parse = (run_setup_probe, parse_setup) if args.setup else (run_benchmark, parse_result)
     try:
-        rows = run_pairs(args.other.resolve(), args.workload, pairs, args.seed,
+        rows = run_pairs(args.other.resolve(), args.workload, args.pairs, args.seed,
                          args.seconds, run, parse=parse)
     except (RuntimeError, ValueError) as err:
         print(f"bench_pairs: {err}", file=sys.stderr)
