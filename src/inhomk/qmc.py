@@ -177,7 +177,8 @@ def _stratum_draws(count: int, dim: int, strata, dim_offset: int):
 
 def _shell_power(radii, dim: int) -> np.ndarray:
     # Python's float power per radius (object arrays): numpy's vectorized
-    # power differs from it by an ulp for dim 3, which would move the points.
+    # power differs from it by an ulp on some radii from dim 2 on (87 of
+    # 100,000 at dim 2, about 5,300 at dims 3-6), which would move the points.
     return (np.asarray(radii, dtype=float).astype(object) ** dim).astype(float)
 
 

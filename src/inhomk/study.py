@@ -1,13 +1,10 @@
 """Monte Carlo study harness: rejection probabilities and covariance oracles.
 
 Replicate ``r`` of cell ``i`` always draws from ``stream(seed, i * 10**6 + r)``
-(so a cell holds fewer than ``10**6`` replicates), and results are identical
-no matter how replicates are scheduled; worker processes only ever receive
-disjoint replicate ranges and the merged output preserves replicate order.
-One runner serves both the rejection study and the covariance oracle: per
-replicate it returns the point count and the unit-intensity K curve on the
-grid, from which every plug-in estimate is an exact rescaling. The oracle runs
-the study's own cells. Consecutive replicates share one pair scan up to fixed
+(so a cell holds fewer than ``10**6`` replicates). One runner serves both the
+rejection study and the covariance oracle: per replicate it returns the point
+count and the unit-intensity K curve on the grid, from which every plug-in
+estimate is an exact rescaling. The oracle runs the study's own cells. Consecutive replicates share one pair scan up to fixed
 budgets of points and neighbor rows, ``_SCAN_POINTS`` and ``_SCAN_ROWS``, with
 the pair scan's own row count :func:`~inhomk.geometry.scan_rows` per point:
 thousands of points per set of array calls, in bounded memory, no pair across patterns.
@@ -30,7 +27,6 @@ scan's ``MAX_SCAN_DIM`` (12): the Poisson null is exact in each.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from math import sqrt
 
@@ -54,7 +50,6 @@ __all__ = [
 ]
 
 _CELL_STRIDE = 10**6
-_CHUNK = 250
 _SCAN_POINTS = 8192
 _SCAN_ROWS = 2**22
 _FAILURE_CAP = 0.01
@@ -71,6 +66,7 @@ class StudyConfig:
     least 100 and fewer than ``_CELL_STRIDE`` (10**6) replicates, so no two
     cells share a stream. The null law takes at least ``MIN_SAMPLE`` (100)
     draws, ``sample_size``, on a grid of at least two radii, ``grid_size``.
+    ``workers`` is accepted only as 1: every replicate runs in this process.
     """
 
     process: str = "poisson"
@@ -105,6 +101,8 @@ class StudyConfig:
         if not 100 <= self.replicates < _CELL_STRIDE:
             raise ValueError(f"replicates must be at least 100 and below {_CELL_STRIDE}")
         check_sample_size(self.sample_size, "sample_size")
+        if self.workers != 1:
+            raise ValueError("workers must be 1")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
         if self.alpha > 1.0:
@@ -191,8 +189,8 @@ class StudyResult:
         return "\n".join(lines) + "\n"
 
 
-def _replicate_curves(job):
-    """Point counts and unit-intensity K curves of replicates [lo, hi) of one cell.
+def _run_cell(config, side, grid, cell_index):
+    """Point counts and unit-intensity K curves of all replicates of one cell, in order.
 
     One unit-intensity curve serves every variance mode and plug-in value
     (:func:`~inhomk.gof.plug_in`). Empty and singleton patterns give
@@ -200,54 +198,32 @@ def _replicate_curves(job):
     ``_SCAN_POINTS`` points or ``_SCAN_ROWS`` neighbor rows, which bounds the
     memory a scan takes.
     """
-    config, side, grid, cell_index, lo, hi = job
     window = Window(config.dim, side)
     unit = ConstantIntensity(1.0)
-    counts = np.empty(hi - lo, dtype=np.int64)
-    curves = np.empty((hi - lo, grid.m))
+    n = config.replicates
+    counts = np.empty(n, dtype=np.int64)
+    curves = np.empty((n, grid.m))
     budget = min(_SCAN_POINTS, _SCAN_ROWS // scan_rows(config.dim))
     batch, filled = [], 0
-    for k, rep in enumerate(range(lo, hi)):
+    for rep in range(n):
         rng = stream(config.seed, cell_index * _CELL_STRIDE + rep)
         if config.process == "poisson":
             pattern = simulate_poisson(config.rho, window, rng)
         else:
             pattern = simulate_matern(config.matern, window, rng)
-        counts[k] = len(pattern)
+        counts[rep] = len(pattern)
         batch.append(pattern)
         filled += len(pattern)
-        if filled >= budget or rep == hi - 1:
-            curves[k + 1 - len(batch) : k + 1] = [c.values for c in k_hat(batch, unit, grid)]
+        if filled >= budget or rep == n - 1:
+            curves[rep + 1 - len(batch) : rep + 1] = [c.values for c in k_hat(batch, unit, grid)]
             batch, filled = [], 0
     return counts, curves
-
-
-def _run_cell(config, side, grid, cell_index, executor):
-    """Counts and unit-intensity curves of all replicates of one cell, in order."""
-    jobs = [
-        (config, side, grid, cell_index, lo, min(lo + _CHUNK, config.replicates))
-        for lo in range(0, config.replicates, _CHUNK)
-    ]
-    parts = list((map if executor is None else executor.map)(_replicate_curves, jobs))
-    counts = np.concatenate([p[0] for p in parts])
-    curves = np.concatenate([p[1] for p in parts])
-    return counts, curves
-
-
-def _executor(workers: int):
-    if workers <= 1:
-        return nullcontext()
-    # Imported only to start a pool: at module level they add dozens of modules to every import.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    spawn = get_context("spawn")  # not fork: the parent may already run BLAS threads
-    return ProcessPoolExecutor(max_workers=workers, mp_context=spawn)
 
 
 def rejection_study(config: StudyConfig) -> StudyResult:
     """Rejection probability of the goodness-of-fit test, per (side, mode).
 
-    Deterministic given the config seed, independent of the worker count.
+    Deterministic given the config seed.
     The sup statistic of every replicate is computed from its unit-intensity
     curve in one vectorized step, and critical values are evaluated once per
     distinct intensity estimate in a cell. Replicates that cannot be evaluated
@@ -257,36 +233,35 @@ def rejection_study(config: StudyConfig) -> StudyResult:
     grid = RadiusGrid.uniform(config.R, config.grid_size)
     tables = PoissonNullTables(grid, config.sample_size, config.seed, config.dim)
 
-    with _executor(config.workers) as executor:
-        cells = []
-        for cell_index, side in enumerate(config.sides):
-            start = time.perf_counter()
-            window = Window(config.dim, side)
-            counts, curves = _run_cell(config, side, grid, cell_index, executor)
-            ok = counts > 0
-            failures = int((~ok).sum())
-            if failures > _FAILURE_CAP * config.replicates:
-                raise ValueError(
-                    f"side {side:g}: {failures} of {config.replicates} replicates failed "
-                    "(empty patterns), above the 1% cap"
+    cells = []
+    for cell_index, side in enumerate(config.sides):
+        start = time.perf_counter()
+        window = Window(config.dim, side)
+        counts, curves = _run_cell(config, side, grid, cell_index)
+        ok = counts > 0
+        failures = int((~ok).sum())
+        if failures > _FAILURE_CAP * config.replicates:
+            raise ValueError(
+                f"side {side:g}: {failures} of {config.replicates} replicates failed "
+                "(empty patterns), above the 1% cap"
+            )
+        beta_hats = counts[ok] / window.volume
+        stats = sup_distance(curves[ok], beta_hats, grid, window)
+        elapsed = time.perf_counter() - start
+        for mode in config.modes:
+            mode_start = time.perf_counter()
+            crits = critical_values(tables, mode, config.alpha, beta_hats)
+            rejections = int((stats > crits).sum())
+            cells.append(
+                StudyCell(
+                    side=side,
+                    mode=mode,
+                    replicates=config.replicates,
+                    rejections=rejections,
+                    failures=failures,
+                    wall_time=elapsed + (time.perf_counter() - mode_start),
                 )
-            beta_hats = counts[ok] / window.volume
-            stats = sup_distance(curves[ok], beta_hats, grid, window)
-            elapsed = time.perf_counter() - start
-            for mode in config.modes:
-                mode_start = time.perf_counter()
-                crits = critical_values(tables, mode, config.alpha, beta_hats)
-                rejections = int((stats > crits).sum())
-                cells.append(
-                    StudyCell(
-                        side=side,
-                        mode=mode,
-                        replicates=config.replicates,
-                        rejections=rejections,
-                        failures=failures,
-                        wall_time=elapsed + (time.perf_counter() - mode_start),
-                    )
-                )
+            )
     return StudyResult(config=config, cells=tuple(cells))
 
 
@@ -303,13 +278,12 @@ def empirical_cov_oracle(config: StudyConfig) -> dict[float, dict[str, np.ndarra
         raise ValueError("need at least 1000 replicates for the oracle")
     grid = RadiusGrid.uniform(config.R, config.grid_size)
     oracle = {}
-    with _executor(config.workers) as executor:
-        for cell_index, side in enumerate(config.sides):
-            volume = Window(config.dim, side).volume
-            counts, curves = _run_cell(config, side, grid, cell_index, executor)
-            ok = counts > 0
-            estimates = {"estimated": plug_in(curves[ok], counts[ok] / volume)}
-            if config.process == "poisson":
-                estimates["known"] = plug_in(curves, config.rho)
-            oracle[side] = {m: volume * np.cov(k, rowvar=False) for m, k in estimates.items()}
+    for cell_index, side in enumerate(config.sides):
+        volume = Window(config.dim, side).volume
+        counts, curves = _run_cell(config, side, grid, cell_index)
+        ok = counts > 0
+        estimates = {"estimated": plug_in(curves[ok], counts[ok] / volume)}
+        if config.process == "poisson":
+            estimates["known"] = plug_in(curves, config.rho)
+        oracle[side] = {m: volume * np.cov(k, rowvar=False) for m, k in estimates.items()}
     return oracle

@@ -43,3 +43,21 @@ def synthetic_densities(
         return out
 
     return ProductDensityModel(g=g, g3=g3, g4=g4)
+
+
+def coupled_g3_densities(s: float) -> ProductDensityModel:
+    """``g3(x, y) = 1 + exp(-|x - y|^2 / s^2)`` with ``g = g4 = 1``.
+
+    Unlike the kernels above, ``g3 - g`` depends on the directions of both
+    variables, not on one radius. For ``r_trunc`` well beyond ``r + s`` the
+    decay block has the closed form
+    ``(sigma2(r) - 2 K(r)) / beta = V_d r^d (pi s^2)^(d / 2)``.
+    """
+
+    def ones(x, *_):
+        return np.ones(len(x))
+
+    def g3(x, y):
+        return 1.0 + np.exp(-np.sum(np.square(x - y), axis=1) / s**2)
+
+    return ProductDensityModel(g=ones, g3=g3, g4=ones)

@@ -115,6 +115,47 @@ def test_setup_option_runs_probes_not_benchmarks(monkeypatch, tmp_path, capsys):
     argv = [str(tmp_path), "--workload", "poisson-study", "--setup", "--pairs", "3", "--seed", "5"]
     assert tool.main(argv) == 0
     assert seeds == [5, 5, 6, 6, 7, 7]
-    assert "setup_s this: median 0.125" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "setup_s this: median 0.125" in printed
+    assert printed.endswith("verdict setup_s: no regression (median 0.125 -> 0.125, "
+                            "lower is better, bound 0.25)\n")
     with pytest.raises(SystemExit):
         tool.main([str(tmp_path), "--workload", "poisson-study", "--setup", "--pairs", "0"])
+
+
+@pytest.mark.parametrize("this, other, better, want", [
+    # lower in 10/10 pairs, median gap 0.2 against OTHER's interquartile range 0.01
+    ([0.80, 0.81, 0.79, 0.80, 0.82, 0.80, 0.78, 0.81, 0.80, 0.79], [1.0, 1.01, 0.99] * 3 + [1.0],
+     "lower", "gain"),
+    # lower in 8/10 pairs only: no gain, and no regression
+    ([0.8] * 8 + [1.2, 1.2], [1.0] * 10, "lower", "no regression"),
+    # a median 30% above OTHER's, with a bound of 25%
+    ([1.3] * 10, [1.0] * 10, "lower", "regressed"),
+    # OTHER spreads by 50% of its median: a 10% rise is unresolved ...
+    ([1.1] * 10, [0.75, 1.25] * 5, "lower", "unresolved"),
+    # ... unless every run here reads better than every run of OTHER
+    ([0.7] * 10, [0.75, 1.25] * 5, "lower", "no regression"),
+    # tight runs within the bound
+    ([1.02, 0.99] * 5, [1.0, 1.01] * 5, "lower", "no regression"),
+    # "higher is better" mirrors every rule
+    ([0.7] * 10, [1.0] * 10, "higher", "regressed"),
+    ([1.2] * 10, [1.0] * 10, "higher", "gain"),
+])
+def test_verdict_follows_the_four_rules(this, other, better, want):
+    assert _load_tool().verdict(this, other, better, 0.25) == want
+
+
+def test_verdicts_read_direction_and_bound_for_reported_metrics():
+    tool = _load_tool()
+    rows = [{"seed": k, "this": json.loads(canned(1.3, 0.2).splitlines()[-1]),
+             "other": json.loads(canned(1.0, 0.2).splitlines()[-1])} for k in range(10)]
+    end_to_end = [{"name": "wall_norm", "better": "lower", "bound": 0.25},
+                  {"name": "setup_s", "better": "lower", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    assert tool.verdicts(rows, end_to_end) == [
+        "verdict wall_norm: regressed (median 1 -> 1.3, lower is better, bound 0.25)",
+        "verdict setup_s: no regression (median 0.2 -> 0.2, lower is better, bound 0.25)",
+    ]
+    assert tool.verdicts(rows, [{**end_to_end[0], "bound": 0.5}])[0].startswith(
+        "verdict wall_norm: no regression"
+    )

@@ -83,7 +83,7 @@ def test_study_reaches_known_critical_once_per_distinct_estimate():
     grid = RadiusGrid.uniform(config.R, config.grid_size)
     estimates = []  # the distinct estimates of each cell
     for cell_index, side in enumerate(config.sides):
-        counts, _ = study._run_cell(config, side, grid, cell_index, None)
+        counts, _ = study._run_cell(config, side, grid, cell_index)
         estimates.append(set(counts[counts > 0] / study.Window(config.dim, side).volume))
     with _load_spans().Tracer() as tracer:
         study.rejection_study(config)

@@ -6,7 +6,7 @@ Every CLI call and worker process pays for what ``import inhomk`` loads:
 The test runs a fresh interpreter with scipy blocked, so neither an import at
 load time nor a lazy one deep in a call can pass, and nothing this test
 session imported counts. For the same reason a plain import loads no
-process-pool modules: only a study with several workers needs them.
+process-pool modules: no part of inhomk starts a pool.
 """
 
 import os
@@ -64,9 +64,9 @@ except ImportError:
 
 
 def test_import_starts_no_process_pool_machinery():
-    # Only a study with workers > 1 starts a pool; every other import, CLI
-    # call and benchmark set-up would pay for these modules and the dozens
-    # they pull in (subprocess, socket, logging).
+    # Every study runs its replicates in-process, so no import, CLI call or
+    # benchmark set-up should pay for these modules and the dozens they pull
+    # in (subprocess, socket, logging).
     code = """
 import sys
 import inhomk

@@ -426,10 +426,11 @@ def test_cli_study(tmp_path, capsys):
         ('{"kappa": 25, "mu": 8, "rdisp": 0.2, "replicates": 150}',
          "matern parameters apply to a matern study only"),
         ('{"sides": [1, 1], "replicates": 150}', "sides must be distinct"),
+        ('{"workers": 2, "replicates": 150}', "workers must be 1"),
     ],
     ids=["float-range", "unknown-key", "matern-object", "partial-matern", "fractional",
          "string-number", "scalar-sides", "string-modes", "null-side", "list",
-         "matern-in-poisson", "repeated-sides"],
+         "matern-in-poisson", "repeated-sides", "workers"],
 )
 def test_cli_study_rejects_integer_beyond_float_range(tmp_path, capsys, text, message):
     # A malformed config is one error line and exit 1, never a traceback; JSON

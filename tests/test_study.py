@@ -14,7 +14,6 @@ from inhomk.seeds import stream
 from inhomk.simulate import MaternParams, simulate_matern, simulate_poisson
 from inhomk.study import (
     _CELL_STRIDE,
-    _CHUNK,
     _SCAN_POINTS,
     StudyConfig,
     _run_cell,
@@ -37,18 +36,6 @@ def test_study_deterministic():
     a = rejection_study(StudyConfig(**SMALL))
     b = rejection_study(StudyConfig(**SMALL))
     assert [c.rejections for c in a.cells] == [c.rejections for c in b.cells]
-
-
-def test_study_workers_do_not_change_result():
-    # at least three chunks, so 2 and 3 workers split them across processes;
-    # every cell but its timing must come out the same
-    cfg = {**SMALL, "replicates": 600}
-    assert cfg["replicates"] > 2 * _CHUNK
-    cells = [
-        [replace(c, wall_time=0.0) for c in rejection_study(StudyConfig(**cfg, workers=w)).cells]
-        for w in (1, 2, 3)
-    ]
-    assert cells[0] == cells[1] == cells[2]
 
 
 def test_study_alpha_one_always_rejects():
@@ -122,7 +109,7 @@ def test_study_statistic_is_bitwise_where_the_scan_layout_is_not_capped(rho, exa
     cfg = StudyConfig(rho=rho, sides=(1.0, 2.0), R=0.05, grid_size=3, replicates=1000, seed=23)
     grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
     window = Window(2, 2.0)
-    counts, curves = _run_cell(cfg, 2.0, grid, 1, None)
+    counts, curves = _run_cell(cfg, 2.0, grid, 1)
     patterns = [simulate_poisson(rho, window, stream(23, _CELL_STRIDE + r)) for r in range(1000)]
     alone = np.array([k_hat(p, ConstantIntensity(1.0), grid).values for p in patterns])
     uncapped = geometry._cells_per_axis(2.0, cfg.R, 2, 10**9, 1)
@@ -143,17 +130,18 @@ def test_study_statistic_is_bitwise_where_the_scan_layout_is_not_capped(rho, exa
 @pytest.mark.parametrize("budget", [1, _SCAN_POINTS, 10**9])
 @pytest.mark.parametrize("process", ["poisson", "matern"])
 def test_scan_budget_does_not_change_curves(monkeypatch, process, budget):
-    # However the point budget splits a chunk into scans (every pattern
-    # alone, the default, the whole chunk at once), each replicate's curve is
-    # its own pattern's k_hat curve.
+    # However the point budget splits a cell into scans (every pattern
+    # alone, the default, the whole cell at once), each replicate's curve is
+    # its own pattern's k_hat curve. 300 replicates, so a scan may span
+    # replicate 250: the cell is not cut into fixed blocks.
     monkeypatch.setattr(study, "_SCAN_POINTS", budget)
     matern = MaternParams(25.0, 8.0, 0.2)
     cfg = StudyConfig(process=process, matern=matern if process == "matern" else None,
-                      replicates=_CHUNK, seed=7)
+                      replicates=300, seed=7)
     window = Window(2, 1.0)
     grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
-    counts, curves = _run_cell(cfg, 1.0, grid, 0, None)
-    for rep in range(_CHUNK):
+    counts, curves = _run_cell(cfg, 1.0, grid, 0)
+    for rep in range(300):
         if process == "poisson":
             pattern = simulate_poisson(cfg.rho, window, stream(7, rep))
         else:
@@ -180,8 +168,8 @@ def test_scan_rows_close_batches_in_high_dimensions(monkeypatch):
     monkeypatch.setattr(study, "_SCAN_ROWS", 60 * scan_rows(8))
     cfg = StudyConfig(rho=10.0, R=0.6, dim=8, replicates=100, seed=7)
     grid = RadiusGrid.uniform(cfg.R, cfg.grid_size)
-    counts, curves = _run_cell(cfg, 1.0, grid, 0, None)
-    closed = scans[:-1]  # the last scan takes the chunk's remaining patterns
+    counts, curves = _run_cell(cfg, 1.0, grid, 0)
+    closed = scans[:-1]  # the last scan takes the cell's remaining patterns
     assert len(closed) > 1
     assert all(sum(sizes[:-1]) < 60 <= sum(sizes) for sizes in closed)
     assert curves.any()
@@ -253,6 +241,10 @@ def test_study_config_validation():
     for dim in (0, -1):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             StudyConfig(dim=dim)
+    for workers in (0, 2, -1):
+        with pytest.raises(ValueError, match="^workers must be 1$"):
+            StudyConfig(workers=workers)
+    assert StudyConfig(workers=1).workers == 1
     for dim in (13, 10**9):
         with pytest.raises(ValueError, match="dimension must be >= 1 and <= 12"):
             StudyConfig(dim=dim)
@@ -348,17 +340,6 @@ def test_oracle_validation():
     # the known-intensity mode needs the true intensity: Poisson only
     matern = replace(cfg, process="matern", matern=MaternParams(25, 8, 0.2), replicates=1000)
     assert set(empirical_cov_oracle(matern)[1.0]) == {"estimated"}
-
-
-def test_oracle_workers_do_not_change_result():
-    cfg = StudyConfig(process="poisson", rho=100.0, sides=(1.0,), R=0.05, grid_size=3,
-                      replicates=1000, seed=17)
-    a = empirical_cov_oracle(cfg)[1.0]
-    b = empirical_cov_oracle(replace(cfg, workers=2))[1.0]
-    assert a.keys() == b.keys() == {"estimated", "known"}
-    for mode in a:
-        assert a[mode].shape == (3, 3)
-        np.testing.assert_array_equal(a[mode], b[mode])
 
 
 def test_cross_block_empirical_anchor():

@@ -13,7 +13,10 @@ checkout, on the same fresh seed; this checkout goes first in even pairs and
 second in odd ones, so drift in the host's speed does not favour one side.
 The tool prints each run's end-to-end metrics as it finishes, then, per
 metric and side, the median, the quartiles and in how many pairs this side
-read lower than the other. A failed call in any run makes the exit status 1.
+read lower than the other. Last comes one verdict per end-to-end metric of
+``BENCHMARK.json``, this checkout against OTHER, by the metric's ``better``
+direction and relative ``bound`` (see :func:`verdict`). A failed call in any
+run makes the exit status 1.
 
 ``--setup`` times set-up only: pair ``i`` runs
 ``python3 perfbench/setup_probe.py W S+i DIR`` (a fresh interpreter importing
@@ -99,6 +102,12 @@ def run_pairs(other: Path, workload: str, pairs: int, seed: int, seconds: float,
     return rows
 
 
+def quartiles(vals: list[float]) -> tuple[float, float]:
+    """First and third quartiles; one value is both."""
+    q1, _, q3 = statistics.quantiles(vals if len(vals) > 1 else vals * 2, n=4, method="inclusive")
+    return q1, q3
+
+
 def summarize(rows: list[dict]) -> list[str]:
     """Per metric and side: median, quartiles, and pairs in which the side read lower."""
     lines = []
@@ -106,11 +115,54 @@ def summarize(rows: list[dict]) -> list[str]:
         values = {side: [row[side]["metrics"][name]["value"] for row in rows] for side in SIDES}
         for side, rival in (SIDES, SIDES[::-1]):
             vals = values[side]
-            data = vals if len(vals) > 1 else vals * 2  # one pair: both quartiles
-            q1, _, q3 = statistics.quantiles(data, n=4, method="inclusive")
+            q1, q3 = quartiles(vals)
             lower = sum(a < b for a, b in zip(vals, values[rival]))
             lines.append(f"{name} {side}: median {statistics.median(vals):.6g} "
                          f"quartiles [{q1:.6g}, {q3:.6g}] lower in {lower}/{len(rows)} pairs")
+    return lines
+
+
+def verdict(this: list[float], other: list[float], better: str, bound: float) -> str:
+    """``gain``, ``regressed``, ``unresolved`` or ``no regression`` for paired runs.
+
+    With ``better`` "lower" (or "higher", which mirrors every comparison):
+
+    * ``regressed``: this median is worse than OTHER's by more than
+      ``bound`` times OTHER's median;
+    * ``gain``: this side is better in at least 9/10 of the pairs, ties
+      counting for neither, and the medians differ by more than OTHER's
+      interquartile range;
+    * ``unresolved``: OTHER's interquartile range exceeds ``bound`` times its
+      median, unless every run here is better than every run of OTHER;
+    * ``no regression``: none of these, checked in this order.
+    """
+    sign = 1.0 if better == "lower" else -1.0
+    this, other = [sign * v for v in this], [sign * v for v in other]
+    med_this, med_other = statistics.median(this), statistics.median(other)
+    q1, q3 = quartiles(other)
+    scale = bound * abs(med_other)
+    wins = sum(a < b for a, b in zip(this, other))
+    if med_this - med_other > scale:
+        return "regressed"
+    if 10 * wins >= 9 * len(this) and med_other - med_this > q3 - q1:
+        return "gain"
+    if q3 - q1 > scale and not max(this) < min(other):
+        return "unresolved"
+    return "no regression"
+
+
+def verdicts(rows: list[dict], end_to_end: list[dict]) -> list[str]:
+    """One line per end-to-end metric that the runs report: its verdict and the numbers behind it."""
+    lines = []
+    for metric in end_to_end:
+        name = metric["name"]
+        if name not in rows[0]["this"]["metrics"]:
+            continue
+        vals = {side: [row[side]["metrics"][name]["value"] for row in rows] for side in SIDES}
+        word = verdict(vals["this"], vals["other"], metric["better"], metric["bound"])
+        lines.append(f"verdict {name}: {word} (median {statistics.median(vals['other']):.6g} "
+                     f"-> {statistics.median(vals['this']):.6g}, {metric['better']} is better, "
+                     f"bound {metric['bound']:g})")
     return lines
 
 
@@ -133,7 +185,8 @@ def main(argv=None) -> int:
     except (RuntimeError, ValueError) as err:
         print(f"bench_pairs: {err}", file=sys.stderr)
         return 1
-    print("\n".join(summarize(rows)))
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    print("\n".join(summarize(rows) + verdicts(rows, end_to_end)))
     return 0 if all(row[side]["failed"] == 0 for row in rows for side in SIDES) else 1
 
 
