@@ -8,15 +8,13 @@ carved out of the global sequence as index blocks with a fixed stride, so a
 larger sample extends a smaller one instead of replacing it.
 
 The radical inverse sums ``digit / base**k`` from the least significant digit
-up. It reads the low digits of every index from a small table of that same
-sum, built one digit level at a time by an outer sum, and adds the high
-digits once per run of indices that share them, taking every run's digits in
-one broadcast, so a block of consecutive indices costs one table lookup per
-point instead of one integer division per point and digit. In odd bases the
-summation order is the digit loop's own, so every point is bitwise the same
-as the loop's. In base 2 below 2**53 every partial sum is exact in any order,
-so the radical inverse is the index's bit reversal, computed without a digit
-loop.
+up: the low digits from a small table of that same sum, built one digit level
+at a time by an outer sum, the high digits once per run of indices that share
+them, every run's digits in one broadcast. A draw stacks blocks of consecutive
+indices, one per stratum, so the runs follow from each block's start and no
+index is divided. In odd bases the summation order is the loop's own, so every
+point is bitwise the loop's; in base 2 below 2**53 every partial sum is exact,
+so the radical inverse is the index's bit reversal.
 """
 
 from __future__ import annotations
@@ -24,6 +22,8 @@ from __future__ import annotations
 from math import gamma
 
 import numpy as np
+
+from .geometry import check_integer, check_positive
 
 __all__ = [
     "halton",
@@ -40,7 +40,6 @@ HALTON_DIMS = len(_PRIMES)
 # Index block reserved per stratum; sample budgets must stay below this.
 STRATUM_STRIDE = 2**24
 
-
 # Entries in the low-digit table of the radical inverse, per base.
 _TABLE_SIZE = 2**12
 _INT64_MAX = np.iinfo(np.int64).max
@@ -51,29 +50,27 @@ _BIT_SWAPS = tuple(
 )
 
 
-def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
-    """Radical inverses of non-negative indices into ``out``, at one lookup per point.
+def _radical_inverse(starts: np.ndarray, count: int, base: int, out: np.ndarray) -> None:
+    """Radical inverses of the index blocks ``starts[s] + k``, ``k < count``, stacked into ``out``.
 
     The definition is the digit loop: add ``digit / base**k`` from the least
-    significant digit up. Each index splits as ``q * B + r`` with
-    ``B = base**L`` the largest power of ``base`` within ``_TABLE_SIZE``.
-    ``table[r]`` holds the loop's first ``L`` steps on ``r``: step ``k = 1..L``
-    of the recursion ``table = add.outer(arange(base) / base**k, table)`` adds
-    the ``k``-th digit to the sums of the lower ones, the loop's adds in the
-    loop's order (a shorter ``r`` only adds ``+0.0``). The digits of ``q``
-    come next, over the loop's own ``denom`` sequence. One broadcast
-    ``work // powers % base`` takes them for every run of equal consecutive
-    ``q``, and each digit is repeated over the runs and added in the loop's
-    order, so blocks of consecutive indices pay the integer divisions per run,
-    not per point. In an odd base, summing in a different order (high digits
-    first, or a second table) would move points by an ulp.
-
-    In base 2 below 2**53 each partial sum has at most 53 significant bits,
-    so every add is exact and the sum is the index's 64-bit bit reversal
-    times 2**-64, exact in float64 too.
+    significant digit up. Each index splits as ``q * B + r``, ``B = base**L``
+    the largest power of ``base`` within ``_TABLE_SIZE``. ``table[r]`` holds
+    the loop's first ``L`` steps on ``r``: step ``k = 1..L`` of ``table =
+    add.outer(arange(base) / base**k, table)`` adds the ``k``-th digit to the
+    sums of the lower ones in the loop's order (a shorter ``r`` adds ``+0.0``).
+    With ``q0, r0 = divmod(start, B)`` a block holds ``ceil((r0 + count) / B)``
+    runs of equal ``q``; run ``t`` has ``q0 + t`` and reads the table from
+    ``max(r0, t * B) - t * B`` on. The digits of every run's ``q`` come in one
+    broadcast ``work // powers % base`` and are added, repeated over the runs,
+    in the loop's order and over its ``denom`` sequence; in an odd base any
+    other order (high digits first, or a second table) moves points by an ulp.
+    In base 2 below 2**53 each partial sum has at most 53 significant bits, so
+    every add is exact and the sum is the index's 64-bit bit reversal times
+    2**-64, exact in float64 too.
     """
-    if base == 2 and indices.max(initial=0) < 2**53:
-        rev = indices.astype(np.uint64)
+    if base == 2 and int(starts.max(initial=0)) + count <= 2**53:
+        rev = np.add.outer(starts.astype(np.uint64), np.arange(count, dtype=np.uint64)).ravel()
         low = out.view(np.uint64)  # scratch until the product overwrites it
         for shift, mask in _BIT_SWAPS:
             np.right_shift(rev, shift, out=low)
@@ -88,15 +85,16 @@ def _radical_inverse(indices: np.ndarray, base: int, out: np.ndarray) -> None:
     while size * base <= _TABLE_SIZE:
         size *= base
         table = np.add.outer(np.arange(base) / size, table).ravel()
-    high = indices // size
+    q0, r0 = np.divmod(starts, size)
+    runs = (r0 + (count - 1)) // size + 1
+    block = np.repeat(np.arange(len(starts)), runs)
+    t = np.arange(len(block)) - (np.cumsum(runs) - runs)[block]
+    c = t * size - r0[block]  # where the run's q * B falls in its block
+    lengths = np.minimum(c + size, count) - np.maximum(c, 0)
     # The low parts are in range; "clip" lets take write to out unbuffered.
-    np.take(table, indices - high * size, out=out, mode="clip")
-    first = np.empty(len(high), dtype=bool)
-    first[:1] = True
-    np.not_equal(high[1:], high[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    lengths = np.diff(starts, append=len(high))
-    work = high[starts]
+    low = np.repeat(c + block * count, lengths)
+    np.take(table, np.subtract(np.arange(len(out)), low, out=low), out=out, mode="clip")
+    work = q0[block] + t
     top, powers, denoms = int(work.max(initial=0)), [], [float(size)]
     while base ** len(powers) <= top:
         powers.append(base ** len(powers))
@@ -123,17 +121,18 @@ def halton(count: int, dims: int, start=1, dim_offset: int = 0) -> np.ndarray:
     integrals can draw from disjoint coordinate sets of the same sequence.
     Indices must be non-negative integers and every block must fit in int64.
     """
+    for value, name in ((count, "count"), (dims, "dims"), (dim_offset, "dim_offset")):
+        check_integer(value, name)
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
     if dim_offset + dims > HALTON_DIMS:
         raise ValueError("not enough Halton dimensions configured")
-    if count < 0:
-        raise ValueError("Halton point count must be non-negative")
-    starts = _indices(start).reshape(-1, 1)
+    starts = _indices(start).ravel()
     if count and np.any(starts > _INT64_MAX - (count - 1)):
         raise ValueError("Halton index block runs beyond int64")
-    idx = (starts + np.arange(count, dtype=np.int64)).ravel()
-    out = np.empty((dims, len(idx)))
+    out = np.empty((dims, len(starts) * count))
     for k in range(dims):
-        _radical_inverse(idx, _PRIMES[dim_offset + k], out[k])
+        _radical_inverse(starts, count, _PRIMES[dim_offset + k], out[k])
     return out.T
 
 
@@ -162,9 +161,8 @@ def _directions(u: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _stratum_draws(count: int, dim: int, strata, dim_offset: int):
-    # Radius coordinate and direction of ``count`` points per stratum, stacked.
-    # The radius uses the first Halton coordinate (the lowest prime, where the
-    # one-dimensional equidistribution is best); copied so ``u`` is freed here.
+    # Radius coordinate and direction of ``count`` points per stratum, stacked. The radius
+    # is the lowest prime's coordinate (best equidistributed); copied so ``u`` is freed.
     if count >= STRATUM_STRIDE:
         raise ValueError("sample budget exceeds the per-stratum index block")
     strata = _indices(strata)
@@ -192,9 +190,11 @@ def ball_shell_points(
     ``count`` points on shell ``s``. The blocks are stacked in stratum order
     into one ``(len(strata) * count, dim)`` array.
     """
+    r_inner, r_outer = np.asarray(r_inner, dtype=float), np.asarray(r_outer, dtype=float)
+    if not np.all((0.0 <= r_inner) & (r_inner <= r_outer) & np.isfinite(r_outer)):
+        raise ValueError("shell radii need 0 <= r_inner <= r_outer < inf")
     t, directions = _stratum_draws(count, dim, strata, dim_offset)
-    lo = _shell_power(r_inner, dim)[:, None]
-    hi = _shell_power(r_outer, dim)[:, None]
+    lo, hi = _shell_power(r_inner, dim)[:, None], _shell_power(r_outer, dim)[:, None]
     radii = (lo + t.reshape(len(lo), count) * (hi - lo)) ** (1.0 / dim)
     return np.multiply(radii.reshape(-1, 1), directions, out=directions)
 
@@ -204,13 +204,13 @@ def ball_points_weighted(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Low-discrepancy points in a ball, uniform in radius, with volume weights.
 
-    Draws ``count`` points per stratum of the array ``strata``, stacked in
-    stratum order; the mean of ``f(points) * weights`` over one stratum's
-    block estimates the ball integral of ``f``. Uniform radial placement
-    resolves integrands that decay away from the origin much better than
-    volume-uniform placement, at no cost for flat or vanishing integrands (the
-    truncated variables of the covariance blocks decay by assumption).
+    Draws ``count`` points per stratum of the array ``strata``, stacked in stratum
+    order; the mean of ``f(points) * weights`` over one stratum's block estimates the
+    ball integral of ``f``. Uniform radial placement resolves integrands that decay
+    away from the origin much better than volume-uniform placement, at no cost for
+    flat or vanishing integrands (the covariance blocks' truncated variables decay).
     """
+    check_positive(radius, "radius")
     t, directions = _stratum_draws(count, dim, strata, dim_offset)
     radii = radius * t
     surface = dim * np.pi ** (dim / 2.0) / gamma(dim / 2.0 + 1.0) * radii ** (dim - 1)

@@ -578,3 +578,35 @@ def test_beta_coords_sandwich():
     # constant-model blocks pass through unchanged
     blocks = poisson_blocks(100.0, GRID5)
     assert blocks.beta_coords() is blocks
+
+
+def brownian_residual(mat):
+    # Largest |mat[i, j] - mat[min(i, j), min(i, j)]|, relative to the largest |mat|:
+    # zero for the covariance of a time-changed Brownian motion.
+    lower = np.minimum.outer(np.arange(len(mat)), np.arange(len(mat)))
+    return np.abs(mat - np.diag(mat)[lower]).max() / np.abs(mat).max()
+
+
+@pytest.mark.parametrize("dim, cells", [(1, 16), (2, 8), (3, 4)])
+def test_loglinear_c_tilde_is_brownian_without_slopes(dim, cells):
+    # ROADMAP item 15: with Poisson densities the pair term of the plug-in
+    # covariance is G(min(s, t)), and without slopes the linear term cancels,
+    # so c~ = 2 K(min(s, t)) / rho^2. The known-intensity c keeps a linear term.
+    field = CovariateField.from_function(
+        Window(dim, 2.0),
+        lambda u: np.column_stack([np.ones(len(u)), u[:, 0], np.sin(3.0 * u[:, -1])]),
+        cells,
+    )
+    grid, quad = RadiusGrid.uniform(0.05, 6), QuadratureConfig(samples=2**10)
+
+    def blocks_and_c_tilde(slopes):
+        blocks = loglinear_sigma_blocks(field, [np.log(200.0), *slopes], POISSON_DENSITIES,
+                                        grid, quad)
+        return blocks, compose_lim_cov(h_limit_loglinear(blocks), blocks).matrix
+
+    _, c_tilde = blocks_and_c_tilde([0.0, 0.0])
+    assert brownian_residual(c_tilde) <= 1e-13
+    want = 2.0 * k_poisson(grid.values, dim) / 200.0**2
+    np.testing.assert_allclose(np.diag(c_tilde), want, rtol=1e-13, atol=0)
+    blocks, _ = blocks_and_c_tilde([0.5, 0.3])
+    assert brownian_residual(blocks.c) > 0.01

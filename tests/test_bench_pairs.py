@@ -159,3 +159,48 @@ def test_verdicts_read_direction_and_bound_for_reported_metrics():
     assert tool.verdicts(rows, [{**end_to_end[0], "bound": 0.5}])[0].startswith(
         "verdict wall_norm: no regression"
     )
+
+
+def run_output(wall_norm, wall_s, reference_s, setup_s=0.1):
+    # The lines perfbench/run.py prints for an untraced run, then its JSON result.
+    result = json.loads(canned(wall_norm, setup_s).splitlines()[-1])
+    return (f"environment {{}}\nwall_s = {wall_s!r} s, median of 12 timed calls [0.041, 0.042]\n"
+            f"reference_s = {reference_s!r} s, median of 12\nsetup_s: median of 3 [0.1]\n"
+            f"ops_failed_ratio = 0/24\n{json.dumps(result)}\n")
+
+
+def test_raw_medians_are_parsed_from_the_run_lines():
+    result = _load_tool().parse_result(run_output(0.41, 0.0412, 0.1004878))
+    assert result["metrics"] == {
+        "wall_norm": {"value": 0.41, "unit": "ref"},
+        "setup_s": {"value": 0.1, "unit": "s"},
+        "wall_s": {"value": 0.0412, "unit": "s"},
+        "reference_s": {"value": 0.1004878, "unit": "s"},
+    }
+    # a line without its "median of" is no raw median
+    assert set(_load_tool().parse_result(canned(0.1, 0.2))["metrics"]) == {"wall_norm", "setup_s"}
+
+
+def test_raw_medians_are_summarized_without_a_verdict(monkeypatch, tmp_path, capsys):
+    tool = _load_tool()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    # this side's wall reads lower only because its reference work reads higher
+    outputs = {"this": [(0.40, 0.040, 0.100), (0.39, 0.041, 0.105), (0.41, 0.042, 0.102)],
+               "other": [(0.42, 0.040, 0.095), (0.43, 0.041, 0.095), (0.42, 0.043, 0.102)]}
+
+    def fake_run(root, workload, seed, seconds):
+        return run_output(*outputs["this" if root == tool.ROOT else "other"][seed - 3])
+
+    monkeypatch.setattr(tool, "run_benchmark", fake_run)
+    assert tool.main([str(tmp_path), "--workload", "cov-grid50", "--pairs", "3", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("pair 1 seed 3 this: wall_norm=0.4 setup_s=0.1 wall_s=0.04 "
+                        "reference_s=0.1 failed=0")
+    assert "wall_s this: median 0.041 quartiles [0.0405, 0.0415] lower in 1/3 pairs" in lines
+    assert "wall_s other: median 0.041 quartiles [0.0405, 0.042] lower in 0/3 pairs" in lines
+    assert "reference_s this: median 0.102 quartiles [0.101, 0.1035] lower in 0/3 pairs" in lines
+    assert "reference_s other: median 0.095 quartiles [0.095, 0.0985] lower in 2/3 pairs" in lines
+    assert [line.split(":")[0] for line in lines if line.startswith("verdict")] == [
+        "verdict wall_norm", "verdict setup_s"
+    ]

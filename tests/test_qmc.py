@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,12 @@ def oracle_radical_inverse(indices, base, out):
         denom *= base
         np.divmod(work, base, out=(work, digit))
         out += digit / denom
+
+
+def oracle_block_radical_inverse(starts, count, base, out):
+    # The digit loop on the index blocks starts[s] + k, k < count, stacked.
+    idx = (np.reshape(starts, (-1, 1)) + np.arange(count, dtype=np.int64)).ravel()
+    oracle_radical_inverse(idx, base, out)
 
 
 def oracle_halton(count, dims, starts, dim_offset):
@@ -84,10 +91,34 @@ def test_halton_bitwise_equals_digit_loop_near_2_45():
     assert_bitwise_oracle(5000, starts)
 
 
+def test_halton_bitwise_equals_digit_loop_on_blocks_longer_than_the_table():
+    # one block holds four runs, two of them whole table passes
+    for k, base in enumerate(PRIMES):
+        size = table_size(base)
+        assert_bitwise_oracle(3 * size + 5, [1, 7 * size, 2**53 - size], dims=1, dim_offset=k)
+
+
+def test_halton_bitwise_equals_digit_loop_on_blocks_at_table_phases_0_1_and_last():
+    for k, base in enumerate(PRIMES):
+        size = table_size(base)
+        starts = [q * size + r for q in (0, 1, 5 * base, 2**53 // size) for r in (0, 1, size - 1)]
+        for count in (1, 2, size - 1, size, size + 1):
+            assert_bitwise_oracle(count, starts, dims=1, dim_offset=k)
+
+
+def test_halton_bitwise_equals_digit_loop_where_the_high_part_carries():
+    # q0 = base**j - 1 wraps to base**j inside the block, carrying through j digits
+    for k, base in enumerate(PRIMES):
+        size = table_size(base)
+        starts = [size * base**3 - 2, size * (base**3 + 1) - 2]
+        starts += [size * base**j - 3 for j in range(4, 63) if size * base**j < 2**62][-1:]
+        assert_bitwise_oracle(5, starts, dims=1, dim_offset=k)
+
+
 def assert_base_2_oracle(indices):
     indices = np.asarray(indices, dtype=np.int64)
     got, want = np.empty(len(indices)), np.empty(len(indices))
-    qmc._radical_inverse(indices, 2, got)
+    qmc._radical_inverse(indices, 1, 2, got)
     oracle_radical_inverse(indices, 2, want)
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -114,14 +145,20 @@ def test_base_2_bit_reversal_equals_digit_loop_at_2_53():
         st.one_of(st.integers(0, 2**46), st.integers(2**53 - 4, 2**53 + 1)), min_size=1, max_size=30
     ),
     st.integers(1, 3),
+    st.sampled_from(PRIMES).flatmap(
+        lambda base: st.tuples(st.just(base), st.integers(1, 2 * table_size(base) + 3))
+    ),
 )
-def test_halton_bitwise_equals_digit_loop_unsorted_repeated_starts(starts, count):
+def test_halton_bitwise_equals_digit_loop_unsorted_repeated_starts(starts, count, long_block):
     # unsorted and repeated starts with short blocks: most runs have length one.
     # Blocks straddle 2**53; the part below it also runs alone, so base 2 takes
-    # both its bit reversal and its table path.
+    # both its bit reversal and its table path. In one base, blocks of up to
+    # two table lengths hold up to three runs each.
     assert_bitwise_oracle(count, starts + starts[::-1])
     low = [s for s in starts if s + count <= 2**53]
     assert_bitwise_oracle(count, low + low[::-1])
+    base, long_count = long_block
+    assert_bitwise_oracle(long_count, starts + starts[::-1], dims=1, dim_offset=PRIMES.index(base))
 
 
 @pytest.mark.filterwarnings("error")
@@ -142,6 +179,39 @@ def test_bad_halton_indices_raise():
         with pytest.raises(ValueError, match="beyond int64"):
             ball_points_weighted(4, 2, 1.0, strata)
     ball_points_weighted(4, 2, 1.0, [2**39 - 2])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: halton(3, 2, dim_offset=-1), "dim_offset must be non-negative"),
+    (lambda: ball_shell_points(4, 2, [0.0], [1.0], [0], dim_offset=-2),
+     "dim_offset must be non-negative"),
+    (lambda: halton(3, -1), "dims must be non-negative"),
+    (lambda: halton(2.5, 1), "count must be an integer"),
+    (lambda: halton(True, 1), "count must be an integer"),
+    (lambda: halton(3, 1.0), "dims must be an integer"),
+    (lambda: halton(3, 1, dim_offset=np.float64(1)), "dim_offset must be an integer"),
+    (lambda: ball_shell_points(2.5, 2, [0.0], [1.0], [0]), "count must be an integer"),
+    (lambda: ball_shell_points(4, 3, [-0.5], [1.0], [0]), "r_inner <= r_outer"),
+    (lambda: ball_shell_points(4, 2, [0.5, 0.75], [1.0, 0.5], [0, 1]), "r_inner <= r_outer"),
+    (lambda: ball_shell_points(4, 2, [np.nan], [1.0], [0]), "r_inner <= r_outer"),
+    (lambda: ball_shell_points(4, 2, [0.0], [np.inf], [0]), "r_outer < inf"),
+    (lambda: ball_points_weighted(4, 2, -1.0, [0]), "radius must be finite and positive"),
+    (lambda: ball_points_weighted(4, 2, np.inf, [0]), "radius must be finite and positive"),
+    (lambda: ball_points_weighted(4, 2, True, [0]), "radius must be a number"),
+])
+def test_bad_counts_dimensions_and_radii_raise_naming_the_argument(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_edge_counts_dimensions_and_radii_still_draw():
+    assert halton(0, 2, start=[3, 5]).shape == (0, 2)
+    assert halton(np.int64(3), 0, dim_offset=len(PRIMES)).shape == (3, 0)
+    np.testing.assert_array_equal(halton(4, 1, dim_offset=np.int64(2)), halton(4, 3)[:, 2:])
+    # unit shells hold bare directions, and a degenerate shell at 0 the origin
+    unit = ball_shell_points(4, 2, [1.0], [1.0], [0])
+    np.testing.assert_allclose(np.linalg.norm(unit, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert not ball_shell_points(4, 2, [0.0], [0.0], [0]).any()
 
 
 def blocks_arrays(blocks):
@@ -172,7 +242,7 @@ def test_covariance_blocks_equal_with_oracle_radical_inverse(monkeypatch):
         return [blocks_arrays(b) for b in out]
 
     new = all_blocks()
-    monkeypatch.setattr(qmc, "_radical_inverse", oracle_radical_inverse)
+    monkeypatch.setattr(qmc, "_radical_inverse", oracle_block_radical_inverse)
     old = all_blocks()
     for a, b in zip(new, old):
         assert a.keys() == b.keys() and {"points", "c_err", "sigma2_err"} <= a.keys()

@@ -13,10 +13,14 @@ checkout, on the same fresh seed; this checkout goes first in even pairs and
 second in odd ones, so drift in the host's speed does not favour one side.
 The tool prints each run's end-to-end metrics as it finishes, then, per
 metric and side, the median, the quartiles and in how many pairs this side
-read lower than the other. Last comes one verdict per end-to-end metric of
-``BENCHMARK.json``, this checkout against OTHER, by the metric's ``better``
-direction and relative ``bound`` (see :func:`verdict`). A failed call in any
-run makes the exit status 1.
+read lower than the other. Benchmark runs also report their raw medians,
+``wall_s`` and ``reference_s`` (the two sides of the ``wall_norm`` ratio, read
+from run.py's ``... s, median of ...`` lines), summarized the same way: an
+allocation change can move the reference work as well as the workload. Last
+comes one verdict per end-to-end metric of ``BENCHMARK.json``, this checkout
+against OTHER, by the metric's ``better`` direction and relative ``bound``
+(see :func:`verdict`); the raw medians are not such metrics and get none. A
+failed call in any run makes the exit status 1.
 
 ``--setup`` times set-up only: pair ``i`` runs
 ``python3 perfbench/setup_probe.py W S+i DIR`` (a fresh interpreter importing
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
@@ -38,10 +43,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("this", "other")
+RAW_MEDIAN = re.compile(r"^(wall_s|reference_s) = (\S+) s, median of ", re.MULTILINE)
 
 
 def parse_result(stdout: str) -> dict:
-    """The JSON result on the last line of one run's output."""
+    """The JSON result on the last line of one run's output, with the raw medians
+    ``wall_s`` and ``reference_s`` that the run printed added to its metrics."""
     lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1]) if lines else None
@@ -49,6 +56,8 @@ def parse_result(stdout: str) -> dict:
         result = None
     if not isinstance(result, dict) or "metrics" not in result:
         raise ValueError(f"no JSON result on the last line: {lines[-1:]!r}")
+    for name, value in RAW_MEDIAN.findall(stdout):
+        result["metrics"][name] = {"value": float(value), "unit": "s"}
     return result
 
 
