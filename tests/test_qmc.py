@@ -47,10 +47,9 @@ def oracle_block_radical_inverse(starts, count, base, out):
 
 
 def oracle_halton(count, dims, starts, dim_offset):
-    idx = (np.reshape(starts, (-1, 1)) + np.arange(count, dtype=np.int64)).ravel()
-    out = np.empty((dims, len(idx)))
+    out = np.empty((dims, np.size(starts) * count))
     for k in range(dims):
-        oracle_radical_inverse(idx, PRIMES[dim_offset + k], out[k])
+        oracle_block_radical_inverse(starts, count, PRIMES[dim_offset + k], out[k])
     return out.T
 
 
@@ -92,7 +91,7 @@ def test_halton_bitwise_equals_digit_loop_near_2_45():
 
 
 def test_halton_bitwise_equals_digit_loop_on_blocks_longer_than_the_table():
-    # one block holds four runs, two of them whole table passes
+    # each block holds four runs, at least two of them whole table passes
     for k, base in enumerate(PRIMES):
         size = table_size(base)
         assert_bitwise_oracle(3 * size + 5, [1, 7 * size, 2**53 - size], dims=1, dim_offset=k)
