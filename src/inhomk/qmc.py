@@ -8,13 +8,13 @@ carved out of the global sequence as index blocks with a fixed stride, so a
 larger sample extends a smaller one instead of replacing it.
 
 The radical inverse sums ``digit / base**k`` from the least significant digit
-up: the low digits from a small table of that same sum, built one digit level
-at a time by an outer sum, the high digits once per run of indices that share
-them, every run's digits in one broadcast. A draw stacks blocks of consecutive
+up, one path for every base: the low digits from a per-base table of that same
+sum built at import, the high digits once per run of indices that share them,
+every run's digits in one broadcast. A draw stacks blocks of consecutive
 indices, one per stratum, so the runs follow from each block's start and no
-index is divided. In odd bases the summation order is the loop's own, so every
-point is bitwise the loop's; in base 2 below 2**53 every partial sum is exact,
-so the radical inverse is the index's bit reversal.
+index is divided. The summation order is the loop's, so every point is bitwise
+the loop's; in base 2 below 2**53, where every partial sum is exact, a run's
+high digits are summed first and added in one pass.
 """
 
 from __future__ import annotations
@@ -43,48 +43,41 @@ STRATUM_STRIDE = 2**24
 # Entries in the low-digit table of the radical inverse, per base.
 _TABLE_SIZE = 2**12
 _INT64_MAX = np.iinfo(np.int64).max
-# Within-byte bit swaps of the base-2 kernel: (shift, mask of the low halves).
-_BIT_SWAPS = tuple(
-    (np.uint64(shift), np.uint64(mask))
-    for shift, mask in ((1, 0x5555555555555555), (2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F))
-)
+
+
+def _low_table(base: int) -> np.ndarray:
+    # The loop's first L steps on every r < base**L <= _TABLE_SIZE: step k adds the
+    # k-th digit to the sums of the lower ones in the loop's order (a short r adds +0.0).
+    size, table = 1, np.zeros(1)
+    while size * base <= _TABLE_SIZE:
+        size *= base
+        table = np.add.outer(np.arange(base) / size, table).ravel()
+    table.flags.writeable = False
+    return table
+
+
+# Read-only constants of the algorithm, derived from _PRIMES and _TABLE_SIZE alone.
+_TABLES = {base: _low_table(base) for base in _PRIMES}
 
 
 def _radical_inverse(starts: np.ndarray, count: int, base: int, out: np.ndarray) -> None:
     """Radical inverses of the index blocks ``starts[s] + k``, ``k < count``, stacked into ``out``.
 
     The definition is the digit loop: add ``digit / base**k`` from the least
-    significant digit up. Each index splits as ``q * B + r``, ``B = base**L``
-    the largest power of ``base`` within ``_TABLE_SIZE``. ``table[r]`` holds
-    the loop's first ``L`` steps on ``r``: step ``k = 1..L`` of ``table =
-    add.outer(arange(base) / base**k, table)`` adds the ``k``-th digit to the
-    sums of the lower ones in the loop's order (a shorter ``r`` adds ``+0.0``).
-    With ``q0, r0 = divmod(start, B)`` a block holds ``ceil((r0 + count) / B)``
-    runs of equal ``q``; run ``t`` has ``q0 + t`` and reads the table from
-    ``max(r0, t * B) - t * B`` on. The digits of every run's ``q`` come in one
-    broadcast ``work // powers % base`` and are added, repeated over the runs,
-    in the loop's order and over its ``denom`` sequence; in an odd base any
-    other order (high digits first, or a second table) moves points by an ulp.
-    In base 2 below 2**53 each partial sum has at most 53 significant bits, so
-    every add is exact and the sum is the index's 64-bit bit reversal times
-    2**-64, exact in float64 too.
+    significant digit up. Each index splits as ``q * B + r`` with ``B =
+    len(table)``, and ``table = _TABLES[base]`` holds the loop's sum over the
+    low digits of every ``r``. With ``q0, r0 = divmod(start, B)`` a block holds
+    ``ceil((r0 + count) / B)`` runs of equal ``q``; run ``t`` has ``q0 + t``
+    and reads the table from ``max(r0, t * B) - t * B`` on. The digits of every
+    run's ``q`` come in one broadcast ``work // powers % base`` and are added,
+    repeated over the runs, in the loop's order and over its ``denom``
+    sequence; in an odd base any other order (high digits first, or a second
+    table) moves points by an ulp. In base 2 below 2**53 each partial sum has
+    at most 53 significant bits, so every add is exact in any order, and a
+    run's high digits are summed first and added in one pass.
     """
-    if base == 2 and int(starts.max(initial=0)) + count <= 2**53:
-        rev = np.add.outer(starts.astype(np.uint64), np.arange(count, dtype=np.uint64)).ravel()
-        low = out.view(np.uint64)  # scratch until the product overwrites it
-        for shift, mask in _BIT_SWAPS:
-            np.right_shift(rev, shift, out=low)
-            low &= mask
-            rev &= mask
-            rev <<= shift
-            rev |= low
-        rev.byteswap(inplace=True)  # then the byte order, on either endianness
-        np.multiply(rev, 2.0**-64, out=out)
-        return
-    size, table = 1, np.zeros(1)
-    while size * base <= _TABLE_SIZE:
-        size *= base
-        table = np.add.outer(np.arange(base) / size, table).ravel()
+    table = _TABLES[base]
+    size = len(table)
     q0, r0 = np.divmod(starts, size)
     runs = (r0 + (count - 1)) // size + 1
     block = np.repeat(np.arange(len(starts)), runs)
@@ -100,6 +93,8 @@ def _radical_inverse(starts: np.ndarray, count: int, base: int, out: np.ndarray)
         powers.append(base ** len(powers))
         denoms.append(denoms[-1] * base)
     terms = work // np.array(powers, dtype=np.int64)[:, None] % base / np.array(denoms[1:])[:, None]
+    if base == 2 and (top + 1) * size <= 2**53:
+        terms = terms.sum(axis=0, keepdims=True)
     for term in terms:
         out += np.repeat(term, lengths)
 
@@ -163,6 +158,9 @@ def _directions(u: np.ndarray, dim: int) -> np.ndarray:
 def _stratum_draws(count: int, dim: int, strata, dim_offset: int):
     # Radius coordinate and direction of ``count`` points per stratum, stacked. The radius
     # is the lowest prime's coordinate (best equidistributed); copied so ``u`` is freed.
+    check_integer(dim, "dim")
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
     if count >= STRATUM_STRIDE:
         raise ValueError("sample budget exceeds the per-stratum index block")
     strata = _indices(strata)

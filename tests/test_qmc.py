@@ -122,13 +122,14 @@ def assert_base_2_oracle(indices):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_base_2_bit_reversal_equals_digit_loop_at_2_53():
-    # Below 2**53 base 2 is a bit reversal; one index at or above it sends the
-    # whole call to the table path.
+def test_base_2_equals_digit_loop_at_2_53():
+    # Below 2**53 base 2 sums each run's high digits first, exactly; one index
+    # at or above it sends the whole call to the loop's order.
     big = np.iinfo(np.int64).max
     rng = np.random.default_rng(22)
     assert_base_2_oracle(rng.integers(0, 2**53, 20_000))
-    # from 2**54 on, a bit reversal would round once where the loop rounds twice
+    # from 2**54 on, summing the high digits first would round once where the loop rounds
+    # twice
     for bits in range(53, 63):
         assert_base_2_oracle(rng.integers(2**bits, 2 ** (bits + 1) - 1, 500, endpoint=True))
     for indices in ([], [0], [2**53 - 1], [2**53], [2**53 + 1], [big], [2**53 - 1, 0, 2**52 + 1],
@@ -136,6 +137,15 @@ def test_base_2_bit_reversal_equals_digit_loop_at_2_53():
         assert_base_2_oracle(indices)
     for start in (2**53 - 9, 2**53 - 8, 2**53 - 3, 2**53, big):
         assert_bitwise_oracle(8 if start < big else 1, [start])
+
+
+def test_low_digit_tables_are_read_only_digit_loops():
+    assert sorted(qmc._TABLES) == sorted(PRIMES)
+    for base, table in qmc._TABLES.items():
+        assert not table.flags.writeable and len(table) == table_size(base)
+        want = np.empty(len(table))
+        oracle_radical_inverse(np.arange(len(table)), base, want)
+        np.testing.assert_array_equal(table.view(np.int64), want.view(np.int64))
 
 
 @settings(max_examples=40, deadline=None)
@@ -151,7 +161,7 @@ def test_base_2_bit_reversal_equals_digit_loop_at_2_53():
 def test_halton_bitwise_equals_digit_loop_unsorted_repeated_starts(starts, count, long_block):
     # unsorted and repeated starts with short blocks: most runs have length one.
     # Blocks straddle 2**53; the part below it also runs alone, so base 2 takes
-    # both its bit reversal and its table path. In one base, blocks of up to
+    # both its exact sum-first order and the loop's order. In one base, blocks of up to
     # two table lengths hold up to three runs each.
     assert_bitwise_oracle(count, starts + starts[::-1])
     low = [s for s in starts if s + count <= 2**53]
@@ -197,6 +207,12 @@ def test_bad_halton_indices_raise():
     (lambda: ball_points_weighted(4, 2, -1.0, [0]), "radius must be finite and positive"),
     (lambda: ball_points_weighted(4, 2, np.inf, [0]), "radius must be finite and positive"),
     (lambda: ball_points_weighted(4, 2, True, [0]), "radius must be a number"),
+    (lambda: ball_points_weighted(4, -1, 1.0, [0]), "dim must be >= 1"),
+    (lambda: ball_points_weighted(4, 0, 1.0, [0]), "dim must be >= 1"),
+    (lambda: ball_points_weighted(4, True, 1.0, [0]), "dim must be an integer"),
+    (lambda: ball_shell_points(4, -1, [0.0], [1.0], [0]), "dim must be >= 1"),
+    (lambda: ball_shell_points(4, 0, [0.0], [1.0], [0]), "dim must be >= 1"),
+    (lambda: ball_shell_points(4, True, [0.0], [1.0], [0]), "dim must be an integer"),
 ])
 def test_bad_counts_dimensions_and_radii_raise_naming_the_argument(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
