@@ -5,11 +5,12 @@ translation edge correction weight of a pair with displacement ``h`` is the
 reciprocal of the overlap volume ``|W and (W + h)|``, which for a cube
 factorizes over the axes. Pair search is a cell list over a batch of
 patterns on one window: points are keyed by pattern, then by cell (cells no
-smaller than the search radius) in a narrow unsigned dtype; a stable sort
-(radix, for 16-bit keys) and a bincount give a cell-start table whose
-ranges are each point's forward neighbor rows, ``scan_rows(d)`` per point, and
-coordinates are gathered column by column. No pair crosses two patterns,
-and each unordered pair is returned once, in no particular order.
+smaller than the search radius, plus a margin) in a narrow unsigned dtype; a
+stable sort (radix, for 16-bit keys) and a bincount give a cell-start table
+whose ranges are each point's forward neighbor rows, ``scan_rows(d)`` per
+point; one segment index maps every candidate to its range, and coordinates
+are gathered column by column. No pair crosses two patterns, and each
+unordered pair is returned once, in no particular order.
 """
 
 from __future__ import annotations
@@ -190,9 +191,17 @@ def close_pairs(patterns, rmax: float) -> PairList:
     then its flat cell index, in the narrowest unsigned dtype that holds all
     keys (numpy's stable argsort is a radix sort up to 16 bits); a bincount
     of the sorted keys gives the cell-start table. Each point reads the
-    :func:`scan_rows` forward ones of its 3^(d-1) neighbor rows as table ranges,
-    starting after its own position so that every unordered pair is visited
-    once, and coordinates are gathered per column. The set of pairs is
+    :func:`scan_rows` forward ones of its 3^(d-1) neighbor rows as table ranges:
+    its own row from its sorted position plus one, so that every unordered
+    pair is visited once, and every other row whole. Candidate ``t`` lies in
+    range ``seg[t] = cumsum(bincount(ends[:-1]))[t]`` of the ranges'
+    cumulative ends, which gives its point and its offset, and coordinates are
+    gathered per column. Cells are ``side / ncells`` wide times the margin
+    ``1 + 2**-44 (ncells + 1)``: rounding in the cell index and in a float
+    distance moves a pair's index difference by under ``(ncells + 4) 2**-51``,
+    so a pair at float distance ``<= rmax`` never lies two cells apart along
+    an axis. Face ``k`` moves by ``k`` margins of a cell, under 1e-10 of a
+    cell up to 40 cells per axis. The set of pairs is
     independent of the cell layout (their order and orientation are not); a
     radius larger than the window simply means fewer cells. A dimension above
     ``MAX_SCAN_DIM`` (12) raises ``ValueError`` before any table is built; up
@@ -219,9 +228,10 @@ def close_pairs(patterns, rmax: float) -> PairList:
     span = ncells + 2
     nkeys = groups * span**d
     sizes = [len(p) for p in batch]
+    width = side / ncells * (1.0 + 2.0**-44 * (ncells + 1))
     keys = np.repeat(np.arange(groups, dtype=np.min_scalar_type(nkeys)), sizes)
     for col in pts.T:
-        cell = ((col + side / 2.0) / (side / ncells)).astype(keys.dtype)
+        cell = ((col + side / 2.0) / width).astype(keys.dtype)
         keys = keys * span + np.minimum(cell, ncells - 1) + 1
     order = np.argsort(keys, kind="stable")
     keys = keys[order].astype(np.int64)
@@ -232,18 +242,26 @@ def close_pairs(patterns, rmax: float) -> PairList:
     # One table range per row of three neighbor cells along the last axis,
     # with leading offsets in {-1, 0, 1} on the first d - 1 axes. Rows with a
     # lexicographically negative lead end before the point's own cell: skipped.
-    # With one cell per axis every row but the point's own (the all-zero lead)
-    # holds only border cells, so that row alone is read.
+    # The point's own row (the all-zero lead, first) starts at the next sorted
+    # point; every other row lies wholly after the point's cell, unclipped.
+    # With one cell per axis every row but the point's own holds only border
+    # cells, so that row alone is read.
     if ncells > 1:
         lead = np.array(list(product((-1, 0, 1), repeat=d - 1))[-scan_rows(d) :], dtype=np.int64)
     else:
         lead = np.zeros((1, d - 1), dtype=np.int64)
     rows = keys[:, None] + lead @ span ** np.arange(d - 1, 0, -1, dtype=np.int64)
-    lo = np.maximum(starts[rows - 1], np.arange(1, n + 1)[:, None])
-    counts = np.maximum(starts[rows + 2] - lo, 0).ravel()
-    first = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
-    pos_a = np.repeat(np.arange(n).repeat(len(lead)), counts)
-    pos_b = first + np.arange(len(first))
+    lo = starts[rows - 1]
+    lo[:, 0] = np.arange(1, n + 1)
+    counts = (starts[rows + 2] - lo).ravel()
+
+    # Candidate t lies in range seg[t] (an empty range holds none), of point
+    # seg[t] // len(lead), at offset t - (ends - counts)[seg[t]] in that range.
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if n else 0
+    seg = np.cumsum(np.bincount(ends[:-1], minlength=total + 1)[:total])
+    pos_a = seg // len(lead)
+    pos_b = (lo.ravel() - (ends - counts))[seg] + np.arange(total)
 
     # einsum sums the axes in its own order: a hand-written sum rounds 3-D
     # distances differently in the last bit, and seeded results would move.

@@ -1,7 +1,9 @@
 """``tools/bench_pairs.py`` alternates two checkouts; no benchmark is run here."""
 
+import ast
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -83,9 +85,12 @@ def test_setup_pairs_alternate_probes_and_summarize_setup_s():
     calls, printed = [], []
 
     def fake_probe(root, workload, seed, seconds):
+        # Each pair's sample is the median of its probes: the slow and fast
+        # outliers around the canned value drop out.
         side = "this" if root == tool.ROOT else "other"
         calls.append((side, seed))
-        return f"{probes[side][seed - 7]!r}\n"
+        value = probes[side][seed - 7]
+        return [f"{value!r}\n", "environment\n0.9\n", f"{value!r}\n", "0.01\n", f"{value!r}\n"]
 
     rows = tool.run_pairs(other, "cov-grid50", 4, 7, 20.0, run=fake_probe, out=printed.append,
                           parse=tool.parse_setup)
@@ -101,7 +106,31 @@ def test_setup_pairs_alternate_probes_and_summarize_setup_s():
 @pytest.mark.parametrize("stdout", ["", "Traceback\n", "0.1\nnot seconds\n"])
 def test_malformed_probe_output_is_an_error(stdout):
     with pytest.raises(ValueError, match="no seconds"):
-        _load_tool().parse_setup(stdout)
+        _load_tool().parse_setup([stdout])
+    with pytest.raises(ValueError, match="no seconds"):
+        _load_tool().parse_setup(["0.1\n", stdout, "0.2\n"])
+
+
+def test_setup_sample_is_the_median_of_run_py_probe_count(monkeypatch):
+    tool = _load_tool()
+    run_py = ast.parse((TOOL.parent.parent / "perfbench" / "run.py").read_text())
+    count = next(node.value.value for node in run_py.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["SETUP_PROBES"])
+    assert tool.SETUP_PROBES == count > 1
+    calls = []
+
+    def fake_output(root, args):
+        calls.append((root, args))
+        return f"{0.1 * len(calls)!r}\n"
+
+    monkeypatch.setattr(tool, "_python_output", fake_output)
+    outputs = tool.run_setup_probe(Path("/elsewhere"), "matern-study", 11, 20.0)
+    assert len(outputs) == len(calls) == count
+    # one temporary directory for all probes of a sample, as run.py uses
+    assert len({tuple(args) for _, args in calls}) == 1
+    assert calls[0][1][:3] == ["perfbench/setup_probe.py", "matern-study", "11"]
+    setup_s = tool.parse_setup(outputs)["metrics"]["setup_s"]["value"]
+    assert setup_s == statistics.median(0.1 * k for k in range(1, count + 1))
 
 
 def test_setup_option_runs_probes_not_benchmarks(monkeypatch, tmp_path, capsys):
@@ -111,7 +140,7 @@ def test_setup_option_runs_probes_not_benchmarks(monkeypatch, tmp_path, capsys):
     seeds = []
     monkeypatch.setattr(tool, "run_benchmark", lambda *args: pytest.fail("benchmark run"))
     monkeypatch.setattr(tool, "run_setup_probe",
-                        lambda root, workload, seed, _: seeds.append(seed) or "0.125\n")
+                        lambda root, workload, seed, _: seeds.append(seed) or ["0.125\n"])
     argv = [str(tmp_path), "--workload", "poisson-study", "--setup", "--pairs", "3", "--seed", "5"]
     assert tool.main(argv) == 0
     assert seeds == [5, 5, 6, 6, 7, 7]

@@ -1,9 +1,10 @@
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inhomk.asymcov import (
@@ -19,6 +20,7 @@ from inhomk.geometry import (
     _cells_per_axis,
     close_pairs,
     overlap_volume,
+    scan_rows,
 )
 from inhomk.gof import GofConfig, PoissonNullTables
 from inhomk.intensity import ConstantIntensity
@@ -55,6 +57,53 @@ def mirrored(pairs):
     stored = list(zip(pairs.i.tolist(), pairs.j.tolist()))
     assert len({frozenset(pair) for pair in stored}) == len(stored)
     return set(stored) | {(j, i) for i, j in stored}
+
+
+def reference_scan(batch, rmax):
+    """``close_pairs`` with the range step it had before the segment index.
+
+    The cell keys are built as ``close_pairs`` builds them; then each range
+    start is clipped to the point's sorted position plus one, negative counts
+    are clipped to zero, and two ``np.repeat`` expand the ranges. Returns
+    ``(i, j, disp, dist)`` in that scan's order.
+    """
+    pts = np.concatenate([p.points for p in batch])
+    (n, d), side, groups = pts.shape, batch[0].window.side, len(batch)
+    ncells = _cells_per_axis(side, rmax, d, n, groups)
+    span = ncells + 2
+    nkeys = groups * span**d
+    width = side / ncells * (1.0 + 2.0**-44 * (ncells + 1))
+    keys = np.repeat(np.arange(groups, dtype=np.min_scalar_type(nkeys)), [len(p) for p in batch])
+    for col in pts.T:
+        cell = ((col + side / 2.0) / width).astype(keys.dtype)
+        keys = keys * span + np.minimum(cell, ncells - 1) + 1
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order].astype(np.int64)
+    starts = np.zeros(nkeys + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=nkeys), out=starts[1:])
+    if ncells > 1:
+        lead = np.array(list(product((-1, 0, 1), repeat=d - 1))[-scan_rows(d) :], dtype=np.int64)
+    else:
+        lead = np.zeros((1, d - 1), dtype=np.int64)
+    rows = keys[:, None] + lead @ span ** np.arange(d - 1, 0, -1, dtype=np.int64)
+    lo = np.maximum(starts[rows - 1], np.arange(1, n + 1)[:, None])
+    counts = np.maximum(starts[rows + 2] - lo, 0).ravel()
+    first = np.repeat(lo.ravel() - (np.cumsum(counts) - counts), counts)
+    pos_a = np.repeat(np.arange(n).repeat(len(lead)), counts)
+    pos_b = first + np.arange(len(first))
+    i, j = order[pos_a], order[pos_b]
+    disp = pts[i] - pts[j]
+    dist2 = np.einsum("ij,ij->i", disp, disp)
+    keep = (dist2 > 0.0) & (dist2 <= rmax * rmax)
+    return i[keep], j[keep], disp[keep], np.sqrt(dist2[keep])
+
+
+def assert_reference_order(batch, rmax):
+    """``close_pairs`` returns bitwise the reference scan's pairs, in its order."""
+    pairs = close_pairs(batch, rmax)
+    for got, want in zip((pairs.i, pairs.j, pairs.disp, pairs.dist), reference_scan(batch, rmax)):
+        np.testing.assert_array_equal(got, want, strict=True)
+    return pairs
 
 
 def test_window_volume():
@@ -396,7 +445,7 @@ def test_batch_keys_wider_than_16_bits(dim, rmax):
     span = _cells_per_axis(1.0, rmax, dim, offsets[-1], len(batch)) + 2
     assert len(batch) * span**dim > 2**16
 
-    pairs = close_pairs(batch, rmax)
+    pairs = assert_reference_order(batch, rmax)
     want = set()
     for pattern, first in zip(batch, offsets):
         want |= {(i + first, j + first) for i, j in brute_force_pairs(pattern.points, rmax)}
@@ -463,12 +512,94 @@ def test_one_cell_scans_match_brute_force(dim):
         batch.append(PointPattern(window, pts))
     offsets = np.cumsum([0] + [len(p) for p in batch])
     assert _cells_per_axis(1.0, rmax, dim, offsets[-1], len(batch)) == 1
-    pairs = close_pairs(batch, rmax)
+    pairs = assert_reference_order(batch, rmax)
     want = set()
     for pattern, first in zip(batch, offsets):
         want |= {(i + first, j + first) for i, j in brute_force_pairs(pattern.points, rmax)}
     assert want and mirrored(pairs) == want
     assert_pair_arithmetic(pairs, np.concatenate([p.points for p in batch]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pair_order_matches_reference_scan(data):
+    # Dimension and sizes come from the seed: hypothesis would favor dim 1.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dim = int(rng.integers(1, 5))
+    side = data.draw(st.floats(0.2, 4.0))
+    frac = data.draw(
+        st.one_of(st.floats(0.02, 1.5), st.integers(1, 8).map(lambda k: 1.0 / k))
+    )
+    rmax = frac * side
+    window = Window(dim, side)
+    kinds = st.sampled_from(("random", "lattice", "empty", "singleton"))
+    batch = []
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=6)):
+        n = {"empty": 0, "singleton": 1}.get(kind, int(rng.integers(2, 81)))
+        pts = rng.uniform(-side / 2, side / 2, (n, dim))
+        if kind == "lattice":
+            # neighbors exactly rmax apart, points on cell and window faces
+            steps = np.round((pts + side / 2) / rmax)
+            pts = np.unique(np.minimum(steps * rmax - side / 2, side / 2), axis=0)
+        batch.append(PointPattern(window, pts))
+    assert_reference_order(batch, rmax)
+
+
+def farthest_partner(a, rmax):
+    """The largest float ``b`` with ``(b - a)**2 <= rmax**2`` in float arithmetic."""
+    lo, hi = a, a + 2.0 * rmax
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return lo
+        if (mid - a) ** 2 <= rmax * rmax:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("dim, fillers", [(1, 400), (2, 800), (3, 2700)])
+def test_pair_across_a_cell_face_at_rmax_is_found(dim, fillers):
+    # The float distance of the two points is at most rmax, and the cells are
+    # rmax wide to the last bit: unwidened, rounding put them in cells 6 and 8
+    # of 20, and no scanned row reached two cells over.
+    rng = np.random.default_rng(0)
+    pts = np.zeros((2 + fillers, dim))
+    pts[0, 0], pts[1, 0] = -0.15, -0.09999999999999999
+    pts[2:] = rng.uniform(-0.5, 0.5, (fillers, dim))
+    pts[2:, 0] = rng.uniform(0.2, 0.5, fillers)
+    assert (pts[1, 0] - pts[0, 0]) ** 2 <= 0.05 * 0.05
+    assert _cells_per_axis(1.0, 0.05, dim, len(pts), 1) == 20
+    pairs = close_pairs(PointPattern(Window(dim, 1.0), pts), 0.05)
+    assert (0, 1) in mirrored(pairs)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pairs_straddling_cell_faces_match_brute_force(data):
+    # A point a few ulps below a cell face of width side / ncells, its partner
+    # at the largest float distance <= rmax along one axis, and enough other
+    # points that the scan keeps ncells cells per axis.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dim = int(rng.integers(1, 4))
+    ncells = int(rng.integers(2, {1: 40, 2: 12, 3: 5}[dim] + 1))
+    side = data.draw(st.floats(0.1, 10.0))
+    rmax = side / ncells
+    step = data.draw(st.sampled_from((0, 0, -1, 1)))
+    if step:
+        rmax = float(np.nextafter(rmax, step * np.inf))
+    a = -side / 2 + data.draw(st.integers(1, ncells - 1)) * (side / ncells)
+    for _ in range(data.draw(st.integers(0, 3))):
+        a = float(np.nextafter(a, -np.inf))
+    b = farthest_partner(a, rmax)
+    assume(b <= side / 2)
+    axis = int(rng.integers(dim))
+    pts = rng.uniform(-side / 2, side / 2, (2 + -(-((ncells + 2) ** dim) // 4), dim))
+    pts[1] = pts[0]
+    pts[0, axis], pts[1, axis] = a, b
+    pairs = close_pairs(PointPattern(Window(dim, side), pts), rmax)
+    assert mirrored(pairs) == brute_force_pairs(pts, rmax)
+    assert (0, 1) in mirrored(pairs)
 
 
 class Ramp:

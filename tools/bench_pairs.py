@@ -24,10 +24,12 @@ failed call in any run makes the exit status 1.
 
 ``--setup`` times set-up only: pair ``i`` runs
 ``python3 perfbench/setup_probe.py W S+i DIR`` (a fresh interpreter importing
-inhomk and building the workload's inputs, in a new temporary DIR) once in each
-checkout, in the same alternating order, and summarizes ``setup_s`` the same
-way. That is the import-bound metric, whose single-run spread is wide, so it
-gets its own, cheaper pairs. Standard library only.
+inhomk and building the workload's inputs, in a new temporary DIR) in each
+checkout, in the same alternating order, as many times as run.py's
+``SETUP_PROBES``, and summarizes the median of those probes as ``setup_s``,
+the same statistic that a benchmark run reports. That is the import-bound
+metric, whose spread is wide, so it gets its own, cheaper pairs. Standard
+library only.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("this", "other")
 RAW_MEDIAN = re.compile(r"^(wall_s|reference_s) = (\S+) s, median of ", re.MULTILINE)
+# Set-up probes per setup_s sample, as perfbench/run.py takes them.
+SETUP_PROBES = int(re.search(r"^SETUP_PROBES = (\d+)$", (ROOT / "perfbench" / "run.py").read_text(),
+                             re.MULTILINE)[1])
 
 
 def parse_result(stdout: str) -> dict:
@@ -61,16 +66,17 @@ def parse_result(stdout: str) -> dict:
     return result
 
 
-def parse_setup(stdout: str) -> dict:
-    """One set-up probe's seconds (its last line) as a result with metric ``setup_s``."""
-    lines = stdout.strip().splitlines()
-    try:
-        seconds = float(lines[-1]) if lines else None
-    except ValueError:
-        seconds = None
-    if seconds is None:
-        raise ValueError(f"no seconds on the last line: {lines[-1:]!r}")
-    return {"failed": 0, "metrics": {"setup_s": {"value": seconds, "unit": "s"}}}
+def parse_setup(outputs: list[str]) -> dict:
+    """The median of set-up probes' seconds (each output's last line) as a
+    result with metric ``setup_s``."""
+    seconds = []
+    for stdout in outputs:
+        lines = stdout.strip().splitlines()
+        try:
+            seconds.append(float(lines[-1]))
+        except (IndexError, ValueError):
+            raise ValueError(f"no seconds on the last line: {lines[-1:]!r}") from None
+    return {"failed": 0, "metrics": {"setup_s": {"value": statistics.median(seconds), "unit": "s"}}}
 
 
 def _python_output(root: Path, args: list[str]) -> str:
@@ -80,10 +86,12 @@ def _python_output(root: Path, args: list[str]) -> str:
     return proc.stdout
 
 
-def run_setup_probe(root: Path, workload: str, seed: int, _seconds: float) -> str:
-    # A probe times one set-up, so the run length does not apply.
+def run_setup_probe(root: Path, workload: str, seed: int, _seconds: float) -> list[str]:
+    # SETUP_PROBES probes in one directory, as run.py's setup_s; a probe times
+    # one set-up, so the run length does not apply.
+    probe = ["perfbench/setup_probe.py", workload, str(seed)]
     with tempfile.TemporaryDirectory() as workdir:
-        return _python_output(root, ["perfbench/setup_probe.py", workload, str(seed), workdir])
+        return [_python_output(root, [*probe, workdir]) for _ in range(SETUP_PROBES)]
 
 
 def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> str:
@@ -95,7 +103,7 @@ def run_pairs(other: Path, workload: str, pairs: int, seed: int, seconds: float,
               run, out=print, parse=parse_result) -> list[dict]:
     """Per pair: its seed and each side's result, the order flipping each pair.
 
-    ``run`` returns one run's output and ``parse`` turns it into a result.
+    ``run`` returns one side's output in a pair and ``parse`` turns it into a result.
     """
     roots = {"this": ROOT, "other": other}
     rows = []
