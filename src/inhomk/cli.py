@@ -9,6 +9,7 @@ or input error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -333,8 +334,13 @@ def _check_model_options(args) -> None:
         parser.error("kfunc needs --beta or --fit, not both")
 
 
+# Built from module constants alone, on first use; parsing leaves it unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
+    """Run one command and return its exit code; the parser is built once per process."""
+    args, extra = _parser().parse_known_args(argv)
     if extra:
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     _check_model_options(args)

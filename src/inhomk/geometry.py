@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import isfinite
+from math import inf, isfinite, nextafter, sqrt
 from numbers import Integral, Real
 
 import numpy as np
@@ -183,6 +183,16 @@ def _cells_per_axis(side: float, rmax: float, dim: int, points: int, groups: int
     return max(1, int(min(side / rmax, cap)))
 
 
+def _radius_cut(rmax: float) -> float:
+    """The largest float whose ``sqrt`` is ``<= rmax``: a few steps from ``fl(rmax**2)``."""
+    cut = float(rmax) * float(rmax)
+    while sqrt(cut) > rmax:
+        cut = nextafter(cut, 0.0)
+    while cut < inf and sqrt(nextafter(cut, inf)) <= rmax:
+        cut = nextafter(cut, inf)
+    return cut
+
+
 def close_pairs(patterns, rmax: float) -> PairList:
     """Enumerate each unordered pair with ``0 < |x_i - x_j| <= rmax`` once.
 
@@ -196,10 +206,12 @@ def close_pairs(patterns, rmax: float) -> PairList:
     pair is visited once, and every other row whole. Candidate ``t`` lies in
     range ``seg[t] = cumsum(bincount(ends[:-1]))[t]`` of the ranges'
     cumulative ends, which gives its point and its offset, and coordinates are
-    gathered per column. Cells are ``side / ncells`` wide times the margin
-    ``1 + 2**-44 (ncells + 1)``: rounding in the cell index and in a float
-    distance moves a pair's index difference by under ``(ncells + 4) 2**-51``,
-    so a pair at float distance ``<= rmax`` never lies two cells apart along
+    gathered per column. A pair is kept when ``sqrt(dist2) <= rmax``, by one
+    threshold on ``dist2`` at most an ulp above ``fl(rmax**2)`` and at most
+    ``2**-52`` of it above ``rmax**2``. Cells are ``side / ncells`` wide times
+    the margin ``1 + 2**-44 (ncells + 1)``: rounding in the cell index and in
+    a float distance moves a pair's index difference by under
+    ``(ncells + 4) 2**-51``, so a kept pair never lies two cells apart along
     an axis. Face ``k`` moves by ``k`` margins of a cell, under 1e-10 of a
     cell up to 40 cells per axis. The set of pairs is
     independent of the cell layout (their order and orientation are not); a
@@ -269,6 +281,6 @@ def close_pairs(patterns, rmax: float) -> PairList:
     for k, col in enumerate(cols):
         np.subtract(col[pos_a], col[pos_b], out=disp[:, k])
     dist2 = np.einsum("ij,ij->i", disp, disp)
-    keep = np.flatnonzero((dist2 > 0.0) & (dist2 <= rmax * rmax))
+    keep = np.flatnonzero((dist2 > 0.0) & (dist2 <= _radius_cut(rmax)))
     i, j = order[pos_a[keep]], order[pos_b[keep]]
     return PairList(i, j, np.take(disp, keep, axis=0), np.sqrt(dist2[keep]))

@@ -4,7 +4,8 @@ Patterns are plain CSV with an ``x,y[,...]`` header and one point per line;
 the window travels in a JSON sidecar ``<file>.window.json`` (or is supplied
 explicitly on read). Covariate rasters are a one-line JSON header followed by
 CSV rows, one cell per line in row-major order. All numeric output uses 17
-significant digits so round trips are exact and diffs meaningful.
+significant digits (``'%.17g'``) so round trips are exact and diffs meaningful;
+the matrix writer gives the same text, formatting each distinct value once.
 """
 
 from __future__ import annotations
@@ -137,7 +138,13 @@ def write_curve_csv(path, curve: Curve, value_names=("khat",)) -> None:
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    _write_csv(path, np.atleast_2d(matrix))
+    """The text of :func:`_write_csv`, with each distinct value (keyed by its 64-bit
+    pattern: ``-0.0``, ``0.0`` and NaN payloads stay apart) formatted once."""
+    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+    keys, index = np.unique(matrix.view(np.uint64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in keys.view(float).tolist()], dtype=object)
+    rows = text[index.reshape(matrix.shape)].tolist()
+    Path(path).write_text("".join([",".join(row) + "\n" for row in rows]))
 
 
 def read_matrix_csv(path) -> np.ndarray:

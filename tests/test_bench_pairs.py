@@ -233,3 +233,50 @@ def test_raw_medians_are_summarized_without_a_verdict(monkeypatch, tmp_path, cap
     assert [line.split(":")[0] for line in lines if line.startswith("verdict")] == [
         "verdict wall_norm", "verdict setup_s"
     ]
+
+
+def traced_output(metrics):
+    # The tail of a traced perfbench/run.py run: per-layer lines, then its JSON result.
+    result = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {name: {"value": v, "unit": "s"} for name, v in metrics.items()}}
+    lines = "".join(f"{name} = {v!r} s\n" for name, v in metrics.items())
+    return (f"environment {{}}\n3 traced calls, spans in .bench_out/trace.json\n{lines}"
+            f"ops_failed_ratio = 0/4\n{json.dumps(result)}\n")
+
+
+def test_trace_option_summarizes_per_layer_metrics_without_verdict(monkeypatch, tmp_path, capsys):
+    tool = _load_tool()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    io_s = {"this": [0.0036, 0.0035, 0.0037], "other": [0.0075, 0.0074, 0.0076]}
+    calls = []
+
+    def fake_output(root, args):
+        side = "this" if root == tool.ROOT else "other"
+        calls.append((side, args))
+        seed = int(args[args.index("--seed") + 1])
+        return traced_output({"io.s": io_s[side][seed - 3], "qmc.points": 593536})
+
+    monkeypatch.setattr(tool, "_python_output", fake_output)
+    argv = [str(tmp_path), "--workload", "cov-grid50", "--pairs", "3", "--seed", "3"]
+    assert tool.main(argv + ["--trace", "--seconds", "5"]) == 0
+    assert [side for side, _ in calls] == ["this", "other", "other", "this", "this", "other"]
+    assert {tuple(args[:3] + args[5:]) for _, args in calls} == {
+        ("perfbench/run.py", "--workload", "cov-grid50", "--seconds", "5.0", "--trace", "1")
+    }
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "pair 1 seed 3 this: io.s=0.0036 qmc.points=593536 failed=0"
+    assert lines[6:] == [
+        "io.s this: median 0.0036 quartiles [0.00355, 0.00365] lower in 3/3 pairs",
+        "io.s other: median 0.0075 quartiles [0.00745, 0.00755] lower in 0/3 pairs",
+        "qmc.points this: median 593536 quartiles [593536, 593536] lower in 0/3 pairs",
+        "qmc.points other: median 593536 quartiles [593536, 593536] lower in 0/3 pairs",
+    ]
+    # untraced pairs still run with --trace 0; one mode at a time
+    calls.clear()
+    monkeypatch.setattr(tool, "_python_output", lambda root, args: calls.append(args)
+                        or canned(0.1, 0.2))
+    assert tool.main(argv) == 0
+    assert {tuple(args[-2:]) for args in calls} == {("--trace", "0")}
+    with pytest.raises(SystemExit):
+        tool.main(argv + ["--trace", "--setup"])

@@ -31,16 +31,13 @@ from inhomk.study import StudyConfig
 
 
 def brute_force_pairs(points, rmax):
-    """O(n^2) oracle: all ordered pairs with 0 < dist <= rmax."""
-    diff = points[:, None, :] - points[None, :, :]
-    d2 = np.sum(diff * diff, axis=-1)
-    n = len(points)
-    out = set()
-    for i in range(n):
-        for j in range(n):
-            if i != j and 0.0 < d2[i, j] <= rmax * rmax:
-                out.add((i, j))
-    return out
+    """O(n^2) oracle: all ordered pairs with 0 < dist <= rmax, where dist is the
+    float distance ``sqrt(dist2)`` and dist2 the einsum norm, as the scan computes them."""
+    n, dim = points.shape
+    diff = (points[:, None, :] - points[None, :, :]).reshape(-1, dim)
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff)).reshape(n, n)
+    i, j = np.nonzero((dist > 0.0) & (dist <= rmax))
+    return set(zip(i.tolist(), j.tolist()))
 
 
 def assert_pair_arithmetic(pairs, points):
@@ -546,13 +543,13 @@ def test_pair_order_matches_reference_scan(data):
 
 
 def farthest_partner(a, rmax):
-    """The largest float ``b`` with ``(b - a)**2 <= rmax**2`` in float arithmetic."""
+    """The largest float ``b`` at float distance ``sqrt((b - a)**2) <= rmax`` from ``a``."""
     lo, hi = a, a + 2.0 * rmax
     while True:
         mid = lo + (hi - lo) / 2.0
         if mid in (lo, hi):
             return lo
-        if (mid - a) ** 2 <= rmax * rmax:
+        if np.sqrt((mid - a) ** 2) <= rmax:
             lo = mid
         else:
             hi = mid
@@ -600,6 +597,77 @@ def test_pairs_straddling_cell_faces_match_brute_force(data):
     pairs = close_pairs(PointPattern(Window(dim, side), pts), rmax)
     assert mirrored(pairs) == brute_force_pairs(pts, rmax)
     assert (0, 1) in mirrored(pairs)
+
+
+def test_pair_at_float_distance_rmax_counts_on_every_grid():
+    # dist2 = 0.0004000000000000001 is an ulp above fl(0.02**2), yet its sqrt
+    # is 0.02: the pair is within 0.02, whichever radius the grid ends at.
+    pat = PointPattern(Window(2, 1.0), [[0.013, 0.05], [0.025, 0.066]])
+    pairs = close_pairs(pat, 0.02)
+    assert pairs.dist.tolist() == [0.02] and (pairs.disp**2).sum() > 0.02 * 0.02
+    unit = ConstantIntensity(1.0)
+    short = k_hat(pat, unit, RadiusGrid.uniform(0.02, 4)).values
+    long = k_hat(pat, unit, RadiusGrid.uniform(0.04, 8)).values
+    assert short[3] == long[3] > 2.0
+
+
+# Integer vectors with integer norms (scaled Pythagorean triples), per dimension.
+INTEGER_NORMS = {
+    1: [((1,), 1)],
+    2: [((3, 4), 5), ((5, 12), 13), ((8, 15), 17), ((7, 24), 25), ((20, 21), 29),
+        ((12, 35), 37), ((9, 40), 41)],
+    3: [((1, 2, 2), 3), ((2, 3, 6), 7), ((1, 4, 8), 9), ((4, 4, 7), 9), ((2, 6, 9), 11),
+        ((6, 6, 7), 11)],
+}
+
+
+def pairs_at_rmax(rng, dim, side, rmax, count, nudge):
+    """``count`` pairs whose displacement is an integer-norm vector scaled to
+    length ``rmax``, in random orientation, each partner coordinate then moved
+    by up to ``nudge`` ulps: their dist2 lands on and around fl(rmax**2)."""
+    pts = []
+    for _ in range(count):
+        vector, norm = INTEGER_NORMS[dim][rng.integers(len(INTEGER_NORMS[dim]))]
+        step = rng.permutation(vector) * rng.choice((-1.0, 1.0), dim) * (rmax / norm)
+        a = rng.uniform(-side / 2 + rmax, side / 2 - rmax, dim)
+        b = a + step
+        for _ in range(nudge):
+            b = np.nextafter(b, b + rng.choice((-1.0, 0.0, 1.0), dim))
+        pts += [a, b]
+    return np.unique(np.array(pts), axis=0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pairs_at_rmax_follow_the_float_distance_rule(data):
+    # Dimension and sizes come from the seed: hypothesis would favor dim 1.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dim = int(rng.integers(1, 4))
+    side = data.draw(st.floats(0.5, 4.0))
+    rmax = data.draw(st.floats(0.001, 0.4)) * side / 2
+    pts = pairs_at_rmax(rng, dim, side, rmax, int(rng.integers(1, 40)), int(rng.integers(0, 3)))
+    pairs = close_pairs(PointPattern(Window(dim, side), pts), rmax)
+    assert mirrored(pairs) == brute_force_pairs(pts, rmax)
+    assert_pair_arithmetic(pairs, pts)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pairs_above_rounded_rmax_squared_are_kept(dim):
+    # dist2 one ulp above fl(rmax**2) whose sqrt is rmax: the rule's edge, which
+    # the construction above reaches from two dimensions on (in one, fl(d**2) is
+    # monotone in |d|, so dist2 <= fl(rmax**2) is already dist <= rmax).
+    rng = np.random.default_rng(dim)
+    found = 0
+    for rmax in rng.uniform(0.001, 0.2, 150):
+        pts = pairs_at_rmax(rng, dim, 1.0, rmax, 20, 1)
+        pairs = close_pairs(PointPattern(Window(dim, 1.0), pts), rmax)
+        diff = (pts[:, None, :] - pts[None, :, :]).reshape(-1, dim)
+        dist2 = np.einsum("ij,ij->i", diff, diff)
+        edge = (dist2 > rmax * rmax) & (np.sqrt(dist2) <= rmax)
+        found += int(edge.sum())
+        assert (pairs.dist <= rmax).all()
+        assert mirrored(pairs) == brute_force_pairs(pts, rmax)
+    assert found > 0
 
 
 class Ramp:

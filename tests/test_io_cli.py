@@ -7,6 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from inhomk import cli
+from inhomk.asymcov import (
+    POISSON_DENSITIES,
+    QuadratureConfig,
+    compose_lim_cov,
+    h_limit_constant,
+    sigma_blocks_constant,
+)
 from inhomk.cli import _MODEL_OPTIONS, _check_model_options, build_parser, main
 from inhomk.geometry import PointPattern, Window
 from inhomk.intensity import CovariateField, FitResult, LogLinearIntensity, fit_loglinear
@@ -21,6 +29,7 @@ from inhomk.io import (
     write_pattern_csv,
 )
 from inhomk.kstat import Curve, RadiusGrid, h_matrix, k_hat
+from inhomk.limitlaw import critical_value, simulate_sup
 from inhomk.simulate import simulate_poisson, simulate_poisson_inhom
 from inhomk.study import StudyConfig, rejection_study
 
@@ -196,6 +205,94 @@ def test_every_writer_writes_savetxt_text(tmp_path):
     assert path.read_bytes() == _savetxt_bytes(tmp_path, rows, "r,a,b")
     write_matrix_csv(path, np.array(EDGE_VALUES))
     assert path.read_bytes() == _savetxt_bytes(tmp_path, np.array([EDGE_VALUES]))
+
+
+# NaNs of either sign, quiet and signaling, with and without a payload.
+NAN_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF4000000000123]
+MATRIX_VALUES = [0.0, -0.0, np.inf, -np.inf, 5e-324, -2.0e-310, 1e308, -1e308, 0.1,
+                 -1.0 / 3.0, *np.array(NAN_BITS, dtype=np.uint64).view(float).tolist()]
+
+
+def per_row_text(matrix):
+    """The reference text: every entry formatted with '%.17g' in place, row by row."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in matrix.tolist())
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (5, 3), (4, 4), (6, 6)])
+def test_matrix_text_is_the_per_row_text(tmp_path, shape):
+    # Square matrices are mirrored, so every off-diagonal value repeats; each
+    # matrix from 2x2 on holds -0.0 and 0.0, and NaNs of both signs.
+    path = tmp_path / "m.csv"
+    rows, cols = shape
+    for start in range(len(MATRIX_VALUES)):
+        matrix = np.resize(np.roll(np.array(MATRIX_VALUES), -start), shape)
+        if rows == cols:
+            matrix = np.where(np.tri(rows, dtype=bool), matrix, matrix.T)
+        write_matrix_csv(path, matrix)
+        assert path.read_text() == per_row_text(matrix)
+        back = read_matrix_csv(path)
+        np.testing.assert_array_equal(back, matrix)
+        assert (np.signbit(back) == np.signbit(matrix))[~np.isnan(matrix)].all()
+
+
+def test_cli_crit_reads_cov_c_tilde_to_the_same_critical_value(tmp_path, capsys):
+    prefix = tmp_path / "blocks"
+    assert main(["cov", "--beta", "180", "--grid", "8", "-o", str(prefix)]) == 0
+    grid = RadiusGrid.uniform(0.05, 8)
+    blocks = sigma_blocks_constant(POISSON_DENSITIES, 180.0, grid, QuadratureConfig(), dim=2)
+    c_tilde = compose_lim_cov(h_limit_constant(blocks), blocks).matrix
+    np.testing.assert_array_equal(read_matrix_csv(f"{prefix}.c_tilde.csv"), c_tilde)
+    out = tmp_path / "crit.json"
+    assert main(["crit", "--cov", f"{prefix}.c_tilde.csv", "--grid", "8", "--M", "2000",
+                 "--seed", "5", "-o", str(out)]) == 0
+    want = critical_value(simulate_sup(c_tilde, 2000, 5), 0.05)
+    assert json.loads(out.read_text())["critical_value"] == want
+
+
+def run_commands(argvs, capsys):
+    """Exit code (a usage error's SystemExit code), stdout and stderr of each argv, in turn."""
+    seen = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        seen.append((code, *capsys.readouterr()))
+    return seen
+
+
+def test_cli_one_parser_per_process_reads_like_fresh_parsers(tmp_path, monkeypatch, capsys):
+    # The same command lines, with relative paths, run in two directories: once
+    # through the one parser of the process, once with a new build_parser()
+    # per call. simulate fills in --rho and crit's closed form --rho and
+    # --mode (_check_model_options); kfunc reads parser defaults.
+    argvs = [
+        ["cov", "--beta", "190", "--grid", "6", "-o", "blocks"],
+        ["crit", "--cov", "blocks.c_tilde.csv", "--grid", "6", "--M", "1000", "--seed", "2",
+         "-o", "crit.json"],
+        ["crit", "--cov", "blocks.c_tilde.csv", "--grid", "6", "--rho", "5", "--seed", "2"],
+        ["simulate", "--model", "poisson", "--side", "1", "--seed", "3", "-o", "pat.csv"],
+        ["kfunc", "pat.csv", "--fit", "--grid", "6", "-o", "k.csv"],
+        ["crit", "--grid", "6", "--M", "1000", "--seed", "2"],
+        ["cov", "--beta", "210", "--grid", "6", "-o", "again"],
+    ]
+    runs = {}
+    for name in ("reused", "fresh"):
+        (tmp_path / name).mkdir()
+        with monkeypatch.context() as m:
+            m.chdir(tmp_path / name)
+            if name == "reused":
+                cli._parser.cache_clear()
+            else:
+                m.setattr(cli, "_parser", build_parser)
+            runs[name] = run_commands(argvs, capsys)
+        if name == "reused":
+            assert cli._parser.cache_info().misses == 1 and cli._parser() is cli._parser()
+    assert [code for code, _, _ in runs["reused"]] == [0, 0, 2, 0, 0, 0, 0]
+    assert "crit with --cov does not read --rho" in runs["reused"][2][2]
+    assert runs["reused"] == runs["fresh"]
+    files = {name: {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()} for name in runs}
+    assert len(files["reused"]) == 16 and files["reused"] == files["fresh"]
 
 
 def test_cli_simulate_gof_reproducible(tmp_path, capsys):

@@ -5,6 +5,7 @@ Usage (from the repository root):
     python3 tools/bench_pairs.py OTHER --workload inhom-analysis [--pairs 8]
         [--seed 500] [--seconds 20]
     python3 tools/bench_pairs.py OTHER --workload inhom-analysis --setup [--pairs 12]
+    python3 tools/bench_pairs.py OTHER --workload cov-grid50 --trace [--pairs 10]
 
 OTHER is the root of a second checkout, for example the parent commit
 unpacked with ``git archive``. Pair ``i`` runs
@@ -28,8 +29,13 @@ inhomk and building the workload's inputs, in a new temporary DIR) in each
 checkout, in the same alternating order, as many times as run.py's
 ``SETUP_PROBES``, and summarizes the median of those probes as ``setup_s``,
 the same statistic that a benchmark run reports. That is the import-bound
-metric, whose spread is wide, so it gets its own, cheaper pairs. Standard
-library only.
+metric, whose spread is wide, so it gets its own, cheaper pairs.
+
+``--trace`` runs each side with ``--trace 1`` instead, and summarizes every
+per-layer metric that the traced runs report (self seconds and counts per
+layer, as in BENCHMARK.json's ``per_layer``) the same way, median, quartiles
+and pairs lower, so a change's saving can be placed in a layer. It prints no
+verdict: per-layer metrics carry no bound. Standard library only.
 """
 
 from __future__ import annotations
@@ -94,9 +100,13 @@ def run_setup_probe(root: Path, workload: str, seed: int, _seconds: float) -> li
         return [_python_output(root, [*probe, workdir]) for _ in range(SETUP_PROBES)]
 
 
-def run_benchmark(root: Path, workload: str, seed: int, seconds: float) -> str:
+def run_benchmark(root: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> str:
     return _python_output(root, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
-                                 "--seconds", str(seconds), "--trace", "0"])
+                                 "--seconds", str(seconds), "--trace", str(trace)])
+
+
+def run_traced(root: Path, workload: str, seed: int, seconds: float) -> str:
+    return run_benchmark(root, workload, seed, seconds, trace=1)
 
 
 def run_pairs(other: Path, workload: str, pairs: int, seed: int, seconds: float,
@@ -190,12 +200,18 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=8)
     parser.add_argument("--seed", type=int, default=500)
     parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--setup", action="store_true",
-                        help="run set-up probes instead of benchmark runs")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--setup", action="store_true",
+                      help="run set-up probes instead of benchmark runs")
+    mode.add_argument("--trace", action="store_true",
+                      help="run traced benchmarks and summarize their per-layer metrics")
     args = parser.parse_args(argv)
     if args.pairs < 1 or not (args.other / "perfbench" / "run.py").is_file():
         parser.error("need at least one pair and a checkout with perfbench/run.py")
-    run, parse = (run_setup_probe, parse_setup) if args.setup else (run_benchmark, parse_result)
+    if args.setup:
+        run, parse = run_setup_probe, parse_setup
+    else:
+        run, parse = (run_traced if args.trace else run_benchmark), parse_result
     try:
         rows = run_pairs(args.other.resolve(), args.workload, args.pairs, args.seed,
                          args.seconds, run, parse=parse)
@@ -203,7 +219,7 @@ def main(argv=None) -> int:
         print(f"bench_pairs: {err}", file=sys.stderr)
         return 1
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    print("\n".join(summarize(rows) + verdicts(rows, end_to_end)))
+    print("\n".join(summarize(rows) + ([] if args.trace else verdicts(rows, end_to_end))))
     return 0 if all(row[side]["failed"] == 0 for row in rows for side in SIDES) else 1
 
 
