@@ -9,15 +9,16 @@ smaller than the search radius, plus a margin) in a narrow unsigned dtype; a
 stable sort (radix, for 16-bit keys) and a bincount give a cell-start table
 whose ranges are each point's forward neighbor rows, ``scan_rows(d)`` per
 point; one segment index maps every candidate to its range, and coordinates
-are gathered column by column. No pair crosses two patterns, and each
-unordered pair is returned once, in no particular order.
+are gathered column by column. A pair is within the radius when its float
+distance, the ``sqrt`` of its squared distance, is at most the radius; no pair
+crosses two patterns, and each unordered pair is returned once, in no order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import inf, isfinite, nextafter, sqrt
+from math import isfinite
 from numbers import Integral, Real
 
 import numpy as np
@@ -183,16 +184,6 @@ def _cells_per_axis(side: float, rmax: float, dim: int, points: int, groups: int
     return max(1, int(min(side / rmax, cap)))
 
 
-def _radius_cut(rmax: float) -> float:
-    """The largest float whose ``sqrt`` is ``<= rmax``: a few steps from ``fl(rmax**2)``."""
-    cut = float(rmax) * float(rmax)
-    while sqrt(cut) > rmax:
-        cut = nextafter(cut, 0.0)
-    while cut < inf and sqrt(nextafter(cut, inf)) <= rmax:
-        cut = nextafter(cut, inf)
-    return cut
-
-
 def close_pairs(patterns, rmax: float) -> PairList:
     """Enumerate each unordered pair with ``0 < |x_i - x_j| <= rmax`` once.
 
@@ -206,21 +197,21 @@ def close_pairs(patterns, rmax: float) -> PairList:
     pair is visited once, and every other row whole. Candidate ``t`` lies in
     range ``seg[t] = cumsum(bincount(ends[:-1]))[t]`` of the ranges'
     cumulative ends, which gives its point and its offset, and coordinates are
-    gathered per column. A pair is kept when ``sqrt(dist2) <= rmax``, by one
-    threshold on ``dist2`` at most an ulp above ``fl(rmax**2)`` and at most
-    ``2**-52`` of it above ``rmax**2``. Cells are ``side / ncells`` wide times
-    the margin ``1 + 2**-44 (ncells + 1)``: rounding in the cell index and in
-    a float distance moves a pair's index difference by under
-    ``(ncells + 4) 2**-51``, so a kept pair never lies two cells apart along
-    an axis. Face ``k`` moves by ``k`` margins of a cell, under 1e-10 of a
-    cell up to 40 cells per axis. The set of pairs is
-    independent of the cell layout (their order and orientation are not); a
-    radius larger than the window simply means fewer cells. A dimension above
-    ``MAX_SCAN_DIM`` (12) raises ``ValueError`` before any table is built; up
-    to it, memory grows linearly with the batch's points and patterns: the
-    cell table holds four entries per point, or 3^d per pattern where one
-    cell per axis already needs more, and with one cell per axis a point
-    reads only its own row.
+    gathered per column. A pair is kept when its float distance ``dist =
+    sqrt(dist2)`` (``dist2`` its einsum norm) has ``0 < dist <= rmax``, the rule
+    of K's radius bins; ``sqrt`` rounds by at most half an ulp, so the exact
+    ``sqrt(dist2)`` of a kept pair is under ``rmax (1 + 2**-53)``. Cells are
+    ``side / ncells`` wide times the margin ``1 + 2**-44 (ncells + 1)``: rounding
+    in the cell index and in a float distance moves a pair's index difference by
+    under ``(ncells + 4) 2**-51``, so a kept pair never lies two cells apart along
+    an axis. Face ``k`` moves by ``k`` margins of a cell, under 1e-10 of a cell up
+    to 40 cells per axis. The set of pairs is independent of the cell layout
+    (their order and orientation are not); a radius larger than the window
+    simply means fewer cells. A dimension above ``MAX_SCAN_DIM`` (12) raises
+    ``ValueError`` before any table is built; up to it, memory grows linearly
+    with the batch's points and patterns: the cell table holds four entries per
+    point, or 3^d per pattern where one cell per axis already needs more, and
+    with one cell per axis a point reads only its own row.
     """
     batch = [patterns] if isinstance(patterns, PointPattern) else list(patterns)
     if not rmax > 0:
@@ -280,7 +271,7 @@ def close_pairs(patterns, rmax: float) -> PairList:
     disp = np.empty((len(pos_a), d))
     for k, col in enumerate(cols):
         np.subtract(col[pos_a], col[pos_b], out=disp[:, k])
-    dist2 = np.einsum("ij,ij->i", disp, disp)
-    keep = np.flatnonzero((dist2 > 0.0) & (dist2 <= _radius_cut(rmax)))
+    dist = np.sqrt(np.einsum("ij,ij->i", disp, disp))
+    keep = np.flatnonzero((dist > 0.0) & (dist <= rmax))
     i, j = order[pos_a[keep]], order[pos_b[keep]]
-    return PairList(i, j, np.take(disp, keep, axis=0), np.sqrt(dist2[keep]))
+    return PairList(i, j, np.take(disp, keep, axis=0), dist[keep])

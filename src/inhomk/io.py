@@ -4,8 +4,8 @@ Patterns are plain CSV with an ``x,y[,...]`` header and one point per line;
 the window travels in a JSON sidecar ``<file>.window.json`` (or is supplied
 explicitly on read). Covariate rasters are a one-line JSON header followed by
 CSV rows, one cell per line in row-major order. All numeric output uses 17
-significant digits (``'%.17g'``) so round trips are exact and diffs meaningful;
-the matrix writer gives the same text, formatting each distinct value once.
+significant digits (``'%.17g'``) so round trips are exact and diffs meaningful,
+through one writer that formats each distinct value once.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ _AXIS_NAMES = ("x", "y", "z")
 
 
 def _write_csv(path, rows, header: str = "") -> None:
-    # np.savetxt's text for a 2-D array (17 significant digits, the header line
-    # if any first), one format per row and one write. One format of all the
-    # values is no faster, and over many calls it grew the peak RSS.
-    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
-    text = "".join([line % tuple(row) for row in rows.tolist()])
-    Path(path).write_text(header + "\n" + text if header else text)
+    # np.savetxt's text for a 2-D array, the header line if any first. Each distinct value,
+    # keyed by its 64-bit pattern (-0.0, 0.0 and NaN payloads apart), is formatted once.
+    keys, index = np.unique(rows.view(np.uint64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in keys.view(float).tolist()], dtype=object)
+    lines = "".join([",".join(row) + "\n" for row in text[index.reshape(rows.shape)].tolist()])
+    Path(path).write_text(header + "\n" + lines if header else lines)
 
 
 def _parse_rows(lines, message: str) -> np.ndarray:
@@ -138,15 +138,12 @@ def write_curve_csv(path, curve: Curve, value_names=("khat",)) -> None:
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    """The text of :func:`_write_csv`, with each distinct value (keyed by its 64-bit
-    pattern: ``-0.0``, ``0.0`` and NaN payloads stay apart) formatted once."""
-    matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    keys, index = np.unique(matrix.view(np.uint64), return_inverse=True)
-    text = np.array(["%.17g" % v for v in keys.view(float).tolist()], dtype=object)
-    rows = text[index.reshape(matrix.shape)].tolist()
-    Path(path).write_text("".join([",".join(row) + "\n" for row in rows]))
+    _write_csv(path, np.atleast_2d(np.asarray(matrix, dtype=float)))
 
 
 def read_matrix_csv(path) -> np.ndarray:
     path = Path(path)
-    return _parse_rows(path.read_text().strip().splitlines(), f"{path}: malformed matrix CSV")
+    text = path.read_text().strip().splitlines()
+    if not text:
+        raise ValueError(f"{path}: empty matrix CSV")
+    return _parse_rows(text, f"{path}: malformed matrix CSV")

@@ -4,15 +4,15 @@ The estimator sums, over ordered point pairs within distance r, the
 translation edge correction divided by the product of intensities at the two
 points. The summand is symmetric, so each unordered pair is enumerated once at
 the largest grid radius and counted twice. One accumulator serves every
-statistic: pair contributions are summed per radius bin (the first grid
-radius at or above the pair distance) and all grid values are read off twice
-the cumulative sum over bins; a batch of patterns shares one pair scan and
-keys its bins by pattern too. A bin is ``floor(dist * m / rmax)`` (exact on
-the even grid up to rounding) moved one place at a time toward the first
-radius at or above its distance until none moves, so it equals
-``searchsorted(side="left")`` on every grid ``RadiusGrid`` accepts, with the
-dropped bin ``m`` from one ulp above ``rmax``. The H matrix uses the same pair
-weights times the summed log-intensity gradients of the pair.
+statistic: pair contributions are summed per radius bin (the first grid radius
+at or above the pair distance) and all grid values are read off twice the
+cumulative sum over bins; a batch of patterns shares one pair scan and keys its
+bins by pattern too. A bin is ``floor(dist * m / rmax)`` (exact on the even
+grid up to rounding) moved one place at a time toward the first radius at or
+above its distance until none moves, so it equals ``searchsorted(side="left")``
+on every grid ``RadiusGrid`` accepts. ``k_hat`` never reaches the dropped bin
+``m``, one ulp above ``rmax`` on, because the scan keeps ``dist <= rmax``. The H
+matrix uses the same pair weights times the summed log-intensity gradients.
 
 Grids exclude r = 0 (the limit covariance degenerates there). Statistics are
 evaluated on the grid rather than the continuum; between grid points the

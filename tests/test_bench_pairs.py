@@ -78,6 +78,19 @@ def test_failed_call_sets_exit_status(monkeypatch, tmp_path, capsys):
     assert tool.main([str(tmp_path), "--workload", "cov-grid50", "--pairs", "1"]) == 0
 
 
+def test_default_is_ten_pairs(monkeypatch, tmp_path, capsys):
+    # Ten pairs, the count that the 9-in-10 gain rule reads.
+    tool = _load_tool()
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    seeds = []
+    monkeypatch.setattr(tool, "run_benchmark",
+                        lambda root, workload, seed, seconds: seeds.append(seed) or canned(0.1, 0.2))
+    assert tool.main([str(tmp_path), "--workload", "cov-grid50"]) == 0
+    assert seeds == [seed for seed in range(500, 510) for _ in tool.SIDES]
+    assert "lower in 0/10 pairs" in capsys.readouterr().out
+
+
 def test_setup_pairs_alternate_probes_and_summarize_setup_s():
     tool = _load_tool()
     other = Path("/elsewhere")

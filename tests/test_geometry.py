@@ -211,6 +211,21 @@ def test_pattern_rejects_outside_points():
         PointPattern(Window(2, 1.0), [[0.6, 0.0]])
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("side", [1.0, 0.7, 2.0 / 3.0, 5e-3])
+def test_pattern_accepts_window_faces_and_refuses_one_ulp_beyond(dim, side):
+    # Every corner lies on a face of each axis: side / 2 is in, one ulp out is not.
+    window, half = Window(dim, side), side / 2.0
+    corners = np.array(list(product((-half, half), repeat=dim)))
+    np.testing.assert_array_equal(PointPattern(window, corners).points, corners)
+    for corner in corners:
+        for axis in range(dim):
+            beyond = corner.copy()
+            beyond[axis] = np.nextafter(corner[axis], np.copysign(np.inf, corner[axis]))
+            with pytest.raises(ValueError, match="outside"):
+                PointPattern(window, [beyond])
+
+
 def test_pattern_rejects_non_finite_points():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
@@ -678,6 +693,48 @@ class Ramp:
 
     def value(self, points):
         return 1.5 + points[:, 0] / self.side
+
+
+def brute_force_k(points, window, model, grid):
+    """O(n^2) K: per grid radius r, the translation weights over intensity products
+    summed over ordered pairs with ``0 < sqrt(dist2) <= r``, dist2 the einsum norm."""
+    diff = (points[:, None, :] - points[None, :, :]).reshape(-1, points.shape[1])
+    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    near = (dist > 0.0) & (dist <= grid.rmax)
+    rho = model.value(points)
+    weight = 1.0 / (overlap_volume(window, diff[near]) * np.outer(rho, rho).ravel()[near])
+    return np.array([weight[dist[near] <= r].sum() for r in grid.values])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_k_counts_pairs_at_every_grid_radius(data):
+    # Pairs at float distance on and around an interior grid radius r_k, which
+    # the uniform grid computes as rmax * k / m: each counts from r_k on iff its
+    # float distance is at most r_k. Dimension and sizes come from the seed.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    dim = int(rng.integers(1, 4))
+    side = data.draw(st.floats(0.5, 4.0))
+    grid = RadiusGrid.uniform(data.draw(st.floats(0.001, 0.4)) * side / 2, int(rng.integers(2, 60)))
+    radius = float(grid.values[rng.integers(grid.m - 1)])
+    pts = pairs_at_rmax(rng, dim, side, radius, int(rng.integers(1, 40)), int(rng.integers(0, 3)))
+    window, model = Window(dim, side), Ramp(side)
+    np.testing.assert_allclose(k_hat(PointPattern(window, pts), model, grid).values,
+                               brute_force_k(pts, window, model, grid), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7])
+@pytest.mark.parametrize("dim, cells", [(1, 40), (2, 12), (3, 6)])
+def test_k_hat_on_a_lattice_with_points_on_every_face(dim, cells, side):
+    # linspace puts the end nodes exactly on the faces; lattice distances
+    # (step times the root of an integer) meet grid radii within ulps.
+    half = side / 2.0
+    pts = np.array(list(product(np.linspace(-half, half, cells + 1), repeat=dim)))
+    assert (pts == -half).any(axis=0).all() and (pts == half).any(axis=0).all()
+    window, model = Window(dim, side), Ramp(side)
+    grid = RadiusGrid.uniform(3.0 * side / cells, 6)
+    np.testing.assert_allclose(k_hat(PointPattern(window, pts), model, grid).values,
+                               brute_force_k(pts, window, model, grid), rtol=1e-12, atol=0.0)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

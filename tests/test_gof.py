@@ -1,5 +1,5 @@
 import warnings
-from math import gamma, pi, sqrt
+from math import erfc, gamma, pi, sqrt
 
 import numpy as np
 import pytest
@@ -128,6 +128,66 @@ def test_estimated_critical_approaches_brownian_sup_law():
     assert all(ratios[50, dim] >= 0.92 for dim in (1, 2, 3)), ratios
     mean = {m: np.mean([ratios[m, dim] for dim in (1, 2, 3)]) for m in (50, 200)}
     assert mean[200] > mean[50], ratios
+
+
+_erfc = np.vectorize(erfc)
+
+
+def log_strip_mass(a, b):
+    """``log(Phi(a) - Phi(b))`` for ``a > b``, from the lower tails: ``Phi(a) - Phi(b)``
+    is ``Phi(-b) - Phi(-a)``, so both arguments are flipped where ``b > 0``."""
+    flip = b > 0
+    a, b = np.where(flip, -b, a), np.where(flip, -a, b)
+    with np.errstate(divide="ignore"):
+        return np.log(0.5 * _erfc(-a / sqrt(2.0)) - 0.5 * _erfc(-b / sqrt(2.0)))
+
+
+def drifted_sup_quantile(alpha, lam):
+    """The ``u`` with ``P(sup_{s <= 1} |W_s + lam Z s| < u) = 1 - alpha``, by bisection.
+
+    ``W`` is a Brownian motion and ``Z`` an independent N(0, 1). Given
+    ``nu = lam Z``, the strip's images under the Girsanov tilt give
+    ``sum_k (-1)^k e^(2 k u nu) [Phi(u - 2ku - nu) - Phi(-u - 2ku - nu)]`` over
+    ``|k| <= 6``, each term in log space; a node with ``|nu| > u + 9`` counts 0.
+    The average over ``Z`` is 96-node Gauss-Hermite.
+    """
+    z, weights = np.polynomial.hermite_e.hermegauss(96)
+    weights = weights / sqrt(2.0 * pi)
+    k = np.arange(-6, 7)[:, None]
+    nu = lam * z
+
+    def cdf(u):
+        a = u - 2.0 * k * u - nu
+        terms = (-1.0) ** k * np.exp(2.0 * k * u * nu + log_strip_mass(a, a - 2.0 * u))
+        return weights @ np.where(np.abs(nu) <= u + 9.0, terms.sum(axis=0), 0.0)
+
+    lo, hi = 1e-3, 10.0 + 5.0 * lam
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if cdf(mid) < 1.0 - alpha else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_known_critical_approaches_drifted_sup_law():
+    # Under the Poisson null the known-mode limit is (sqrt(2)/rho) B(t) +
+    # (2/sqrt(rho)) t Z at t = K(r) <= T = K(R): over T, (sqrt(2T)/rho)(W_s +
+    # lam Z s) with lam = sqrt(2 rho T), whose sup law the series gives. With no
+    # drift it is the estimated-mode law. Bounds fixed in advance, seed not searched.
+    alpha, R, sample_size, seed = 0.05, 0.05, 20_000, 4
+    ratios = {}
+    for dim in (1, 2, 3):
+        T = pi ** (dim / 2) / gamma(dim / 2 + 1) * R**dim
+        exact = sqrt(2.0) * brownian_sup_quantile(alpha, T)
+        assert drifted_sup_quantile(alpha, 0.0) * sqrt(2.0 * T) == pytest.approx(exact, rel=1e-6)
+        closed = {rho: drifted_sup_quantile(alpha, sqrt(2.0 * rho * T)) * sqrt(2.0 * T) / rho
+                  for rho in (50.0, 200.0, 800.0)}
+        for m in (50, 200):
+            tables = PoissonNullTables(RadiusGrid.uniform(R, m), sample_size, seed, dim)
+            for rho, critical in closed.items():
+                ratios[m, dim, rho] = tables.known_critical(alpha, rho) / critical
+    assert all(ratio <= 1.01 for ratio in ratios.values()), ratios
+    assert all(ratio >= 0.94 for (m, *_), ratio in ratios.items() if m == 200), ratios
+    assert all(ratio >= 0.92 for (m, *_), ratio in ratios.items() if m == 50), ratios
 
 
 def test_gof_known_table_agrees_with_general_path():

@@ -180,6 +180,25 @@ def test_covariate_field_lookup():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("side", [1.0, 0.7, 2.0 / 3.0])
+@pytest.mark.parametrize("resolution", [1, 3, 7])
+def test_covariate_field_at_window_faces_returns_edge_cells(dim, side, resolution):
+    # The face and one ulp inside it, on each axis, read the first or last cell.
+    window = Window(dim, side)
+    values = np.arange(resolution**dim, dtype=float).reshape((resolution,) * dim + (1,))
+    field = CovariateField(window, values)
+    half = side / 2.0
+    for axis in range(dim):
+        for face, cell in ((-half, 0), (half, resolution - 1)):
+            for coord in (face, np.nextafter(face, 0.0)):
+                point = np.zeros(dim)
+                point[axis] = coord
+                index = [resolution // 2] * dim
+                index[axis] = cell
+                assert field.at(point[None, :])[0, 0] == values[tuple(index)][0]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cl_score_empty_pattern_is_minus_integral(dim):
     window = Window(dim, 1.5)
     field = CovariateField(window, np.random.default_rng(dim).normal(size=(3,) * dim + (2,)))

@@ -2,6 +2,7 @@ import argparse
 import json
 import shlex
 import warnings
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,20 @@ def test_empty_pattern_round_trip(tmp_path):
     assert len(read_pattern_csv(path)) == 0
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("side", [1.0, 0.7, 2.0 / 3.0])
+def test_pattern_round_trip_on_window_faces(tmp_path, dim, side):
+    # The corners and the points one ulp inside them, on every axis, bit for bit.
+    half = side / 2.0
+    corners = np.array(list(product((-half, half), repeat=dim)))
+    pattern = PointPattern(Window(dim, side), np.concatenate([corners, np.nextafter(corners, 0.0)]))
+    path = tmp_path / "faces.csv"
+    write_pattern_csv(path, pattern)
+    back = read_pattern_csv(path)
+    assert back.window == pattern.window
+    np.testing.assert_array_equal(back.points.view(np.uint64), pattern.points.view(np.uint64))
+
+
 def test_covariate_field_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     field = CovariateField(Window(2, 3.0), rng.normal(size=(4, 4, 2)))
@@ -188,9 +203,11 @@ def test_csv_text_is_savetxt_text(tmp_path, shape, header):
 
 
 def test_every_writer_writes_savetxt_text(tmp_path):
+    # Signed zeros and NaN payloads too: every writer goes through one formatter.
     window = Window(2, 1.0)
     path = tmp_path / "out.csv"
-    for points in (np.empty((0, 2)), [[-0.0, 5e-324], [0.25, -2.0e-310]]):
+    for points in (np.empty((0, 2)), [[-0.0, 5e-324], [0.25, -2.0e-310]],
+                   [[0.0, -0.0], [-0.0, 0.25], [0.25, 0.0]]):
         pattern = PointPattern(window, points)
         write_pattern_csv(path, pattern)
         assert path.read_bytes() == _savetxt_bytes(tmp_path, pattern.points, "x,y")
@@ -198,11 +215,12 @@ def test_every_writer_writes_savetxt_text(tmp_path):
     write_covariate_field(path, field)
     header = path.read_text().splitlines()[0]
     assert path.read_bytes() == _savetxt_bytes(tmp_path, field.flat(), header)
-    grid = RadiusGrid.uniform(0.1, 4)
-    curve = Curve(grid, np.reshape(EDGE_VALUES, (4, 2)))
-    write_curve_csv(path, curve, ("a", "b"))
-    rows = np.column_stack([grid.values, curve.values])
-    assert path.read_bytes() == _savetxt_bytes(tmp_path, rows, "r,a,b")
+    for values in (np.reshape(EDGE_VALUES, (4, 2)), np.resize(MATRIX_VALUES, (7, 2))):
+        grid = RadiusGrid.uniform(0.1, len(values))
+        curve = Curve(grid, values)
+        write_curve_csv(path, curve, ("a", "b"))
+        rows = np.column_stack([grid.values, curve.values])
+        assert path.read_bytes() == _savetxt_bytes(tmp_path, rows, "r,a,b")
     write_matrix_csv(path, np.array(EDGE_VALUES))
     assert path.read_bytes() == _savetxt_bytes(tmp_path, np.array([EDGE_VALUES]))
 
@@ -437,6 +455,17 @@ def test_cli_crit_rejects_non_finite_cov(tmp_path, capsys):
     assert main(["crit", "--cov", str(cov), "--grid", "5", "--M", "1000",
                  "--seed", "3", "-o", str(out)]) == 1
     assert "covariance must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n \n\n"], ids=["empty", "blank-lines"])
+def test_cli_crit_rejects_empty_cov(tmp_path, capsys, text):
+    cov = tmp_path / "empty.csv"
+    cov.write_text(text)
+    out = tmp_path / "crit.json"
+    assert main(["crit", "--cov", str(cov), "--grid", "5", "--M", "1000", "--seed", "3",
+                 "-o", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {cov}: empty matrix CSV\n"
     assert not out.exists()
 
 

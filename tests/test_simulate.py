@@ -35,6 +35,34 @@ def test_points_inside_window():
         assert np.abs(pat.points).max() <= 1.0
 
 
+def test_uniform_rows_reach_the_lower_face():
+    # numpy's uniform(low, high) is low + (high - low) * random(), bitwise, and
+    # random() returns 0.0 (one draw in 2**53), which gives -side/2 exactly.
+    low, high = -0.35, 0.35
+    u = np.random.default_rng(5).random((1000, 3))
+    np.testing.assert_array_equal(np.random.default_rng(5).uniform(low, high, (1000, 3)),
+                                  low + (high - low) * u)
+    assert low + (high - low) * 0.0 == low
+
+
+class EdgeDraws(np.random.Generator):
+    """Three points whose rows are numpy's extreme uniform draws, 0 and 1 - 2**-53."""
+
+    def poisson(self, lam):
+        return 3
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        u = np.array([[0.0, 0.0], [0.0, 1.0 - 2.0**-53], [1.0 - 2.0**-53, 1.0 - 2.0**-53]])
+        return low + (high - low) * u
+
+
+@pytest.mark.parametrize("side", [1.0, 0.7, 2.0 / 3.0])
+def test_poisson_draw_on_the_lower_face_is_a_pattern(side):
+    pattern = simulate_poisson(100.0, Window(2, side), EdgeDraws(np.random.PCG64(0)))
+    assert pattern.points.min() == -side / 2.0
+    assert pattern.points.max() <= side / 2.0
+
+
 def test_poisson_count_mean():
     # 1e4 replicates: sample mean within 3 sqrt(200/1e4) of 200
     counts = [len(simulate_poisson(200.0, W1, stream(77, r))) for r in range(10_000)]

@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py OTHER --workload inhom-analysis [--pairs 8]
+    python3 tools/bench_pairs.py OTHER --workload inhom-analysis [--pairs 10]
         [--seed 500] [--seconds 20]
     python3 tools/bench_pairs.py OTHER --workload inhom-analysis --setup [--pairs 12]
     python3 tools/bench_pairs.py OTHER --workload cov-grid50 --trace [--pairs 10]
@@ -197,7 +197,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("other", type=Path)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=8)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=500)
     parser.add_argument("--seconds", type=float, default=20.0)
     mode = parser.add_mutually_exclusive_group()
